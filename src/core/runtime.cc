@@ -372,56 +372,65 @@ FreePartRuntime::hasObject(uint64_t object_id) const
 {
     if (objectHome.count(object_id) > 0 || hostStore_->has(object_id))
         return true;
-    // Align with the restore path: an object recoverable from a
-    // checksum-intact checkpoint chain is not lost, even when no live
-    // store currently holds a copy.
+    // Align with the restore path: an object recoverable from an
+    // intact checkpoint chain is not lost, even when no live store
+    // currently holds a copy.
     for (const Agent &agent : agents)
         if (checkpointEntryFor(agent, object_id))
             return true;
     return false;
 }
 
-const FreePartRuntime::CheckpointEntry *
-FreePartRuntime::checkpointEntryFor(const Agent &agent,
-                                    uint64_t id) const
+FreePartRuntime::CheckpointChain
+FreePartRuntime::restorableChain(const Agent &agent)
 {
-    // Mirror of restartAgent's restore selection: the newest
-    // candidate generation whose whole chain (itself, the
-    // incrementals below it, and the full base they extend) passes
-    // checksum verification is authoritative. Its liveIds decide
-    // whether the object exists at all — a deleted object must not
-    // resurrect from an older generation — and the newest copy inside
-    // the chain is the one a restore would materialize.
-    for (size_t i = 0; i < agent.checkpoints.size(); ++i) {
-        size_t base = i;
-        while (base < agent.checkpoints.size() &&
-               !agent.checkpoints[base].full)
-            ++base;
-        bool intact = base < agent.checkpoints.size();
-        for (size_t j = i; intact && j <= base; ++j) {
-            for (const auto &[oid, entry] :
-                 agent.checkpoints[j].objects) {
-                if (util::fnv1a64(entry.bytes) != entry.checksum) {
-                    intact = false;
-                    break;
-                }
-            }
+    // A candidate is restorable when its whole chain — itself, the
+    // incrementals below it, and the full base they extend — holds
+    // no entry that failed verification when it was sealed.
+    const std::deque<CheckpointGen> &gens = agent.checkpoints;
+    CheckpointChain chain;
+    for (; chain.top < gens.size(); ++chain.top) {
+        size_t corrupt = 0;
+        for (chain.base = chain.top; chain.base < gens.size();
+             ++chain.base) {
+            corrupt += gens[chain.base].corruptEntries;
+            if (gens[chain.base].full)
+                break;
         }
-        if (!intact)
-            continue; // corrupt chain: fall back to an older one
-        const CheckpointGen &candidate = agent.checkpoints[i];
-        if (std::find(candidate.liveIds.begin(),
-                      candidate.liveIds.end(),
-                      id) == candidate.liveIds.end())
-            return nullptr; // authoritative snapshot: not live
-        for (size_t j = i; j <= base; ++j) {
-            auto it = agent.checkpoints[j].objects.find(id);
-            if (it != agent.checkpoints[j].objects.end())
-                return &it->second;
-        }
-        return nullptr; // live at the snapshot but never captured
+        if (chain.base < gens.size() && corrupt == 0)
+            break;
     }
-    return nullptr;
+    return chain;
+}
+
+const FreePartRuntime::CheckpointEntry *
+FreePartRuntime::checkpointEntryFor(const Agent &agent, uint64_t id)
+{
+    // The chain a restore would pick is authoritative: its top's
+    // liveIds decide whether the object exists at all — a deleted
+    // object must not resurrect from an older generation — and the
+    // newest copy inside the chain is the one a restore would
+    // materialize.
+    CheckpointChain chain = restorableChain(agent);
+    if (chain.top == agent.checkpoints.size())
+        return nullptr;
+    const std::vector<uint64_t> &live =
+        agent.checkpoints[chain.top].liveIds;
+    if (std::find(live.begin(), live.end(), id) == live.end())
+        return nullptr;
+    return entryInChain(agent, chain, id);
+}
+
+const FreePartRuntime::CheckpointEntry *
+FreePartRuntime::entryInChain(const Agent &agent, CheckpointChain chain,
+                              uint64_t id)
+{
+    for (size_t j = chain.top; j <= chain.base; ++j) {
+        auto it = agent.checkpoints[j].objects.find(id);
+        if (it != agent.checkpoints[j].objects.end())
+            return &it->second;
+    }
+    return nullptr; // live at the snapshot but never captured
 }
 
 bool
@@ -1128,23 +1137,11 @@ FreePartRuntime::squashSpeculativeCall(
     // minted stop resolving, and the id counter rewinds so the
     // re-issue mints identical ids (single-threaded eager execution
     // makes the rewind safe and keeps replay byte-identical).
-    for (uint64_t id = pre_id + 1; id <= idCounter; ++id) {
-        hostStore_->erase(id);
-        objectHome.erase(id);
-        objectReadyAt_.erase(id);
-        for (Agent &agent : agents) {
-            agent.store->erase(id);
-            // A checkpoint cut mid-speculation may hold the minted
-            // object; scrub it so a post-crash restore cannot
-            // resurrect a squashed copy under a re-minted id.
-            for (CheckpointGen &gen : agent.checkpoints) {
-                gen.objects.erase(id);
-                gen.liveIds.erase(std::remove(gen.liveIds.begin(),
-                                              gen.liveIds.end(), id),
-                                  gen.liveIds.end());
-            }
-        }
-    }
+    // A checkpoint cut mid-speculation may hold a minted object;
+    // scrubbing it means a post-crash restore cannot resurrect a
+    // squashed copy under a re-minted id.
+    for (uint64_t id = pre_id + 1; id <= idCounter; ++id)
+        eraseEverywhere(id);
     idCounter = pre_id;
     // The squashed exchange may have cached a response referencing
     // the discarded ids; prune it so a duplicate delivery cannot hand
@@ -1415,30 +1412,31 @@ FreePartRuntime::adaptHotWindow(const ipc::Channel &channel)
 }
 
 void
-FreePartRuntime::evictObject(uint64_t object_id)
+FreePartRuntime::eraseEverywhere(uint64_t id)
 {
-    // Settle any in-flight producer first: the cluster layer is about
-    // to serialize the bytes out of this runtime.
-    syncObjectReady(object_id);
-    objectReadyAt_.erase(object_id);
-    hostStore_->erase(object_id);
-    objectHome.erase(object_id);
+    hostStore_->erase(id);
+    objectHome.erase(id);
+    objectReadyAt_.erase(id);
     for (Agent &agent : agents) {
-        agent.store->erase(object_id);
-        // Scrub checkpoint generations too: a post-crash restore must
-        // not resurrect a stale copy of data that now lives (and
-        // mutates) in another runtime.
+        agent.store->erase(id);
         for (CheckpointGen &gen : agent.checkpoints) {
-            gen.objects.erase(object_id);
+            auto it = gen.objects.find(id);
+            if (it != gen.objects.end()) {
+                if (!it->second.intact)
+                    --gen.corruptEntries;
+                gen.objects.erase(it);
+            }
             gen.liveIds.erase(std::remove(gen.liveIds.begin(),
-                                          gen.liveIds.end(),
-                                          object_id),
+                                          gen.liveIds.end(), id),
                               gen.liveIds.end());
         }
-        // Cached responses referencing the evicted object would hand
-        // out a dangling ref on a dedup hit.
-        pruneSeqCache(agent);
     }
+}
+
+void
+FreePartRuntime::evictObject(uint64_t object_id)
+{
+    evictObjects({object_id});
 }
 
 size_t
@@ -1448,22 +1446,17 @@ FreePartRuntime::evictObjects(const std::vector<uint64_t> &object_ids)
     for (uint64_t id : object_ids) {
         if (hasObject(id))
             ++dropped;
+        // Settle any in-flight producer first: the cluster layer is
+        // about to serialize the bytes out of this runtime. Scrubbing
+        // the checkpoints too means a post-crash restore cannot
+        // resurrect a stale copy of data that now lives (and
+        // mutates) in another runtime.
         syncObjectReady(id);
-        objectReadyAt_.erase(id);
-        hostStore_->erase(id);
-        objectHome.erase(id);
-        for (Agent &agent : agents) {
-            agent.store->erase(id);
-            for (CheckpointGen &gen : agent.checkpoints) {
-                gen.objects.erase(id);
-                gen.liveIds.erase(std::remove(gen.liveIds.begin(),
-                                              gen.liveIds.end(), id),
-                                  gen.liveIds.end());
-            }
-        }
+        eraseEverywhere(id);
     }
-    // One dedup-cache sweep per agent covers every erased id; the
-    // per-object evictObject path pays this per call.
+    // Cached responses referencing an evicted object would hand out
+    // a dangling ref on a dedup hit; one sweep per agent covers every
+    // erased id.
     for (Agent &agent : agents)
         pruneSeqCache(agent);
     return dropped;
@@ -1761,13 +1754,19 @@ FreePartRuntime::checkpointAgent(uint32_t partition)
         entry.kind = obj.kind;
         entry.bytes = agent.store->serialize(id);
         entry.label = obj.label;
-        // Checksum before any corruption: bit-rot after the write is
-        // exactly what the restore-time verification must catch.
-        entry.checksum = util::fnv1a64(entry.bytes);
+        // Checksum before any corruption, verify as the generation is
+        // sealed: bit-rot of the stored snapshot is exactly what the
+        // verification must catch. The bytes are never written after
+        // this, so the verdict holds for every later lookup and
+        // restore.
+        uint64_t written = util::wideChecksum(entry.bytes);
         stats_.checkpointBytesSaved += entry.bytes.size();
         if (action == osim::FaultAction::Corrupt &&
             kernel_.faultInjector() && !entry.bytes.empty())
             kernel_.faultInjector()->corrupt(entry.bytes);
+        entry.intact = util::wideChecksum(entry.bytes) == written;
+        if (!entry.intact)
+            ++gen.corruptEntries;
         gen.objects.emplace(id, std::move(entry));
     }
     agent.checkpoints.push_front(std::move(gen));
@@ -1849,59 +1848,30 @@ FreePartRuntime::restartAgent(uint32_t partition)
         up = false;
     }
     if (up) {
-        // Restore from the newest restorable checkpoint. A candidate
-        // generation is restorable when its whole chain — itself,
-        // the incrementals below it, and the full generation they
-        // extend — passes checksum verification; the reconstruction
-        // overlays the chain oldest-to-newest and keeps only the ids
-        // live at the candidate's snapshot. A candidate with any
-        // corrupt link is skipped (one fallback) in favor of the next
-        // older one. Values newer than the chosen checkpoint are
-        // intentionally NOT restored (§6 "Restoring States of
-        // Crashed Process").
-        for (size_t i = 0; i < agent.checkpoints.size(); ++i) {
-            // Chain of candidate i: indices i..base where base is the
-            // nearest full generation at or below it.
-            size_t base = i;
-            while (base < agent.checkpoints.size() &&
-                   !agent.checkpoints[base].full)
-                ++base;
-            bool intact = base < agent.checkpoints.size();
-            for (size_t j = i; intact && j <= base; ++j) {
-                for (const auto &[id, entry] :
-                     agent.checkpoints[j].objects) {
-                    if (util::fnv1a64(entry.bytes) != entry.checksum) {
-                        intact = false;
-                        break;
-                    }
-                }
-            }
-            if (!intact) {
-                ++stats_.checkpointFallbacks;
-                util::inform("runtime: corrupt checkpoint chain for "
-                             "partition %u skipped at restore",
-                             partition);
-                continue;
-            }
-            // Overlay oldest-to-newest: the newest copy of each
-            // object inside the chain wins.
-            std::map<uint64_t, const CheckpointEntry *> merged;
-            for (size_t j = base + 1; j-- > i;) {
-                for (const auto &[id, entry] :
-                     agent.checkpoints[j].objects)
-                    merged[id] = &entry;
-            }
-            for (uint64_t id : agent.checkpoints[i].liveIds) {
-                auto it = merged.find(id);
-                if (it == merged.end())
+        // Restore from the newest restorable chain; every newer
+        // candidate with a corrupt link is skipped (one fallback
+        // each). Each id live at the candidate's snapshot gets its
+        // newest copy inside the chain. Values newer than the chosen
+        // checkpoint are intentionally NOT restored (§6 "Restoring
+        // States of Crashed Process").
+        CheckpointChain chain = restorableChain(agent);
+        if (chain.top > 0) {
+            stats_.checkpointFallbacks += chain.top;
+            util::inform("runtime: %zu corrupt checkpoint chain(s) for "
+                         "partition %u skipped at restore",
+                         chain.top, partition);
+        }
+        if (chain.top < agent.checkpoints.size()) {
+            for (uint64_t id : agent.checkpoints[chain.top].liveIds) {
+                const CheckpointEntry *entry =
+                    entryInChain(agent, chain, id);
+                if (!entry)
                     continue;
-                const CheckpointEntry &entry = *it->second;
-                agent.store->materialize(id, entry.kind, entry.bytes,
-                                         entry.label);
-                objectHome[id] = {partition, entry.kind};
-                stats_.checkpointBytesRestored += entry.bytes.size();
+                agent.store->materialize(id, entry->kind, entry->bytes,
+                                         entry->label);
+                objectHome[id] = {partition, entry->kind};
+                stats_.checkpointBytesRestored += entry->bytes.size();
             }
-            break;
         }
     }
     // Objects whose authoritative copy died with the old incarnation

@@ -310,9 +310,9 @@ class FreePartRuntime
     uint32_t homeOf(uint64_t object_id) const;
 
     /** Whether an object still resolves anywhere: a live store, the
-     *  host store, or a checksum-intact checkpoint chain (the same
-     *  generations the restore path would accept). False means it is
-     *  genuinely lost — homeOf() would panic on it. */
+     *  host store, or a checkpoint chain verified intact when written
+     *  (the same generations the restore path would accept). False
+     *  means it is genuinely lost — homeOf() would panic on it. */
     bool hasObject(uint64_t object_id) const;
 
     /** Snapshot stats (sets endTime to the current sim clock and
@@ -359,7 +359,8 @@ class FreePartRuntime
 
     /**
      * Snapshot an agent's object store (stateful-API checkpoint).
-     * Each serialized object carries a checksum; the last
+     * Each serialized object is checksummed when written and
+     * verified once when the generation is sealed; the last
      * kCheckpointGenerations generations are kept so a corrupted
      * checkpoint falls back to the previous good one at restore.
      */
@@ -403,12 +404,14 @@ class FreePartRuntime
     osim::SimTime sessionEpochResetCost() const;
 
   private:
-    /** One checksummed serialized object inside a checkpoint. */
+    /** One serialized object inside a checkpoint. Its bytes are
+     *  verified against their write-time checksum once, when the
+     *  generation is sealed, and never written after that. */
     struct CheckpointEntry {
         fw::ObjKind kind = fw::ObjKind::Bytes;
         std::vector<uint8_t> bytes;
-        uint64_t checksum = 0;
         std::string label;
+        bool intact = true; //!< passed the seal-time verification
     };
 
     /** One checkpoint generation: object id -> entry. A full
@@ -422,6 +425,16 @@ class FreePartRuntime
         bool full = false;
         std::vector<uint64_t> liveIds;
         std::map<uint64_t, CheckpointEntry> objects;
+        /** Entries of `objects` that are not intact. */
+        size_t corruptEntries = 0;
+    };
+
+    /** Generations [top, base] of an agent's checkpoint deque: a
+     *  candidate and the chain it needs (base is the nearest full
+     *  generation at or below top). */
+    struct CheckpointChain {
+        size_t top = 0;
+        size_t base = 0;
     };
 
     struct Agent {
@@ -602,11 +615,25 @@ class FreePartRuntime
     /** Mark refs in `values` as produced/settled at `ready`. */
     void noteObjectsReady(const ipc::ValueList &values,
                           osim::SimTime ready);
-    /** Newest checksum-intact checkpoint entry for an object, using
-     *  the same candidate/chain selection as the restore path;
-     *  nullptr when no generation can vouch for it. */
-    const CheckpointEntry *checkpointEntryFor(const Agent &agent,
-                                              uint64_t id) const;
+    /** The newest restorable chain: its candidate and every link
+     *  down to its full base were intact when written. `top` is the
+     *  number of newer candidates skipped, and equals
+     *  agent.checkpoints.size() when no chain is restorable. Lookups
+     *  and restores both select through this. */
+    static CheckpointChain restorableChain(const Agent &agent);
+    /** Newest copy of an object inside the restorable chain, if that
+     *  chain's snapshot holds it live; nullptr otherwise. */
+    static const CheckpointEntry *checkpointEntryFor(const Agent &agent,
+                                                     uint64_t id);
+    /** Newest copy of an object inside one chain (newest generation
+     *  first); nullptr when no link captured it. */
+    static const CheckpointEntry *entryInChain(const Agent &agent,
+                                               CheckpointChain chain,
+                                               uint64_t id);
+    /** Drop an object from every store, checkpoint generation, home
+     *  and readiness record of this runtime (dedup caches are the
+     *  caller's to prune). */
+    void eraseEverywhere(uint64_t id);
     /** Rebuild a checkpoint-held object into its partition's store
      *  (the lazy restore twin of the restartAgent bulk path). */
     bool restoreFromCheckpoint(uint32_t partition, uint64_t id);

@@ -27,32 +27,49 @@ clampI(int v, int lo, int hi)
     return static_cast<uint32_t>(std::clamp(v, lo, hi));
 }
 
-/** Generic 3x3 min/max filter. */
+template <bool TakeMax>
+inline uint8_t
+pick(uint8_t a, uint8_t b)
+{
+    return TakeMax ? std::max(a, b) : std::min(a, b);
+}
+
+/**
+ * 3x3 min/max filter with clamped borders, as a vertical 3x1 pass
+ * into dst followed by a horizontal 1x3 pass over each dst row. Min/max
+ * is associative and a clamped border neighbour only repeats a pixel
+ * already in the window, so the result is byte-identical to the 3x3
+ * window; border columns are peeled so the inner loops are
+ * branch-free, and the only temporary is one row.
+ */
 template <bool TakeMax>
 void
 minmax3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
           uint32_t cols, uint32_t ch)
 {
+    const size_t row = static_cast<size_t>(cols) * ch;
+    if (rows == 0 || row == 0)
+        return;
+    std::vector<uint8_t> line(row);
     for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t k = 0; k < ch; ++k) {
-                uint8_t best = TakeMax ? 0 : 255;
-                for (int dr = -1; dr <= 1; ++dr) {
-                    for (int dc = -1; dc <= 1; ++dc) {
-                        uint32_t rr = clampI(static_cast<int>(r) + dr,
-                                             0, static_cast<int>(rows) -
-                                                    1);
-                        uint32_t cc = clampI(static_cast<int>(c) + dc,
-                                             0, static_cast<int>(cols) -
-                                                    1);
-                        uint8_t v = src[idx(rr, cc, k, cols, ch)];
-                        if (TakeMax ? v > best : v < best)
-                            best = v;
-                    }
-                }
-                dst[idx(r, c, k, cols, ch)] = best;
-            }
+        const uint8_t *up = src + (r == 0 ? r : r - 1) * row;
+        const uint8_t *mid = src + r * row;
+        const uint8_t *down = src + (r + 1 == rows ? r : r + 1) * row;
+        uint8_t *v = line.data();
+        for (size_t i = 0; i < row; ++i)
+            v[i] = pick<TakeMax>(pick<TakeMax>(up[i], mid[i]), down[i]);
+        uint8_t *d = dst + r * row;
+        if (cols == 1) {
+            std::memcpy(d, v, row);
+            continue;
         }
+        for (size_t i = 0; i < ch; ++i)
+            d[i] = pick<TakeMax>(v[i], v[i + ch]);
+        for (size_t i = ch; i + ch < row; ++i)
+            d[i] = pick<TakeMax>(pick<TakeMax>(v[i - ch], v[i]),
+                                 v[i + ch]);
+        for (size_t i = row - ch; i < row; ++i)
+            d[i] = pick<TakeMax>(v[i - ch], v[i]);
     }
 }
 

@@ -11,11 +11,11 @@
  *
  * All traffic is batch-framed: a send encodes one or more messages
  * directly into ring storage (reserve/commit, no staging buffer)
- * under a single shared FNV-1a trailer, and pays one futex wake for
- * the whole burst — or none at all inside a hot window, when the
- * peer is still busy-polling after the previous exchange (the
- * adaptive-spin fast path). Single-message send/receive wrappers are
- * batches of one.
+ * under a single shared util::WideChecksum trailer, and pays one
+ * futex wake for the whole burst — or none at all inside a hot
+ * window, when the peer is still busy-polling after the previous
+ * exchange (the adaptive-spin fast path). Single-message
+ * send/receive wrappers are batches of one.
  */
 
 #ifndef FREEPART_IPC_CHANNEL_HH

@@ -144,7 +144,7 @@ class Writer
 };
 
 /**
- * Forwarding sink that folds every byte into an FNV-1a state so a
+ * Forwarding sink that folds every byte into a WideChecksum so a
  * batch trailer can be computed while streaming into ring storage —
  * no second pass over (possibly wrapped) ring memory.
  */
@@ -156,16 +156,15 @@ class ChecksumSink final : public ByteSink
     void
     append(const void *bytes, size_t len) override
     {
-        state = util::fnv1a64Accumulate(
-            state, static_cast<const uint8_t *>(bytes), len);
+        checksum.update(bytes, len);
         inner.append(bytes, len);
     }
 
-    uint64_t sum() const { return state; }
+    uint64_t sum() const { return checksum.digest(); }
 
   private:
     ByteSink &inner;
-    uint64_t state = util::kFnv1a64Init;
+    util::WideChecksum checksum;
 };
 
 class Reader
@@ -375,7 +374,7 @@ encodeMessage(const Message &msg)
     // End-to-end integrity trailer: the receiver verifies this before
     // acting on any field, so a message corrupted on the shared ring
     // is rejected instead of silently mis-decoded.
-    uint64_t sum = util::fnv1a64(wire);
+    uint64_t sum = util::wideChecksum(wire);
     Writer w(sink);
     w.u64(sum);
     return wire;
@@ -389,7 +388,7 @@ decodeMessage(const std::vector<uint8_t> &wire)
     size_t body = wire.size() - sizeof(uint64_t);
     uint64_t expected;
     std::memcpy(&expected, wire.data() + body, sizeof(expected));
-    if (util::fnv1a64(wire.data(), body) != expected)
+    if (util::wideChecksum(wire.data(), body) != expected)
         util::fatal("codec: checksum mismatch on %zu-byte message",
                     wire.size());
     return decodeMessageBody(wire.data(), body);
@@ -440,7 +439,7 @@ decodeBatch(const std::vector<uint8_t> &wire)
     size_t body = wire.size() - kBatchTrailerBytes;
     uint64_t expected;
     std::memcpy(&expected, wire.data() + body, sizeof(expected));
-    if (util::fnv1a64(wire.data(), body) != expected)
+    if (util::wideChecksum(wire.data(), body) != expected)
         util::fatal("codec: batch checksum mismatch on %zu-byte frame",
                     wire.size());
     Reader r(wire.data(), body);

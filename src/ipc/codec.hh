@@ -8,10 +8,10 @@
  * "agent process's PID and the identifier of the buffer".
  *
  * Two wire framings exist:
- *  - a standalone message: body + per-message FNV-1a trailer
+ *  - a standalone message: body + per-message checksum trailer
  *    (encodeMessage/decodeMessage);
  *  - a batch frame holding several bodies under ONE shared trailer
- *    ([u32 count][(u32 len, body)...][u64 fnv1a]), used by the
+ *    ([u32 count][(u32 len, body)...][u64 wide checksum]), used by the
  *    batched ring RPC so a burst of messages pays a single checksum
  *    and a single publish. Encoding targets a ByteSink so the bytes
  *    can stream straight into ring storage (no staging vector).
@@ -150,7 +150,8 @@ void encodeMessageBodyTo(ByteSink &sink, const Message &msg);
 /** Parse a bare message body; throws on malformed input. */
 Message decodeMessageBody(const uint8_t *data, size_t len);
 
-/** Serialize a standalone message (body + FNV-1a trailer). */
+/** Serialize a standalone message (body + util::WideChecksum
+ *  trailer). */
 std::vector<uint8_t> encodeMessage(const Message &msg);
 
 /** Parse standalone wire bytes; verifies the trailer, throws on

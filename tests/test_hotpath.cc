@@ -4,11 +4,16 @@
  * and the dirty-epoch checkpoint machinery: ring wraparound under
  * batched and reserve/commit producers, codec edge cases (empty
  * payloads, slot-exact records, batch-of-one equivalence, corrupted
- * batch trailers), incremental-checkpoint byte savings and restore
- * fidelity, and the bounded LRU dedup cache.
+ * batch trailers), the word-wide integrity checksum (split
+ * invariance, bit-flip and injected-corruption detection) next to the
+ * pinned FNV-1a digest, incremental-checkpoint byte savings and
+ * restore fidelity, and the bounded LRU dedup cache.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "core/dedup_cache.hh"
 #include "core/runtime.hh"
@@ -17,6 +22,8 @@
 #include "ipc/codec.hh"
 #include "ipc/spsc_ring.hh"
 #include "osim/fault_injection.hh"
+#include "util/checksum.hh"
+#include "util/rng.hh"
 
 namespace freepart {
 namespace {
@@ -242,6 +249,104 @@ TEST(CodecEdge, CorruptFaultSurfacesAsTypedChannelLoss)
     channel.sendRequest(request);
     EXPECT_TRUE(channel.receiveRequest(received));
     EXPECT_EQ(received.seq, 1u);
+}
+
+// ---- Integrity checksum ----------------------------------------------
+
+std::vector<uint8_t>
+randomBytes(size_t len, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<uint8_t> out(len);
+    for (uint8_t &b : out)
+        b = static_cast<uint8_t>(rng.next());
+    return out;
+}
+
+uint64_t
+checksumOf(const char *text)
+{
+    return util::wideChecksum(reinterpret_cast<const uint8_t *>(text),
+                              std::strlen(text));
+}
+
+TEST(WideChecksum, MatchesXxh64ReferenceVectors)
+{
+    EXPECT_EQ(checksumOf(""), 0xef46db3751d8e999ull);
+    EXPECT_EQ(checksumOf("a"), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(checksumOf("abc"), 0x44bc2cf5ad770999ull);
+    EXPECT_EQ(checksumOf("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ull);
+}
+
+TEST(WideChecksum, RandomSplitsMatchOneCall)
+{
+    util::Rng rng(7);
+    for (size_t len : {0, 1, 7, 31, 32, 33, 63, 64, 65, 200, 4099}) {
+        std::vector<uint8_t> bytes = randomBytes(len, len);
+        uint64_t whole = util::wideChecksum(bytes);
+        for (int trial = 0; trial < 20; ++trial) {
+            util::WideChecksum sum;
+            size_t pos = 0;
+            while (pos < len) {
+                size_t piece = std::min<size_t>(rng.below(40), len - pos);
+                sum.update(bytes.data() + pos, piece);
+                pos += piece;
+            }
+            EXPECT_EQ(sum.digest(), whole) << "len " << len;
+        }
+    }
+}
+
+TEST(WideChecksum, DetectsEverySingleBitFlipIn4KiB)
+{
+    std::vector<uint8_t> bytes = randomBytes(4096, 0x4b);
+    uint64_t clean = util::wideChecksum(bytes);
+    size_t missed = 0;
+    for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+        bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        missed += util::wideChecksum(bytes) == clean;
+        bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_EQ(missed, 0u);
+}
+
+TEST(WideChecksum, DetectsInjectedCorruptionOfFramesAndCheckpoints)
+{
+    // A frame-sized batch (what the ring carries) and a 64 KiB
+    // checkpoint entry, each corrupted by 1000 seeded injectors. The
+    // frame check is decodeBatch's: the body against the (possibly
+    // also corrupted) trailer.
+    std::vector<uint8_t> frame = ipc::encodeBatch(
+        {makeRequest(1, {ipc::Value(randomBytes(64, 1))}),
+         makeRequest(2, {ipc::Value(uint64_t{9})})});
+    size_t body = frame.size() - sizeof(uint64_t);
+    std::vector<uint8_t> entry = randomBytes(64 * 1024, 2);
+    uint64_t entry_sum = util::wideChecksum(entry);
+    for (uint64_t seed = 0; seed < 1000; ++seed) {
+        osim::FaultInjector injector(seed);
+        std::vector<uint8_t> bad = frame;
+        injector.corrupt(bad);
+        uint64_t trailer;
+        std::memcpy(&trailer, bad.data() + body, sizeof(trailer));
+        EXPECT_NE(util::wideChecksum(bad.data(), body), trailer) << seed;
+        bad = entry;
+        injector.corrupt(bad);
+        EXPECT_NE(util::wideChecksum(bad), entry_sum) << seed;
+    }
+}
+
+TEST(Fnv1a64, KnownAnswersPinPlacementKeysAndDigests)
+{
+    // HashRing keys and app final digests are FNV-1a values; they
+    // must not move when the integrity checksum changes.
+    auto fnv = [](const char *text) {
+        return util::fnv1a64(reinterpret_cast<const uint8_t *>(text),
+                             std::strlen(text));
+    };
+    EXPECT_EQ(fnv(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ull);
 }
 
 // ---- Dirty-epoch incremental checkpoints -----------------------------

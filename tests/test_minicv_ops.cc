@@ -2,12 +2,16 @@
  * @file
  * Correctness tests for the MiniCV image kernels: algebraic
  * properties (idempotence, involution, monotonicity, range
- * preservation) plus hand-checked small cases.
+ * preservation), hand-checked small cases, and byte identity of the
+ * separable morphology kernels with a direct 3x3 window.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fw/minicv_ops.hh"
+#include "util/rng.hh"
 
 namespace freepart::fw::ops {
 namespace {
@@ -79,6 +83,70 @@ TEST(ErodeDilate, ErodeShrinksBrightSquare)
         if (v == 255)
             ++bright;
     EXPECT_EQ(bright, 4);
+}
+
+/** Direct 3x3 min/max window with clamped borders: the reference
+ *  the separable morphology kernels must match byte for byte. */
+std::vector<uint8_t>
+naiveMinMax3x3(const std::vector<uint8_t> &src, uint32_t rows,
+               uint32_t cols, uint32_t ch, bool take_max)
+{
+    std::vector<uint8_t> out(src.size());
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c)
+            for (uint32_t k = 0; k < ch; ++k) {
+                uint8_t best = take_max ? 0 : 255;
+                for (int dr = -1; dr <= 1; ++dr)
+                    for (int dc = -1; dc <= 1; ++dc) {
+                        int rr = std::clamp(static_cast<int>(r) + dr, 0,
+                                            static_cast<int>(rows) - 1);
+                        int cc = std::clamp(static_cast<int>(c) + dc, 0,
+                                            static_cast<int>(cols) - 1);
+                        uint8_t v =
+                            src[(static_cast<size_t>(rr) * cols + cc) *
+                                    ch +
+                                k];
+                        best = take_max ? std::max(best, v)
+                                        : std::min(best, v);
+                    }
+                out[(static_cast<size_t>(r) * cols + c) * ch + k] = best;
+            }
+    return out;
+}
+
+/** Run all four morphology ops on one random frame and compare each
+ *  with its composition of naive windows. */
+void
+expectMorphologyMatchesNaive(uint32_t rows, uint32_t cols, uint32_t ch,
+                             util::Rng &rng)
+{
+    std::vector<uint8_t> src(static_cast<size_t>(rows) * cols * ch);
+    for (uint8_t &v : src)
+        v = static_cast<uint8_t>(rng.next());
+    auto naive = [&](const std::vector<uint8_t> &in, bool take_max) {
+        return naiveMinMax3x3(in, rows, cols, ch, take_max);
+    };
+    std::vector<uint8_t> out(src.size());
+    SCOPED_TRACE(testing::Message()
+                 << rows << "x" << cols << "x" << ch);
+    erode3x3(src.data(), out.data(), rows, cols, ch);
+    EXPECT_EQ(out, naive(src, false)) << "erode";
+    dilate3x3(src.data(), out.data(), rows, cols, ch);
+    EXPECT_EQ(out, naive(src, true)) << "dilate";
+    morphOpen(src.data(), out.data(), rows, cols, ch);
+    EXPECT_EQ(out, naive(naive(src, false), true)) << "open";
+    morphClose(src.data(), out.data(), rows, cols, ch);
+    EXPECT_EQ(out, naive(naive(src, true), false)) << "close";
+}
+
+TEST(Morphology, SeparableKernelsMatchNaiveWindowOnEveryShape)
+{
+    util::Rng rng(0x3b3);
+    for (uint32_t rows = 1; rows <= 9; ++rows)
+        for (uint32_t cols = 1; cols <= 9; ++cols)
+            for (uint32_t ch = 1; ch <= 4; ++ch)
+                expectMorphologyMatchesNaive(rows, cols, ch, rng);
+    expectMorphologyMatchesNaive(257, 255, 3, rng);
 }
 
 TEST(Morphology, OpenThenCloseIdempotentOnBinaryBlob)

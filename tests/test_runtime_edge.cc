@@ -3,7 +3,8 @@
  * Edge-case and failure-injection tests for the runtime: dead hosts,
  * neutral APIs under non-default plans, protection of agent-resident
  * data, oversized messages, checkpoint cadence, restart home
- * reassignment, and the at-least-once / exactly-once seams.
+ * reassignment, the at-least-once / exactly-once seams, and the
+ * write-time checkpoint verdicts that lookups and restores share.
  */
 
 #include <gtest/gtest.h>
@@ -386,6 +387,175 @@ TEST(RuntimeEdge, EvictObjectPrunesDedupEntriesReferencingIt)
     runtime->evictObject(result_id);
     EXPECT_LT(runtime->seqCacheSize(1), cached);
     EXPECT_FALSE(runtime->hasObject(result_id));
+}
+
+// ---- Checkpoint verdicts: verified once, when written -----------------
+
+/** Two torch.load results in one agent, checkpointing after every
+ *  call; the generation cut after the second load is corrupted at
+ *  write time, so only the first load's generation is restorable. */
+struct CorruptGenFixture {
+    std::unique_ptr<FreePartRuntime> runtime;
+    osim::FaultInjector injector{1};
+    uint64_t kept = 0;    //!< captured by the intact generation
+    uint64_t corrupt = 0; //!< only in the corrupted generation
+    uint32_t partition = 0;
+
+    CorruptGenFixture()
+    {
+        RuntimeConfig config;
+        config.checkpointInterval = 1;
+        runtime = env().makeRuntime(PartitionPlan::freePartDefault(),
+                                    config);
+        env().kernel->setFaultInjector(&injector);
+        kept = load();
+        partition = runtime->homeOf(kept);
+        schedule(osim::FaultPoint::Checkpoint,
+                 osim::FaultAction::Corrupt);
+        corrupt = load();
+        EXPECT_EQ(runtime->homeOf(corrupt), partition);
+    }
+
+    ~CorruptGenFixture() { env().kernel->setFaultInjector(nullptr); }
+    CorruptGenFixture(const CorruptGenFixture &) = delete;
+    CorruptGenFixture &operator=(const CorruptGenFixture &) = delete;
+
+    uint64_t
+    load()
+    {
+        ApiResult model = runtime->invoke(
+            "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
+        EXPECT_TRUE(model.ok) << model.error;
+        return model.ok ? model.values[0].asRef().objectId : 0;
+    }
+
+    void
+    schedule(osim::FaultPoint point, osim::FaultAction action)
+    {
+        osim::FaultSpec spec;
+        spec.point = point;
+        spec.action = action;
+        spec.pid = runtime->agentPid(partition);
+        spec.count = 1;
+        injector.schedule(spec);
+    }
+
+    void
+    crash()
+    {
+        env().kernel->faultProcess(
+            env().kernel->process(runtime->agentPid(partition)),
+            "induced");
+    }
+};
+
+TEST(CheckpointVerdict, LookupAndRestoreSkipTheSameCorruptGeneration)
+{
+    CorruptGenFixture f;
+    // A stillborn respawn skips the bulk restore, so what survives is
+    // decided by the lookup path alone (hasObject / the lost-scan).
+    f.schedule(osim::FaultPoint::Restore, osim::FaultAction::Crash);
+    f.crash();
+    EXPECT_FALSE(f.runtime->restartAgent(f.partition));
+    bool lookup_kept = f.runtime->hasObject(f.kept);
+    bool lookup_corrupt = f.runtime->hasObject(f.corrupt);
+    EXPECT_TRUE(lookup_kept);
+    EXPECT_FALSE(lookup_corrupt);
+    EXPECT_EQ(f.runtime->stats().checkpointFallbacks, 0u);
+
+    // The bulk restore skips the corrupt chain once and restores
+    // exactly the ids the lookup vouched for.
+    ASSERT_TRUE(f.runtime->restartAgent(f.partition));
+    EXPECT_EQ(f.runtime->stats().checkpointFallbacks, 1u);
+    fw::ObjectStore &store = f.runtime->storeOf(f.partition);
+    EXPECT_EQ(store.has(f.kept), lookup_kept);
+    EXPECT_EQ(store.has(f.corrupt), lookup_corrupt);
+    EXPECT_EQ(f.runtime->hasObject(f.corrupt), lookup_corrupt);
+}
+
+TEST(CheckpointVerdict, EvictingTheOnlyCorruptEntryRestoresTheChain)
+{
+    CorruptGenFixture f;
+    f.runtime->evictObject(f.corrupt);
+    f.crash();
+    ASSERT_TRUE(f.runtime->restartAgent(f.partition));
+    // The newest generation lost its only bad entry, so it is
+    // restorable again: no fallback.
+    EXPECT_EQ(f.runtime->stats().checkpointFallbacks, 0u);
+    EXPECT_TRUE(f.runtime->storeOf(f.partition).has(f.kept));
+    EXPECT_FALSE(f.runtime->hasObject(f.corrupt));
+}
+
+TEST(CheckpointVerdict, SquashScrubbingACorruptEntryKeepsTheCount)
+{
+    // A processing API that draws into its input in place (the
+    // pre-window write that forces a squash) and also mints a blurred
+    // copy, so the squash has a checkpointed object to scrub.
+    fw::ApiRegistry registry = fw::buildFullRegistry();
+    fw::ApiDescriptor api = registry.require("cv2.rectangle");
+    api.name = "test.drawAndBlur";
+    api.fn = [draw = api.fn,
+              blur = registry.require("cv2.GaussianBlur").fn](
+                 fw::ExecContext &ctx, const fw::ApiDescriptor &desc,
+                 const ipc::ValueList &args) -> ipc::ValueList {
+        draw(ctx, desc, args);
+        return {args[0], blur(ctx, desc, {args[0]})[0]};
+    };
+    registry.add(std::move(api));
+    analysis::Categorization cats = env().cats;
+    cats["test.drawAndBlur"] = cats.at("cv2.rectangle");
+    osim::FaultInjector injector(1);
+    osim::Kernel kernel;
+    fw::seedFixtureFiles(kernel);
+    kernel.setFaultInjector(&injector);
+    RuntimeConfig config;
+    config.checkpointInterval = 1;
+    config.pipelineParallel = true;
+    config.speculativeFlips = true;
+    FreePartRuntime runtime(kernel, registry, cats,
+                            PartitionPlan::freePartDefault(), config);
+
+    auto call = [&](const std::string &name, ipc::ValueList args) {
+        const ApiResult *res =
+            runtime.peekResult(runtime.invokeAsync(name, args));
+        EXPECT_TRUE(res && res->ok) << (res ? res->error : name);
+        return res && res->ok ? res->values : ipc::ValueList{};
+    };
+    ipc::ValueList frame =
+        call("cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_EQ(frame.size(), 1u);
+    ipc::ValueList chain = call("cv2.GaussianBlur", frame);
+    ASSERT_EQ(chain.size(), 1u);
+    uint64_t chain_id = chain[0].asRef().objectId;
+    uint32_t p = runtime.homeOf(chain_id);
+    runtime.fetchToHost(chain[0].asRef()); // opens the window
+    ASSERT_TRUE(runtime.speculationActive());
+
+    // The generation cut inside the speculative call holds the
+    // in-place-written chain and the minted copy, both corrupted.
+    osim::FaultSpec spec;
+    spec.point = osim::FaultPoint::Checkpoint;
+    spec.action = osim::FaultAction::Corrupt;
+    spec.pid = runtime.agentPid(p);
+    spec.count = 1;
+    injector.schedule(spec);
+    ipc::ValueList drawn = call(
+        "test.drawAndBlur",
+        {chain[0], ipc::Value(uint64_t{2}), ipc::Value(uint64_t{2}),
+         ipc::Value(uint64_t{8}), ipc::Value(uint64_t{8}),
+         ipc::Value(uint64_t{255})});
+    ASSERT_EQ(drawn.size(), 2u);
+    runtime.drainAll();
+    ASSERT_EQ(runtime.stats().speculationRollbacks, 1u);
+
+    // The squash scrubbed the corrupt minted copy; evicting the
+    // chain removes the generation's other corrupt entry. Only a
+    // count kept in step with both erasures leaves it restorable.
+    runtime.evictObject(chain_id);
+    kernel.faultProcess(kernel.process(runtime.agentPid(p)), "induced");
+    ASSERT_TRUE(runtime.restartAgent(p));
+    EXPECT_EQ(runtime.stats().checkpointFallbacks, 0u);
+    EXPECT_TRUE(runtime.storeOf(p).has(drawn[1].asRef().objectId));
 }
 
 TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
