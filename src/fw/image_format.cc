@@ -80,14 +80,25 @@ std::vector<uint8_t>
 synthPixels(uint32_t rows, uint32_t cols, uint32_t channels,
             uint64_t seed)
 {
-    std::vector<uint8_t> out(static_cast<size_t>(rows) * cols *
-                             channels);
+    // Pixel (r, c, ch) is the low byte of r*5 + c*3 + ch*17 + seed*13,
+    // and a low byte only depends on the low bytes of the terms: row 0
+    // is the column pattern plus seed*13, and row r adds r*5 to it.
+    const size_t row = static_cast<size_t>(cols) * channels;
+    std::vector<uint8_t> out(rows * row);
+    if (out.empty())
+        return out;
+    const uint8_t base = static_cast<uint8_t>(seed * 13);
     size_t i = 0;
-    for (uint32_t r = 0; r < rows; ++r)
-        for (uint32_t c = 0; c < cols; ++c)
-            for (uint32_t ch = 0; ch < channels; ++ch)
-                out[i++] = static_cast<uint8_t>(
-                    (r * 5 + c * 3 + ch * 17 + seed * 13) & 0xff);
+    for (uint32_t c = 0; c < cols; ++c)
+        for (uint32_t ch = 0; ch < channels; ++ch)
+            out[i++] = static_cast<uint8_t>(c * 3 + ch * 17 + base);
+    for (uint32_t r = 1; r < rows; ++r) {
+        const uint8_t add = static_cast<uint8_t>(r * 5);
+        const uint8_t *first = out.data();
+        uint8_t *o = out.data() + r * row;
+        for (size_t j = 0; j < row; ++j)
+            o[j] = static_cast<uint8_t>(first[j] + add);
+    }
     return out;
 }
 

@@ -44,7 +44,10 @@ DecodedImage decodeImageFile(const std::vector<uint8_t> &bytes);
 /** True if bytes look like an FPIM file (magic check only). */
 bool looksLikeImageFile(const std::vector<uint8_t> &bytes);
 
-/** Generate a deterministic synthetic test image. */
+/**
+ * Generate a deterministic synthetic test image: the byte at
+ * (r, c, ch) is (r*5 + c*3 + ch*17 + seed*13) mod 256.
+ */
 std::vector<uint8_t> synthPixels(uint32_t rows, uint32_t cols,
                                  uint32_t channels, uint64_t seed);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 
 namespace freepart::fw::ops {
 
@@ -21,12 +22,6 @@ clampU8(double v)
     return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
 }
 
-inline uint32_t
-clampI(int v, int lo, int hi)
-{
-    return static_cast<uint32_t>(std::clamp(v, lo, hi));
-}
-
 template <bool TakeMax>
 inline uint8_t
 pick(uint8_t a, uint8_t b)
@@ -35,42 +30,113 @@ pick(uint8_t a, uint8_t b)
 }
 
 /**
- * 3x3 min/max filter with clamped borders, as a vertical 3x1 pass
- * into dst followed by a horizontal 1x3 pass over each dst row. Min/max
- * is associative and a clamped border neighbour only repeats a pixel
- * already in the window, so the result is byte-identical to the 3x3
- * window; border columns are peeled so the inner loops are
- * branch-free, and the only temporary is one row.
+ * Calls f(std::integral_constant<uint32_t, V>{}) when v is one of Vs,
+ * else f(v): the hot values get a loop specialised at compile time
+ * (constant trip counts and divisors) without a second copy of it.
  */
+template <uint32_t... Vs, typename F>
+inline void
+withConstant(uint32_t v, F f)
+{
+    if (!((v == Vs ? (f(std::integral_constant<uint32_t, Vs>{}), true)
+                   : false) ||
+          ...))
+        f(v);
+}
+
+/**
+ * Calls f(r, up, mid, down) for each row r of a frame of `row` bytes
+ * per row; up and down point at the neighbouring rows, clamped to the
+ * frame.
+ */
+template <typename F>
+inline void
+forEachRowClamped(const uint8_t *src, uint32_t rows, size_t row, F f)
+{
+    for (uint32_t r = 0; r < rows; ++r)
+        f(r, src + (r == 0 ? r : r - 1) * row, src + r * row,
+          src + (r + 1 == rows ? r : r + 1) * row);
+}
+
+/**
+ * Calls f(i, left, right) for each element i of a row of `row` bytes
+ * holding `ch` interleaved channels; left and right index the same
+ * channel of the neighbouring pixels, clamped to the row. The edge
+ * pixels are peeled so the interior loop is branch-free.
+ */
+template <typename F>
+inline void
+forEachColumnClamped(size_t row, size_t ch, F f)
+{
+    if (row == ch) {
+        for (size_t i = 0; i < row; ++i)
+            f(i, i, i);
+        return;
+    }
+    for (size_t i = 0; i < ch; ++i)
+        f(i, i, i + ch);
+    for (size_t i = ch; i + ch < row; ++i)
+        f(i, i - ch, i + ch);
+    for (size_t i = row - ch; i < row; ++i)
+        f(i, i - ch, i);
+}
+
+/**
+ * Separable 3x3 filter with clamped borders: a vertical pass
+ * vert(up, mid, down) over three source rows into a one-row buffer of
+ * T, then a horizontal pass horiz(left, centre, right) over that
+ * buffer into dst. Byte-identical to the direct 3x3 window whenever
+ * the filter factors exactly: min/max (associative, and a clamped
+ * neighbour only repeats a pixel already in the window) and integer
+ * weighted sums (no rounding before the final horiz).
+ */
+template <typename T, typename Vert, typename Horiz>
+void
+separable3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
+             uint32_t cols, uint32_t ch, Vert vert, Horiz horiz)
+{
+    const size_t row = static_cast<size_t>(cols) * ch;
+    if (rows == 0 || row == 0)
+        return;
+    std::vector<T> line(row);
+    T *v = line.data();
+    forEachRowClamped(src, rows, row,
+                      [&](uint32_t r, const uint8_t *up,
+                          const uint8_t *mid, const uint8_t *down) {
+                          for (size_t i = 0; i < row; ++i)
+                              v[i] = vert(up[i], mid[i], down[i]);
+                          uint8_t *d = dst + r * row;
+                          forEachColumnClamped(
+                              row, ch, [&](size_t i, size_t l, size_t rt) {
+                                  d[i] = horiz(v[l], v[i], v[rt]);
+                              });
+                      });
+}
+
+/** 3x3 min/max filter with clamped borders. */
 template <bool TakeMax>
 void
 minmax3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
           uint32_t cols, uint32_t ch)
 {
-    const size_t row = static_cast<size_t>(cols) * ch;
-    if (rows == 0 || row == 0)
-        return;
-    std::vector<uint8_t> line(row);
-    for (uint32_t r = 0; r < rows; ++r) {
-        const uint8_t *up = src + (r == 0 ? r : r - 1) * row;
-        const uint8_t *mid = src + r * row;
-        const uint8_t *down = src + (r + 1 == rows ? r : r + 1) * row;
-        uint8_t *v = line.data();
-        for (size_t i = 0; i < row; ++i)
-            v[i] = pick<TakeMax>(pick<TakeMax>(up[i], mid[i]), down[i]);
-        uint8_t *d = dst + r * row;
-        if (cols == 1) {
-            std::memcpy(d, v, row);
-            continue;
-        }
-        for (size_t i = 0; i < ch; ++i)
-            d[i] = pick<TakeMax>(v[i], v[i + ch]);
-        for (size_t i = ch; i + ch < row; ++i)
-            d[i] = pick<TakeMax>(pick<TakeMax>(v[i - ch], v[i]),
-                                 v[i + ch]);
-        for (size_t i = row - ch; i < row; ++i)
-            d[i] = pick<TakeMax>(v[i - ch], v[i]);
-    }
+    auto pick3 = [](uint8_t a, uint8_t b, uint8_t c) {
+        return pick<TakeMax>(pick<TakeMax>(a, b), c);
+    };
+    separable3x3<uint8_t>(src, dst, rows, cols, ch, pick3, pick3);
+}
+
+/**
+ * dst[i] = sum[i] / count. The counts of a k = 3 box window's
+ * interior (9, and 6 on the top and bottom rows) are compile-time
+ * constants here, so that division compiles to a multiply.
+ */
+void
+divideRow(const uint32_t *sum, uint8_t *dst, size_t n, uint32_t count)
+{
+    withConstant<9, 6>(count, [&](auto div) {
+        for (size_t i = 0; i < n; ++i)
+            dst[i] = static_cast<uint8_t>(sum[i] / div);
+    });
 }
 
 } // namespace
@@ -79,63 +145,79 @@ void
 gaussianBlur3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
                 uint32_t cols, uint32_t ch)
 {
-    // Horizontal pass into a temp, vertical pass into dst.
-    std::vector<uint16_t> tmp(static_cast<size_t>(rows) * cols * ch);
-    for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            uint32_t cl = c == 0 ? 0 : c - 1;
-            uint32_t cr = c + 1 >= cols ? cols - 1 : c + 1;
-            for (uint32_t k = 0; k < ch; ++k) {
-                tmp[idx(r, c, k, cols, ch)] = static_cast<uint16_t>(
-                    src[idx(r, cl, k, cols, ch)] +
-                    2 * src[idx(r, c, k, cols, ch)] +
-                    src[idx(r, cr, k, cols, ch)]);
-            }
-        }
-    }
-    for (uint32_t r = 0; r < rows; ++r) {
-        uint32_t ru = r == 0 ? 0 : r - 1;
-        uint32_t rd = r + 1 >= rows ? rows - 1 : r + 1;
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t k = 0; k < ch; ++k) {
-                uint32_t sum = tmp[idx(ru, c, k, cols, ch)] +
-                               2 * tmp[idx(r, c, k, cols, ch)] +
-                               tmp[idx(rd, c, k, cols, ch)];
-                dst[idx(r, c, k, cols, ch)] =
-                    static_cast<uint8_t>((sum + 8) / 16);
-            }
-        }
-    }
+    // [1 2 1] down the rows, then across: the integer sum is the same
+    // as the 2-D window's, rounded once at the end.
+    separable3x3<uint16_t>(
+        src, dst, rows, cols, ch,
+        [](uint8_t up, uint8_t mid, uint8_t down) {
+            return static_cast<uint16_t>(up + 2 * mid + down);
+        },
+        [](uint32_t left, uint32_t mid, uint32_t right) {
+            return static_cast<uint8_t>((left + 2 * mid + right + 8) / 16);
+        });
 }
 
 void
 boxBlur(const uint8_t *src, uint8_t *dst, uint32_t rows,
         uint32_t cols, uint32_t ch, uint32_t k)
 {
-    int half = static_cast<int>(k / 2);
+    const size_t row = static_cast<size_t>(cols) * ch;
+    if (rows == 0 || row == 0)
+        return;
+    const uint64_t half = k / 2;
+    auto lastIn = [&](uint64_t i, uint32_t n) {
+        return static_cast<uint32_t>(std::min<uint64_t>(i + half, n - 1));
+    };
+    auto firstIn = [&](uint32_t i) {
+        return static_cast<uint32_t>(i > half ? i - half : 0);
+    };
+    // colSum holds, per column and channel, the sum over the window's
+    // rows; it slides down one row per output row.
+    std::vector<uint32_t> colSum(row, 0), winSum(row);
+    for (uint32_t r = 0; r <= lastIn(0, rows); ++r)
+        for (size_t i = 0; i < row; ++i)
+            colSum[i] += src[r * row + i];
+    // Columns [inBegin, inEnd) have the whole window inside the image.
+    const uint32_t inBegin = static_cast<uint32_t>(
+        std::min<uint64_t>(half, cols));
+    const uint32_t inEnd =
+        cols > 2 * half ? static_cast<uint32_t>(cols - half) : inBegin;
+    const size_t h = static_cast<size_t>(half) * ch;
     for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t kk = 0; kk < ch; ++kk) {
+        const uint32_t nr = lastIn(r, rows) - firstIn(r) + 1;
+        uint8_t *d = dst + r * row;
+        // Interior: a sum of 2*half+1 shifted copies of colSum.
+        const size_t b = inBegin * ch, e = inEnd * ch;
+        for (size_t i = b; i < e; ++i)
+            winSum[i] = colSum[i - h];
+        for (size_t off = ch; off <= 2 * h; off += ch)
+            for (size_t i = b; i < e; ++i)
+                winSum[i] += colSum[i - h + off];
+        divideRow(winSum.data() + b, d + b, e - b,
+                  nr * static_cast<uint32_t>(2 * half + 1));
+        // Edge columns: the window is cut by the image border, and
+        // out-of-image taps are left out of the sum and the count.
+        auto edge = [&](uint32_t c) {
+            const uint32_t lo = firstIn(c), hi = lastIn(c, cols);
+            const uint32_t count = nr * (hi - lo + 1);
+            for (size_t kk = 0; kk < ch; ++kk) {
                 uint32_t sum = 0;
-                uint32_t count = 0;
-                for (int dr = -half; dr <= half; ++dr) {
-                    for (int dc = -half; dc <= half; ++dc) {
-                        int rr = static_cast<int>(r) + dr;
-                        int cc = static_cast<int>(c) + dc;
-                        if (rr < 0 || cc < 0 ||
-                            rr >= static_cast<int>(rows) ||
-                            cc >= static_cast<int>(cols))
-                            continue;
-                        sum += src[idx(static_cast<uint32_t>(rr),
-                                       static_cast<uint32_t>(cc), kk,
-                                       cols, ch)];
-                        ++count;
-                    }
-                }
-                dst[idx(r, c, kk, cols, ch)] =
-                    static_cast<uint8_t>(sum / count);
+                for (uint32_t cc = lo; cc <= hi; ++cc)
+                    sum += colSum[cc * ch + kk];
+                d[c * ch + kk] = static_cast<uint8_t>(sum / count);
             }
-        }
+        };
+        for (uint32_t c = 0; c < inBegin; ++c)
+            edge(c);
+        for (uint32_t c = inEnd; c < cols; ++c)
+            edge(c);
+        // Slide the window down: take in row r+half+1, drop row r-half.
+        if (r + half + 1 < rows)
+            for (size_t i = 0; i < row; ++i)
+                colSum[i] += src[(r + half + 1) * row + i];
+        if (r >= half)
+            for (size_t i = 0; i < row; ++i)
+                colSum[i] -= src[(r - half) * row + i];
     }
 }
 
@@ -175,38 +257,36 @@ void
 toGray(const uint8_t *src, uint8_t *dst, uint32_t rows,
        uint32_t cols, uint32_t ch_in)
 {
-    size_t n = static_cast<size_t>(rows) * cols;
-    for (size_t i = 0; i < n; ++i) {
-        uint32_t sum = 0;
-        for (uint32_t k = 0; k < ch_in; ++k)
-            sum += src[i * ch_in + k];
-        dst[i] = static_cast<uint8_t>(sum / ch_in);
-    }
+    const size_t n = static_cast<size_t>(rows) * cols;
+    withConstant<3>(ch_in, [&](auto nch) {
+        for (size_t i = 0; i < n; ++i) {
+            uint32_t sum = 0;
+            for (uint32_t k = 0; k < nch; ++k)
+                sum += src[i * nch + k];
+            dst[i] = static_cast<uint8_t>(sum / nch);
+        }
+    });
 }
 
 void
 sobelMagnitude(const uint8_t *gray, uint8_t *dst, uint32_t rows,
                uint32_t cols)
 {
-    for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            if (r == 0 || c == 0 || r + 1 == rows || c + 1 == cols) {
-                dst[idx(r, c, 0, cols, 1)] = 0;
-                continue;
-            }
-            auto px = [&](int dr, int dc) {
-                return static_cast<int>(
-                    gray[idx(r + static_cast<uint32_t>(dr),
-                             c + static_cast<uint32_t>(dc), 0, cols,
-                             1)]);
-            };
-            int gx = -px(-1, -1) - 2 * px(0, -1) - px(1, -1) +
-                     px(-1, 1) + 2 * px(0, 1) + px(1, 1);
-            int gy = -px(-1, -1) - 2 * px(-1, 0) - px(-1, 1) +
-                     px(1, -1) + 2 * px(1, 0) + px(1, 1);
+    // The one-pixel border stays 0; only the interior is computed.
+    std::fill_n(dst, static_cast<size_t>(rows) * cols, 0);
+    for (uint32_t r = 1; r + 1 < rows; ++r) {
+        const uint8_t *up = gray + static_cast<size_t>(r - 1) * cols;
+        const uint8_t *mid = up + cols;
+        const uint8_t *down = mid + cols;
+        uint8_t *d = dst + static_cast<size_t>(r) * cols;
+        for (uint32_t c = 1; c + 1 < cols; ++c) {
+            int gx = -up[c - 1] - 2 * mid[c - 1] - down[c - 1] +
+                     up[c + 1] + 2 * mid[c + 1] + down[c + 1];
+            int gy = -up[c - 1] - 2 * up[c] - up[c + 1] + down[c - 1] +
+                     2 * down[c] + down[c + 1];
             double mag = std::sqrt(static_cast<double>(gx) * gx +
                                    static_cast<double>(gy) * gy);
-            dst[idx(r, c, 0, cols, 1)] = clampU8(mag);
+            d[c] = clampU8(mag);
         }
     }
 }
@@ -316,13 +396,15 @@ equalizeHist(const uint8_t *src, uint8_t *dst, uint32_t rows,
         }
     }
     double denom = static_cast<double>(n - cdf_min);
-    for (size_t i = 0; i < n; ++i) {
-        if (denom <= 0) {
-            dst[i] = src[i];
-            continue;
-        }
-        dst[i] = clampU8(255.0 * (cdf[src[i]] - cdf_min) / denom);
+    if (denom <= 0) {
+        std::copy_n(src, n, dst);
+        return;
     }
+    uint8_t lut[256];
+    for (int v = 0; v < 256; ++v)
+        lut[v] = clampU8(255.0 * (cdf[v] - cdf_min) / denom);
+    for (size_t i = 0; i < n; ++i)
+        dst[i] = lut[src[i]];
 }
 
 void
@@ -481,54 +563,70 @@ uint32_t
 connectedComponents(const uint8_t *bin, uint32_t rows, uint32_t cols,
                     std::vector<Box> *bboxes)
 {
-    size_t n = static_cast<size_t>(rows) * cols;
-    std::vector<int32_t> label(n, -1);
-    uint32_t next = 0;
-    std::vector<size_t> stack;
     if (bboxes)
         bboxes->clear();
+    const size_t n = static_cast<size_t>(rows) * cols;
+    // Pass 1: give each foreground pixel its left or upper
+    // neighbour's provisional label, minting a new one where it has
+    // neither, and union the two where it has both. Labels are minted
+    // in raster order and a union always keeps the smaller root, so
+    // parent[l] <= l and each component's root is the label minted at
+    // its first raster pixel.
+    std::vector<uint32_t> label(n);
+    std::vector<uint32_t> parent;
+    auto find = [&](uint32_t l) {
+        while (parent[l] != l)
+            l = parent[l] = parent[parent[l]];
+        return l;
+    };
     for (uint32_t r = 0; r < rows; ++r) {
+        const size_t base = static_cast<size_t>(r) * cols;
         for (uint32_t c = 0; c < cols; ++c) {
-            size_t i = static_cast<size_t>(r) * cols + c;
-            if (!bin[i] || label[i] >= 0)
+            const size_t i = base + c;
+            if (!bin[i])
                 continue;
-            uint32_t id = next++;
-            uint32_t rmin = r, rmax = r, cmin = c, cmax = c;
-            stack.clear();
-            stack.push_back(i);
-            label[i] = static_cast<int32_t>(id);
-            while (!stack.empty()) {
-                size_t cur = stack.back();
-                stack.pop_back();
-                uint32_t cr = static_cast<uint32_t>(cur / cols);
-                uint32_t cc = static_cast<uint32_t>(cur % cols);
-                rmin = std::min(rmin, cr);
-                rmax = std::max(rmax, cr);
-                cmin = std::min(cmin, cc);
-                cmax = std::max(cmax, cc);
-                const int dr[4] = {-1, 1, 0, 0};
-                const int dc[4] = {0, 0, -1, 1};
-                for (int d = 0; d < 4; ++d) {
-                    int nr = static_cast<int>(cr) + dr[d];
-                    int nc = static_cast<int>(cc) + dc[d];
-                    if (nr < 0 || nc < 0 ||
-                        nr >= static_cast<int>(rows) ||
-                        nc >= static_cast<int>(cols))
-                        continue;
-                    size_t ni = static_cast<size_t>(nr) * cols +
-                                static_cast<size_t>(nc);
-                    if (bin[ni] && label[ni] < 0) {
-                        label[ni] = static_cast<int32_t>(id);
-                        stack.push_back(ni);
-                    }
-                }
+            const bool left = c > 0 && bin[i - 1];
+            const bool upper = r > 0 && bin[i - cols];
+            if (!left && !upper) {
+                label[i] = static_cast<uint32_t>(parent.size());
+                parent.push_back(label[i]);
+                continue;
             }
-            if (bboxes)
-                bboxes->push_back(
-                    {rmin, cmin, rmax - rmin, cmax - cmin});
+            label[i] = left ? label[i - 1] : label[i - cols];
+            if (left && upper) {
+                uint32_t a = find(label[i - 1]), b = find(label[i - cols]);
+                if (a != b)
+                    parent[std::max(a, b)] = std::min(a, b);
+            }
         }
     }
-    return next;
+    // Number the roots in increasing order (the order of their first
+    // raster pixels, as a raster-scan flood fill would) and map every
+    // label to its root's number in place; parent[l] <= l means
+    // parent[parent[l]] is already a number when l is reached.
+    uint32_t count = 0;
+    for (uint32_t l = 0; l < parent.size(); ++l) {
+        const uint32_t p = parent[l];
+        parent[l] = p == l ? count++ : parent[p];
+    }
+    if (!bboxes)
+        return count;
+    // Pass 2: grow each component's {rmin, cmin, rmax, cmax} over its
+    // pixels, then turn the far corner into a height and width.
+    bboxes->assign(count, {UINT32_MAX, UINT32_MAX, 0, 0});
+    for (uint32_t r = 0; r < rows; ++r) {
+        const size_t base = static_cast<size_t>(r) * cols;
+        for (uint32_t c = 0; c < cols; ++c) {
+            if (!bin[base + c])
+                continue;
+            Box &b = (*bboxes)[parent[label[base + c]]];
+            b = {std::min(b[0], r), std::min(b[1], c), std::max(b[2], r),
+                 std::max(b[3], c)};
+        }
+    }
+    for (Box &b : *bboxes)
+        b = {b[0], b[1], b[2] - b[0], b[3] - b[1]};
+    return count;
 }
 
 uint64_t
@@ -567,11 +665,19 @@ void
 flipHorizontal(const uint8_t *src, uint8_t *dst, uint32_t rows,
                uint32_t cols, uint32_t ch)
 {
-    for (uint32_t r = 0; r < rows; ++r)
-        for (uint32_t c = 0; c < cols; ++c)
-            for (uint32_t k = 0; k < ch; ++k)
-                dst[idx(r, c, k, cols, ch)] =
-                    src[idx(r, cols - 1 - c, k, cols, ch)];
+    const size_t row = static_cast<size_t>(cols) * ch;
+    withConstant<1, 3>(ch, [&](auto nch) {
+        for (uint32_t r = 0; r < rows; ++r) {
+            const uint8_t *s = src + r * row + row;
+            uint8_t *d = dst + r * row;
+            for (uint32_t c = 0; c < cols; ++c) {
+                s -= nch;
+                for (uint32_t k = 0; k < nch; ++k)
+                    d[k] = s[k];
+                d += nch;
+            }
+        }
+    });
 }
 
 void
@@ -597,8 +703,11 @@ normalizeMinMax(const uint8_t *src, uint8_t *dst, size_t n)
         return;
     }
     double scale = 255.0 / (hi - lo);
+    uint8_t lut[256];
+    for (int v = 0; v < 256; ++v)
+        lut[v] = clampU8((v - lo) * scale);
     for (size_t i = 0; i < n; ++i)
-        dst[i] = clampU8((src[i] - lo) * scale);
+        dst[i] = lut[src[i]];
 }
 
 void
@@ -628,28 +737,31 @@ void
 convFilter3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
               uint32_t cols, uint32_t ch, const float k[9])
 {
-    for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t kk = 0; kk < ch; ++kk) {
+    // Each tap is a float product added to a double in dr-major order,
+    // exactly as the direct window computes it.
+    const size_t row = static_cast<size_t>(cols) * ch;
+    if (rows == 0 || row == 0)
+        return;
+    forEachRowClamped(
+        src, rows, row,
+        [&](uint32_t r, const uint8_t *up, const uint8_t *mid,
+            const uint8_t *down) {
+            uint8_t *d = dst + r * row;
+            forEachColumnClamped(row, ch, [&](size_t i, size_t l,
+                                              size_t rt) {
                 double sum = 0;
-                for (int dr = -1; dr <= 1; ++dr) {
-                    for (int dc = -1; dc <= 1; ++dc) {
-                        uint32_t rr = clampI(static_cast<int>(r) + dr,
-                                             0,
-                                             static_cast<int>(rows) -
-                                                 1);
-                        uint32_t cc = clampI(static_cast<int>(c) + dc,
-                                             0,
-                                             static_cast<int>(cols) -
-                                                 1);
-                        sum += k[(dr + 1) * 3 + (dc + 1)] *
-                               src[idx(rr, cc, kk, cols, ch)];
-                    }
-                }
-                dst[idx(r, c, kk, cols, ch)] = clampU8(sum);
-            }
-        }
-    }
+                sum += k[0] * up[l];
+                sum += k[1] * up[i];
+                sum += k[2] * up[rt];
+                sum += k[3] * mid[l];
+                sum += k[4] * mid[i];
+                sum += k[5] * mid[rt];
+                sum += k[6] * down[l];
+                sum += k[7] * down[i];
+                sum += k[8] * down[rt];
+                d[i] = clampU8(sum);
+            });
+        });
 }
 
 } // namespace freepart::fw::ops

@@ -24,7 +24,12 @@ using Box = std::array<uint32_t, 4>;
 void gaussianBlur3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
                      uint32_t cols, uint32_t ch);
 
-/** k x k box blur (mean filter), k odd. */
+/**
+ * Box blur (mean filter) over a (2*(k/2)+1)-square window, so an even
+ * k acts as k+1 and k of 0 or 1 copies src. Taps outside the image are
+ * left out: a border pixel is the integer mean of the in-image part
+ * of its window.
+ */
 void boxBlur(const uint8_t *src, uint8_t *dst, uint32_t rows,
              uint32_t cols, uint32_t ch, uint32_t k);
 
@@ -94,8 +99,11 @@ void drawText(uint8_t *buf, uint32_t rows, uint32_t cols, uint32_t ch,
               uint8_t color);
 
 /**
- * 4-connected component labeling of a binary image.
- * @param bboxes  Optional out-param receiving per-component boxes.
+ * 4-connected component labeling of a binary image (any non-zero
+ * byte is foreground).
+ * @param bboxes  Optional out-param, cleared and then given one box
+ *                per component, ordered by each component's first
+ *                pixel in raster (row-major) order.
  * @return Number of foreground components.
  */
 uint32_t connectedComponents(const uint8_t *bin, uint32_t rows,

@@ -41,6 +41,10 @@ SpscRing::size() const
 void
 SpscRing::copyIn(uint64_t pos, const uint8_t *src, size_t len)
 {
+    // An empty record's payload may be a null data() pointer, which
+    // memcpy must not see even for a zero length.
+    if (len == 0)
+        return;
     size_t off = static_cast<size_t>(pos % cap);
     size_t first = std::min(len, cap - off);
     std::memcpy(data + off, src, first);
@@ -51,6 +55,8 @@ SpscRing::copyIn(uint64_t pos, const uint8_t *src, size_t len)
 void
 SpscRing::copyOut(uint64_t pos, uint8_t *dst, size_t len) const
 {
+    if (len == 0)
+        return;
     size_t off = static_cast<size_t>(pos % cap);
     size_t first = std::min(len, cap - off);
     std::memcpy(dst, data + off, first);

@@ -1,8 +1,48 @@
 #include "osim/address_space.hh"
 
+#include <sys/mman.h>
+
+#include <cstdlib>
+
 #include "util/logging.hh"
 
 namespace freepart::osim {
+
+namespace {
+
+/**
+ * Blocks this large bypass malloc. Once one is freed, malloc's dynamic
+ * mmap threshold would serve the next from the heap, where calloc has
+ * to write every byte (and the heap may have to fault them in), so
+ * the cost of creating a ring segment would swing with heap layout.
+ */
+constexpr size_t kDirectMapBytes = size_t{4} << 20;
+
+} // namespace
+
+void *
+allocZeroedBytes(size_t len)
+{
+    if (len >= kDirectMapBytes) {
+        void *p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return p;
+    }
+    if (void *p = std::calloc(len, 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+freeZeroedBytes(void *p, size_t len) noexcept
+{
+    if (len >= kDirectMapBytes)
+        munmap(p, len);
+    else
+        std::free(p);
+}
 
 AddressSpace::AddressSpace(Pid owner, Addr base)
     : ownerPid(owner), nextAddr(pageBase(base + kPageSize - 1))
@@ -18,7 +58,7 @@ AddressSpace::alloc(size_t size, Perms perms, const std::string &label)
     Mapping m;
     m.base = nextAddr;
     m.length = rounded;
-    m.backing = std::make_shared<std::vector<uint8_t>>(rounded, 0);
+    m.backing = std::make_shared<BackingBytes>(rounded);
     m.backingOff = 0;
     m.shared = false;
     m.label = label;

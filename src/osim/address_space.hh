@@ -16,15 +16,75 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "osim/types.hh"
 
 namespace freepart::osim {
 
+/**
+ * Zeroed storage for mapping bytes, and its release. Blocks of at
+ * least 4 MiB (an agent's ring segment) are fresh anonymous mappings,
+ * so their pages cost nothing until first touched; smaller ones come
+ * from calloc.
+ */
+void *allocZeroedBytes(size_t len);
+void freeZeroedBytes(void *p, size_t len) noexcept;
+
+/**
+ * Allocator for mapping bytes. Its storage is already zero, so
+ * value-initialising an element writes nothing and creating a mapping
+ * does not touch its pages. The catch: a value-initialised element is
+ * zero only on storage fresh from allocate(), so after shrinking a
+ * vector grow it with an explicit value (resize(n, 0)).
+ */
+template <typename T>
+struct ZeroedAllocator {
+    using value_type = T;
+
+    ZeroedAllocator() = default;
+    template <typename U>
+    ZeroedAllocator(const ZeroedAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(allocZeroedBytes(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T *p, size_t n) noexcept
+    {
+        freeZeroedBytes(p, n * sizeof(T));
+    }
+
+    /** Value-initialisation: the bytes are already zero. */
+    template <typename U>
+    void
+    construct(U *) noexcept
+    {
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    bool operator==(const ZeroedAllocator &) const { return true; }
+};
+
+/** The bytes behind a mapping; zero when created. */
+using BackingBytes = std::vector<uint8_t, ZeroedAllocator<uint8_t>>;
+
 /** Shared backing store for a mapping (private or shm-backed). */
-using Backing = std::shared_ptr<std::vector<uint8_t>>;
+using Backing = std::shared_ptr<BackingBytes>;
 
 /**
  * Callback fired after every successful mutating access (write() or a

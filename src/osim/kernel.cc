@@ -465,7 +465,7 @@ Kernel::shmCreate(const std::string &name, size_t size)
     ShmSegment seg;
     seg.id = static_cast<uint32_t>(shmSegs.size());
     seg.name = name;
-    seg.backing = std::make_shared<std::vector<uint8_t>>(rounded, 0);
+    seg.backing = std::make_shared<BackingBytes>(rounded);
     shmSegs.push_back(std::move(seg));
     return shmSegs.back().id;
 }

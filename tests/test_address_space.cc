@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "osim/address_space.hh"
 
 namespace freepart::osim {
@@ -38,6 +41,30 @@ TEST(AddressSpace, FreshAllocationIsZeroed)
     Addr a = space.alloc(256);
     for (int i = 0; i < 256; i += 7)
         EXPECT_EQ(space.readValue<uint8_t>(a + i), 0);
+}
+
+TEST(AddressSpace, ReusedStorageIsZeroedAgain)
+{
+    // Mapping bytes are never written on creation (calloc zeroes
+    // them), so storage freed dirty and handed out again, from the
+    // heap or as fresh pages, must still read as zero.
+    AddressSpace space(1);
+    for (size_t len : {size_t{256}, size_t{1} << 20, size_t{16} << 20})
+        for (int round = 0; round < 2; ++round) {
+            Addr a = space.alloc(len);
+            uint8_t *bytes = space.checkedSpan(a, len, true);
+            EXPECT_EQ(std::count(bytes, bytes + len, 0),
+                      static_cast<std::ptrdiff_t>(len))
+                << len << " bytes, round " << round;
+            std::memset(bytes, 0xab, len);
+            space.unmap(a);
+        }
+    // A shared backing that is not page-sized grows with zeros.
+    auto backing = std::make_shared<BackingBytes>(100, 0xab);
+    Addr a = space.mapShared(backing, PermRW, "shm");
+    EXPECT_EQ(space.readValue<uint8_t>(a + 99), 0xab);
+    EXPECT_EQ(space.readValue<uint8_t>(a + 100), 0);
+    EXPECT_EQ(space.readValue<uint8_t>(a + kPageSize - 1), 0);
 }
 
 TEST(AddressSpace, UnmappedAccessFaults)
@@ -112,7 +139,7 @@ TEST(AddressSpace, UnmapRemovesMapping)
 TEST(AddressSpace, SharedMappingSeesPeerWrites)
 {
     AddressSpace p1(1), p2(2);
-    auto backing = std::make_shared<std::vector<uint8_t>>(kPageSize);
+    auto backing = std::make_shared<BackingBytes>(kPageSize);
     Addr a1 = p1.mapShared(backing, PermRW, "shm");
     Addr a2 = p2.mapShared(backing, PermRW, "shm");
     p1.writeValue<uint64_t>(a1 + 16, 0x1234567890abcdefull);

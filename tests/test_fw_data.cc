@@ -215,6 +215,33 @@ TEST(ImageFormat, ExploitTrailerSurvivesEncode)
     EXPECT_EQ(decoded->writeData, (std::vector<uint8_t>{1, 2, 3}));
 }
 
+TEST(ImageFormat, SynthPixelsMatchesPerPixelFormula)
+{
+    // The large seeds make seed*13 wrap in 64 bits; the row-wise
+    // synthesis must keep the same low byte.
+    for (uint64_t seed : {uint64_t{0}, uint64_t{7},
+                          uint64_t{0xdeadbeefcafe}, ~uint64_t{0}})
+        for (uint32_t ch = 1; ch <= 4; ++ch)
+            for (auto [rows, cols] : {std::pair<uint32_t, uint32_t>{1, 1},
+                                      {3, 5},
+                                      {9, 1},
+                                      {1, 300},
+                                      {257, 255},
+                                      {0, 4},
+                                      {4, 0}}) {
+                std::vector<uint8_t> want;
+                for (uint32_t r = 0; r < rows; ++r)
+                    for (uint32_t c = 0; c < cols; ++c)
+                        for (uint32_t k = 0; k < ch; ++k)
+                            want.push_back(static_cast<uint8_t>(
+                                (r * 5 + c * 3 + k * 17 + seed * 13) &
+                                0xff));
+                EXPECT_EQ(synthPixels(rows, cols, ch, seed), want)
+                    << rows << "x" << cols << "x" << ch << " seed "
+                    << seed;
+            }
+}
+
 TEST(Payload, CodecRoundTripAllFields)
 {
     ExploitPayload p;

@@ -29,6 +29,25 @@ TEST(SpscRing, PushPopRoundTrip)
     EXPECT_TRUE(ring.empty());
 }
 
+TEST(SpscRing, ZeroLengthRecordRoundTrips)
+{
+    std::vector<uint8_t> region(256);
+    SpscRing ring = SpscRing::create(region.data(), region.size());
+    // An empty vector's data() may be null; neither push nor pop may
+    // hand it to memcpy. Enough rounds to wrap the ring several times.
+    const std::vector<uint8_t> empty, one = {42};
+    for (int round = 0; round < 40; ++round) {
+        ASSERT_TRUE(ring.tryPush(empty.data(), empty.size()));
+        ASSERT_TRUE(ring.tryPushBatch({empty, one, empty}));
+        std::vector<uint8_t> out = {1, 2, 3};
+        for (const std::vector<uint8_t> &want : {empty, empty, one, empty}) {
+            ASSERT_TRUE(ring.tryPop(out));
+            EXPECT_EQ(out, want);
+        }
+        EXPECT_TRUE(ring.empty());
+    }
+}
+
 TEST(SpscRing, PopOnEmptyFails)
 {
     std::vector<uint8_t> region(4096);

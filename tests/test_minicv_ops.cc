@@ -3,12 +3,15 @@
  * Correctness tests for the MiniCV image kernels: algebraic
  * properties (idempotence, involution, monotonicity, range
  * preservation), hand-checked small cases, and byte identity of the
- * separable morphology kernels with a direct 3x3 window.
+ * row-wise kernels with the direct per-pixel loops they replaced,
+ * which live on here as references.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 #include "fw/minicv_ops.hh"
 #include "util/rng.hh"
@@ -147,6 +150,446 @@ TEST(Morphology, SeparableKernelsMatchNaiveWindowOnEveryShape)
             for (uint32_t ch = 1; ch <= 4; ++ch)
                 expectMorphologyMatchesNaive(rows, cols, ch, rng);
     expectMorphologyMatchesNaive(257, 255, 3, rng);
+}
+
+/*
+ * Reference kernels: the direct per-pixel loops (clamped or excluded
+ * window taps, one idx() per tap) that the row-wise kernels must
+ * match byte for byte.
+ */
+namespace ref {
+
+size_t
+at(uint32_t r, uint32_t c, uint32_t k, uint32_t cols, uint32_t ch)
+{
+    return (static_cast<size_t>(r) * cols + c) * ch + k;
+}
+
+uint8_t
+clampU8(double v)
+{
+    return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+}
+
+uint32_t
+clampI(int v, int lo, int hi)
+{
+    return static_cast<uint32_t>(std::clamp(v, lo, hi));
+}
+
+std::vector<uint8_t>
+gaussianBlur3x3(const std::vector<uint8_t> &src, uint32_t rows,
+                uint32_t cols, uint32_t ch)
+{
+    std::vector<uint8_t> dst(src.size());
+    std::vector<uint16_t> tmp(src.size());
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c) {
+            uint32_t cl = c == 0 ? 0 : c - 1;
+            uint32_t cr = c + 1 >= cols ? cols - 1 : c + 1;
+            for (uint32_t k = 0; k < ch; ++k)
+                tmp[at(r, c, k, cols, ch)] = static_cast<uint16_t>(
+                    src[at(r, cl, k, cols, ch)] +
+                    2 * src[at(r, c, k, cols, ch)] +
+                    src[at(r, cr, k, cols, ch)]);
+        }
+    for (uint32_t r = 0; r < rows; ++r) {
+        uint32_t ru = r == 0 ? 0 : r - 1;
+        uint32_t rd = r + 1 >= rows ? rows - 1 : r + 1;
+        for (uint32_t c = 0; c < cols; ++c)
+            for (uint32_t k = 0; k < ch; ++k) {
+                uint32_t sum = tmp[at(ru, c, k, cols, ch)] +
+                               2 * tmp[at(r, c, k, cols, ch)] +
+                               tmp[at(rd, c, k, cols, ch)];
+                dst[at(r, c, k, cols, ch)] =
+                    static_cast<uint8_t>((sum + 8) / 16);
+            }
+    }
+    return dst;
+}
+
+std::vector<uint8_t>
+boxBlur(const std::vector<uint8_t> &src, uint32_t rows, uint32_t cols,
+        uint32_t ch, uint32_t k)
+{
+    std::vector<uint8_t> dst(src.size());
+    int half = static_cast<int>(k / 2);
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c)
+            for (uint32_t kk = 0; kk < ch; ++kk) {
+                uint32_t sum = 0;
+                uint32_t count = 0;
+                for (int dr = -half; dr <= half; ++dr)
+                    for (int dc = -half; dc <= half; ++dc) {
+                        int rr = static_cast<int>(r) + dr;
+                        int cc = static_cast<int>(c) + dc;
+                        if (rr < 0 || cc < 0 ||
+                            rr >= static_cast<int>(rows) ||
+                            cc >= static_cast<int>(cols))
+                            continue;
+                        sum += src[at(static_cast<uint32_t>(rr),
+                                      static_cast<uint32_t>(cc), kk,
+                                      cols, ch)];
+                        ++count;
+                    }
+                dst[at(r, c, kk, cols, ch)] =
+                    static_cast<uint8_t>(sum / count);
+            }
+    return dst;
+}
+
+std::vector<uint8_t>
+toGray(const std::vector<uint8_t> &src, uint32_t rows, uint32_t cols,
+       uint32_t ch_in)
+{
+    size_t n = static_cast<size_t>(rows) * cols;
+    std::vector<uint8_t> dst(n);
+    for (size_t i = 0; i < n; ++i) {
+        uint32_t sum = 0;
+        for (uint32_t k = 0; k < ch_in; ++k)
+            sum += src[i * ch_in + k];
+        dst[i] = static_cast<uint8_t>(sum / ch_in);
+    }
+    return dst;
+}
+
+std::vector<uint8_t>
+sobelMagnitude(const std::vector<uint8_t> &gray, uint32_t rows,
+               uint32_t cols)
+{
+    std::vector<uint8_t> dst(gray.size());
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c) {
+            if (r == 0 || c == 0 || r + 1 == rows || c + 1 == cols) {
+                dst[at(r, c, 0, cols, 1)] = 0;
+                continue;
+            }
+            auto px = [&](int dr, int dc) {
+                return static_cast<int>(
+                    gray[at(r + static_cast<uint32_t>(dr),
+                            c + static_cast<uint32_t>(dc), 0, cols, 1)]);
+            };
+            int gx = -px(-1, -1) - 2 * px(0, -1) - px(1, -1) +
+                     px(-1, 1) + 2 * px(0, 1) + px(1, 1);
+            int gy = -px(-1, -1) - 2 * px(-1, 0) - px(-1, 1) +
+                     px(1, -1) + 2 * px(1, 0) + px(1, 1);
+            double mag = std::sqrt(static_cast<double>(gx) * gx +
+                                   static_cast<double>(gy) * gy);
+            dst[at(r, c, 0, cols, 1)] = clampU8(mag);
+        }
+    return dst;
+}
+
+std::vector<uint8_t>
+equalizeHist(const std::vector<uint8_t> &src)
+{
+    size_t n = src.size();
+    std::vector<uint8_t> dst(n);
+    uint32_t cdf[256] = {};
+    for (uint8_t v : src)
+        ++cdf[v];
+    for (int i = 1; i < 256; ++i)
+        cdf[i] += cdf[i - 1];
+    uint32_t cdf_min = 0;
+    for (int i = 0; i < 256; ++i)
+        if (cdf[i]) {
+            cdf_min = cdf[i];
+            break;
+        }
+    double denom = static_cast<double>(n - cdf_min);
+    for (size_t i = 0; i < n; ++i) {
+        if (denom <= 0) {
+            dst[i] = src[i];
+            continue;
+        }
+        dst[i] = clampU8(255.0 * (cdf[src[i]] - cdf_min) / denom);
+    }
+    return dst;
+}
+
+std::vector<uint8_t>
+flipHorizontal(const std::vector<uint8_t> &src, uint32_t rows,
+               uint32_t cols, uint32_t ch)
+{
+    std::vector<uint8_t> dst(src.size());
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c)
+            for (uint32_t k = 0; k < ch; ++k)
+                dst[at(r, c, k, cols, ch)] =
+                    src[at(r, cols - 1 - c, k, cols, ch)];
+    return dst;
+}
+
+std::vector<uint8_t>
+normalizeMinMax(const std::vector<uint8_t> &src)
+{
+    size_t n = src.size();
+    std::vector<uint8_t> dst(n);
+    if (!n)
+        return dst;
+    uint8_t lo = 255, hi = 0;
+    for (uint8_t v : src) {
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+    }
+    if (hi == lo)
+        return dst;
+    double scale = 255.0 / (hi - lo);
+    for (size_t i = 0; i < n; ++i)
+        dst[i] = clampU8((src[i] - lo) * scale);
+    return dst;
+}
+
+std::vector<uint8_t>
+convFilter3x3(const std::vector<uint8_t> &src, uint32_t rows,
+              uint32_t cols, uint32_t ch, const float k[9])
+{
+    std::vector<uint8_t> dst(src.size());
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c)
+            for (uint32_t kk = 0; kk < ch; ++kk) {
+                double sum = 0;
+                for (int dr = -1; dr <= 1; ++dr)
+                    for (int dc = -1; dc <= 1; ++dc) {
+                        uint32_t rr =
+                            clampI(static_cast<int>(r) + dr, 0,
+                                   static_cast<int>(rows) - 1);
+                        uint32_t cc =
+                            clampI(static_cast<int>(c) + dc, 0,
+                                   static_cast<int>(cols) - 1);
+                        sum += k[(dr + 1) * 3 + (dc + 1)] *
+                               src[at(rr, cc, kk, cols, ch)];
+                    }
+                dst[at(r, c, kk, cols, ch)] = clampU8(sum);
+            }
+    return dst;
+}
+
+/** Raster-scan flood fill: components and boxes in seed order. */
+uint32_t
+connectedComponents(const std::vector<uint8_t> &bin, uint32_t rows,
+                    uint32_t cols, std::vector<Box> *bboxes)
+{
+    size_t n = static_cast<size_t>(rows) * cols;
+    std::vector<int32_t> label(n, -1);
+    uint32_t next = 0;
+    std::vector<size_t> stack;
+    if (bboxes)
+        bboxes->clear();
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c) {
+            size_t i = static_cast<size_t>(r) * cols + c;
+            if (!bin[i] || label[i] >= 0)
+                continue;
+            uint32_t id = next++;
+            uint32_t rmin = r, rmax = r, cmin = c, cmax = c;
+            stack.assign(1, i);
+            label[i] = static_cast<int32_t>(id);
+            while (!stack.empty()) {
+                size_t cur = stack.back();
+                stack.pop_back();
+                uint32_t cr = static_cast<uint32_t>(cur / cols);
+                uint32_t cc = static_cast<uint32_t>(cur % cols);
+                rmin = std::min(rmin, cr);
+                rmax = std::max(rmax, cr);
+                cmin = std::min(cmin, cc);
+                cmax = std::max(cmax, cc);
+                const int dr[4] = {-1, 1, 0, 0};
+                const int dc[4] = {0, 0, -1, 1};
+                for (int d = 0; d < 4; ++d) {
+                    int nr = static_cast<int>(cr) + dr[d];
+                    int nc = static_cast<int>(cc) + dc[d];
+                    if (nr < 0 || nc < 0 ||
+                        nr >= static_cast<int>(rows) ||
+                        nc >= static_cast<int>(cols))
+                        continue;
+                    size_t ni = static_cast<size_t>(nr) * cols +
+                                static_cast<size_t>(nc);
+                    if (bin[ni] && label[ni] < 0) {
+                        label[ni] = static_cast<int32_t>(id);
+                        stack.push_back(ni);
+                    }
+                }
+            }
+            if (bboxes)
+                bboxes->push_back({rmin, cmin, rmax - rmin, cmax - cmin});
+        }
+    return next;
+}
+
+} // namespace ref
+
+enum class Pattern { Random, LowContrast, Binary };
+
+struct Shape {
+    uint32_t rows, cols, ch;
+};
+
+/** Every shape the identity tests cover; gray kernels take ch 1. */
+std::vector<Shape>
+identityShapes(bool gray)
+{
+    std::vector<Shape> out;
+    const uint32_t max_ch = gray ? 1 : 4;
+    for (uint32_t rows = 1; rows <= 9; ++rows)
+        for (uint32_t cols = 1; cols <= 9; ++cols)
+            for (uint32_t ch = 1; ch <= max_ch; ++ch)
+                out.push_back({rows, cols, ch});
+    out.push_back({257, 255, gray ? 1u : 3u});
+    out.push_back({256, 256, 1});
+    out.push_back({1, 300, 1});
+    out.push_back({300, 1, 1});
+    if (!gray) {
+        out.push_back({1, 300, 3});
+        out.push_back({300, 1, 3});
+    }
+    return out;
+}
+
+std::vector<uint8_t>
+makeFrame(size_t n, Pattern pattern, util::Rng &rng)
+{
+    std::vector<uint8_t> out(n);
+    const uint8_t base = static_cast<uint8_t>(rng.below(248));
+    for (uint8_t &v : out) {
+        switch (pattern) {
+        case Pattern::Random:
+            v = static_cast<uint8_t>(rng.next());
+            break;
+        case Pattern::LowContrast:
+            v = static_cast<uint8_t>(base + rng.below(8));
+            break;
+        case Pattern::Binary:
+            v = rng.below(2) ? 255 : 0;
+            break;
+        }
+    }
+    return out;
+}
+
+/** Calls check(shape, frame) for every shape and pattern, with the
+ *  case named in any failure. */
+template <typename Check>
+void
+forEachFrame(bool gray, uint64_t seed, Check check)
+{
+    util::Rng rng(seed);
+    for (const Shape &s : identityShapes(gray))
+        for (Pattern p :
+             {Pattern::Random, Pattern::LowContrast, Pattern::Binary}) {
+            SCOPED_TRACE(testing::Message()
+                         << s.rows << "x" << s.cols << "x" << s.ch
+                         << " pattern " << static_cast<int>(p));
+            check(s, makeFrame(static_cast<size_t>(s.rows) * s.cols *
+                                   s.ch,
+                               p, rng));
+        }
+}
+
+TEST(KernelIdentity, GaussianBlurMatchesReference)
+{
+    forEachFrame(false, 0x9a55, [](const Shape &s, const auto &src) {
+        std::vector<uint8_t> out(src.size());
+        gaussianBlur3x3(src.data(), out.data(), s.rows, s.cols, s.ch);
+        EXPECT_EQ(out, ref::gaussianBlur3x3(src, s.rows, s.cols, s.ch));
+    });
+}
+
+TEST(KernelIdentity, BoxBlurMatchesReferenceForEveryWindow)
+{
+    forEachFrame(false, 0xb0c5, [](const Shape &s, const auto &src) {
+        for (uint32_t k : {0u, 1u, 3u, 4u, 5u, 7u, 9u, 15u}) {
+            std::vector<uint8_t> out(src.size());
+            boxBlur(src.data(), out.data(), s.rows, s.cols, s.ch, k);
+            EXPECT_EQ(out, ref::boxBlur(src, s.rows, s.cols, s.ch, k))
+                << "k=" << k;
+        }
+    });
+}
+
+TEST(KernelIdentity, FlipMatchesReference)
+{
+    forEachFrame(false, 0xf11b, [](const Shape &s, const auto &src) {
+        std::vector<uint8_t> out(src.size());
+        flipHorizontal(src.data(), out.data(), s.rows, s.cols, s.ch);
+        EXPECT_EQ(out, ref::flipHorizontal(src, s.rows, s.cols, s.ch));
+    });
+}
+
+TEST(KernelIdentity, NormalizeMatchesReference)
+{
+    forEachFrame(false, 0x4043, [](const Shape &, const auto &src) {
+        std::vector<uint8_t> out(src.size());
+        normalizeMinMax(src.data(), out.data(), src.size());
+        EXPECT_EQ(out, ref::normalizeMinMax(src));
+    });
+}
+
+TEST(KernelIdentity, ToGrayMatchesReference)
+{
+    forEachFrame(false, 0x6a41, [](const Shape &s, const auto &src) {
+        std::vector<uint8_t> out(static_cast<size_t>(s.rows) * s.cols);
+        toGray(src.data(), out.data(), s.rows, s.cols, s.ch);
+        EXPECT_EQ(out, ref::toGray(src, s.rows, s.cols, s.ch));
+    });
+}
+
+TEST(KernelIdentity, ConvFilterMatchesReference)
+{
+    const float sharpen[9] = {0, -1, 0, -1, 5, -1, 0, -1, 0};
+    const float identity[9] = {0, 0, 0, 0, 1, 0, 0, 0, 0};
+    // Non-integer taps, so each float product rounds.
+    const float uneven[9] = {0.11f, -0.13f, 0.07f, 0.21f, 0.35f,
+                             0.17f, 0.09f,  0.1f,  -0.03f};
+    forEachFrame(false, 0xc0f1, [&](const Shape &s, const auto &src) {
+        for (const float *k : {sharpen, identity, uneven}) {
+            std::vector<uint8_t> out(src.size());
+            convFilter3x3(src.data(), out.data(), s.rows, s.cols, s.ch,
+                          k);
+            EXPECT_EQ(out,
+                      ref::convFilter3x3(src, s.rows, s.cols, s.ch, k))
+                << "kernel centre " << k[4];
+        }
+    });
+}
+
+TEST(KernelIdentity, SobelMatchesReference)
+{
+    forEachFrame(true, 0x50be, [](const Shape &s, const auto &src) {
+        std::vector<uint8_t> out(src.size(), 7);
+        sobelMagnitude(src.data(), out.data(), s.rows, s.cols);
+        EXPECT_EQ(out, ref::sobelMagnitude(src, s.rows, s.cols));
+    });
+}
+
+TEST(KernelIdentity, EqualizeHistMatchesReference)
+{
+    forEachFrame(true, 0xe9a1, [](const Shape &s, const auto &src) {
+        std::vector<uint8_t> out(src.size());
+        equalizeHist(src.data(), out.data(), s.rows, s.cols);
+        EXPECT_EQ(out, ref::equalizeHist(src));
+    });
+}
+
+TEST(KernelIdentity, ConnectedComponentsMatchFloodFill)
+{
+    forEachFrame(true, 0xcc44, [](const Shape &s, const auto &src) {
+        for (uint8_t t : {0, 100, 128, 200}) {
+            std::vector<uint8_t> bin(src.size());
+            threshold(src.data(), bin.data(), src.size(), t, 255);
+            std::vector<Box> boxes = {{9, 9, 9, 9}}, want;
+            uint32_t count = ref::connectedComponents(bin, s.rows,
+                                                      s.cols, &want);
+            EXPECT_EQ(connectedComponents(bin.data(), s.rows, s.cols,
+                                          &boxes),
+                      count)
+                << "threshold " << int(t);
+            EXPECT_EQ(boxes, want) << "threshold " << int(t);
+            EXPECT_EQ(connectedComponents(bin.data(), s.rows, s.cols),
+                      count)
+                << "threshold " << int(t);
+        }
+    });
 }
 
 TEST(Morphology, OpenThenCloseIdempotentOnBinaryBlob)
