@@ -21,6 +21,7 @@
 #include "apps/workload.hh"
 #include "bench/bench_common.hh"
 #include "core/runtime.hh"
+#include "serve/tenant_workload.hh"
 #include "shard/chaos.hh"
 #include "shard/shard_router.hh"
 #include "util/table.hh"
@@ -100,16 +101,6 @@ struct ChaosOutcome {
     double shedRate = 0.0;
     double meanFailoverUs = 0.0;
 };
-
-double
-percentile(std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    size_t idx = static_cast<size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 /**
  * Replay all 23 app sessions round-robin through a fresh 4-shard
@@ -229,13 +220,13 @@ runChaos(double chaos_rate, osim::SimTime interarrival,
                          static_cast<double>(out.issued)
                    : 0.0;
     std::sort(latenciesUs.begin(), latenciesUs.end());
-    out.p50Us = percentile(latenciesUs, 0.50);
-    out.p99Us = percentile(latenciesUs, 0.99);
-    out.p999Us = percentile(latenciesUs, 0.999);
+    out.p50Us = serve::percentileUs(latenciesUs, 0.50);
+    out.p99Us = serve::percentileUs(latenciesUs, 0.99);
+    out.p999Us = serve::percentileUs(latenciesUs, 0.999);
     for (Session &session : sessions) {
         std::sort(session.latenciesUs.begin(),
                   session.latenciesUs.end());
-        double p99 = percentile(session.latenciesUs, 0.99);
+        double p99 = serve::percentileUs(session.latenciesUs, 0.99);
         if (p99 > out.worstAppP99Us) {
             out.worstAppP99Us = p99;
             out.worstAppId = session.id;

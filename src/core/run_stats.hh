@@ -26,9 +26,6 @@ struct RunStats {
     uint64_t eagerCopies = 0;     //!< host-mediated object copies
     uint64_t piggybackedFetches = 0; //!< LDC copies ridden on a request
     uint64_t hotSends = 0;        //!< ring sends that skipped the wake
-    uint64_t hotWindowGrows = 0;  //!< batching-depth doublings (pressure)
-    uint64_t hotWindowDecays = 0; //!< batching-depth steps back (idle)
-    uint64_t hotWindowDepthPeak = 1; //!< widest hot window reached
     uint64_t protectionFlips = 0; //!< temporal mprotect applications
     uint64_t stateChanges = 0;    //!< framework state transitions
     uint64_t agentCrashes = 0;    //!< agent processes lost to faults

@@ -100,17 +100,6 @@ FreePartRuntime::FreePartRuntime(osim::Kernel &kernel,
     if (config.pipelineParallel && config.maxInFlightPerPartition == 0)
         util::fatal("RuntimeConfig: pipelineParallel needs "
                     "maxInFlightPerPartition >= 1");
-    if (config.adaptiveBatching) {
-        if (config.hotWindowMaxDepth == 0)
-            util::fatal("RuntimeConfig: adaptiveBatching needs "
-                        "hotWindowMaxDepth >= 1");
-        if (config.batchGrowOccupancy <= 0.0 ||
-            config.batchDecayOccupancy < 0.0 ||
-            config.batchDecayOccupancy > config.batchGrowOccupancy)
-            util::fatal("RuntimeConfig: adaptive batching occupancy "
-                        "thresholds must satisfy 0 <= decay <= grow "
-                        "and grow > 0");
-    }
     if (config.supervision.backoffFactor < 1.0)
         util::fatal("RuntimeConfig: supervision.backoffFactor %.3f "
                     "would shrink backoff delays (must be >= 1)",
@@ -663,37 +652,25 @@ FreePartRuntime::invoke(const std::string &api_name,
     return wait(invokeAsync(api_name, std::move(args)));
 }
 
-ApiResult
-FreePartRuntime::invokeSync(const std::string &api_name,
-                            ipc::ValueList args)
+const fw::ApiDescriptor *
+FreePartRuntime::beginCall(const std::string &api_name,
+                           const ipc::ValueList &args,
+                           uint32_t &partition, ApiResult &result)
 {
     const fw::ApiDescriptor *desc = registry.byName(api_name);
     if (!desc) {
-        ApiResult res;
-        res.error = "unknown API: " + api_name;
-        return res;
+        result.error = "unknown API: " + api_name;
+        return nullptr;
     }
     if (!hostAlive()) {
-        ApiResult res;
-        res.error = "host program has crashed";
-        return res;
+        result.error = "host program has crashed";
+        return nullptr;
     }
     ++stats_.apiCalls;
 
-    // An argument object can be gone entirely — lost with a crashed
-    // agent that had neither a checkpoint of it nor a host copy. That
-    // is a typed per-call failure, never a host panic.
-    for (const ipc::Value &value : args) {
-        if (value.kind() != ipc::Value::Kind::Ref)
-            continue;
-        uint64_t id = value.asRef().objectId;
-        if (!hasObject(id)) {
-            ApiResult res;
-            res.error = "argument object " + std::to_string(id) +
-                        " was lost in an agent crash";
-            return res;
-        }
-    }
+    result.error = lostArgumentError(args);
+    if (!result.error.empty())
+        return nullptr;
 
     auto it = cats.find(api_name);
     fw::ApiType type =
@@ -703,23 +680,80 @@ FreePartRuntime::invokeSync(const std::string &api_name,
 
     // Framework-state machine: concrete API types drive transitions;
     // type-neutral APIs inherit the current state (§4.2).
-    if (!neutral && type != fw::ApiType::Unknown)
-        enterState(stateForType(type));
+    if (!neutral && type != fw::ApiType::Unknown) {
+        FrameworkState next = stateForType(type);
+        if (config.pipelineParallel && next != state_ &&
+            pendingProtectionFlips(state_)) {
+            // The transition will mprotect data inside an agent
+            // address space. In-flight tasks on the virtual timelines
+            // may still be writing it. Conservative reading of §4.4.3
+            // under overlap: drain everything before the flip lands.
+            // Speculative reading (§15): defer the flip's commit to
+            // the quiesce horizon of just the affected timelines and
+            // keep dispatching — calls issued before that horizon run
+            // checkpointed and are squashed on conflict. Host-resident
+            // flips need no barrier either way: the dispatcher itself
+            // applies them, synchronously with issuing.
+            if (config.speculativeFlips)
+                openSpeculation(state_);
+            else
+                pipelineBarrier();
+        }
+        enterState(next);
+    }
 
-    uint32_t partition = plan_.partitionFor(api_name, type);
+    partition = plan_.partitionFor(api_name, type);
     if (neutral && lastPartition != kHostPartition &&
         plan_.kind() == PlanKind::ByType)
         partition = lastPartition;
+    if (partition != kHostPartition && boundaryObserver_)
+        boundaryObserver_(api_name, partition, args);
+    return desc;
+}
 
-    ApiResult result;
-    if (partition == kHostPartition) {
-        result = executeInHost(*desc, args);
-    } else {
-        if (boundaryObserver_)
-            boundaryObserver_(api_name, partition, args);
-        result = executeOnAgent(partition, *desc, args);
-        lastPartition = partition;
+std::string
+FreePartRuntime::lostArgumentError(const ipc::ValueList &args) const
+{
+    // An argument object can be gone entirely — lost with a crashed
+    // agent that had neither a checkpoint of it nor a host copy. That
+    // is a typed per-call failure, never a host panic.
+    for (const ipc::Value &value : args)
+        if (value.kind() == ipc::Value::Kind::Ref &&
+            !hasObject(value.asRef().objectId))
+            return "argument object " +
+                   std::to_string(value.asRef().objectId) +
+                   " was lost in an agent crash";
+    return {};
+}
+
+osim::SimTime
+FreePartRuntime::argsReadyAt(const ipc::ValueList &args,
+                             osim::SimTime floor) const
+{
+    for (const ipc::Value &value : args) {
+        if (value.kind() != ipc::Value::Kind::Ref)
+            continue;
+        auto ready = objectReadyAt_.find(value.asRef().objectId);
+        if (ready != objectReadyAt_.end())
+            floor = std::max(floor, ready->second);
     }
+    return floor;
+}
+
+ApiResult
+FreePartRuntime::invokeSync(const std::string &api_name,
+                            ipc::ValueList args)
+{
+    ApiResult result;
+    uint32_t partition = kHostPartition;
+    const fw::ApiDescriptor *desc =
+        beginCall(api_name, args, partition, result);
+    if (!desc)
+        return result;
+    if (partition == kHostPartition)
+        return executeInHost(*desc, args);
+    result = executeOnAgent(partition, *desc, args);
+    lastPartition = partition;
     return result;
 }
 
@@ -755,76 +789,24 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
     out.readyAt = kernel_.now();
     maybeRetireSpeculation();
 
-    const fw::ApiDescriptor *desc = registry.byName(api_name);
-    if (!desc) {
-        out.result.error = "unknown API: " + api_name;
+    uint32_t partition = kHostPartition;
+    const fw::ApiDescriptor *desc =
+        beginCall(api_name, args, partition, out.result);
+    if (!desc)
         return;
-    }
-    if (!hostAlive()) {
-        out.result.error = "host program has crashed";
-        return;
-    }
-    ++stats_.apiCalls;
-    for (const ipc::Value &value : args) {
-        if (value.kind() != ipc::Value::Kind::Ref)
-            continue;
-        uint64_t id = value.asRef().objectId;
-        if (!hasObject(id)) {
-            out.result.error = "argument object " +
-                               std::to_string(id) +
-                               " was lost in an agent crash";
-            return;
-        }
-    }
-
-    auto it = cats.find(api_name);
-    fw::ApiType type =
-        it != cats.end() ? it->second.type : desc->declaredType;
-    bool neutral = (it != cats.end() && it->second.typeNeutral) ||
-                   desc->typeNeutral;
-
-    if (!neutral && type != fw::ApiType::Unknown) {
-        FrameworkState next = stateForType(type);
-        if (next != state_ && pendingProtectionFlips(state_)) {
-            // The transition will mprotect data inside an agent
-            // address space. In-flight tasks on the virtual timelines
-            // may still be writing it. Conservative reading of §4.4.3
-            // under overlap: drain everything before the flip lands.
-            // Speculative reading (§15): defer the flip's commit to
-            // the quiesce horizon of just the affected timelines and
-            // keep dispatching — calls issued before that horizon run
-            // checkpointed and are squashed on conflict. Host-resident
-            // flips need no barrier either way: the dispatcher itself
-            // applies them, synchronously with issuing.
-            if (config.speculativeFlips)
-                openSpeculation(state_);
-            else
-                pipelineBarrier();
-        }
-        enterState(next);
-    }
-
-    uint32_t partition = plan_.partitionFor(api_name, type);
-    if (neutral && lastPartition != kHostPartition &&
-        plan_.kind() == PlanKind::ByType)
-        partition = lastPartition;
 
     if (partition == kHostPartition) {
         // Host execution is its own synchronization point: the host
         // program touches the argument objects directly, so the
         // clock first catches up with their producers.
-        for (const ipc::Value &value : args)
-            if (value.kind() == ipc::Value::Kind::Ref)
-                syncObjectReady(value.asRef().objectId);
+        kernel_.advance(argsReadyAt(args, kernel_.now()) -
+                        kernel_.now());
         out.result = executeInHost(*desc, args);
         out.readyAt = kernel_.now();
         out.partition = kHostPartition;
         noteObjectsReady(out.result.values, out.readyAt);
         return;
     }
-
-    if (boundaryObserver_)
-        boundaryObserver_(api_name, partition, args);
 
     Agent &agent = agents.at(partition);
 
@@ -845,15 +827,8 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
     // The task starts once the host has issued it, the agent has
     // finished its previous task, and every argument object has been
     // produced (the read set) — the object-dependency schedule.
-    osim::SimTime start =
-        std::max(kernel_.now(), kernel_.timelineOf(agent.pid));
-    for (const ipc::Value &value : args) {
-        if (value.kind() != ipc::Value::Kind::Ref)
-            continue;
-        auto ready = objectReadyAt_.find(value.asRef().objectId);
-        if (ready != objectReadyAt_.end())
-            start = std::max(start, ready->second);
-    }
+    osim::SimTime start = argsReadyAt(
+        args, std::max(kernel_.now(), kernel_.timelineOf(agent.pid)));
 
     // Speculative launch (§15): the call's bracket starts before a
     // deferred protection flip commits, so the data it touches may be
@@ -891,17 +866,10 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
             // ids and bytes, keeping replay byte-identical to the
             // synchronous schedule.
             squashSpeculativeCall(saved, preId, partition);
-            osim::SimTime restart = std::max(
-                {speculation_.commitAt,
-                 kernel_.timelineOf(agent.pid), kernel_.now()});
-            for (const ipc::Value &value : args) {
-                if (value.kind() != ipc::Value::Kind::Ref)
-                    continue;
-                auto ready =
-                    objectReadyAt_.find(value.asRef().objectId);
-                if (ready != objectReadyAt_.end())
-                    restart = std::max(restart, ready->second);
-            }
+            osim::SimTime restart = argsReadyAt(
+                args, std::max({speculation_.commitAt,
+                                kernel_.timelineOf(agent.pid),
+                                kernel_.now()}));
             kernel_.beginTask(agent.pid, restart);
             out.result = executeOnAgent(partition, *desc, args);
             done = kernel_.endTask();
@@ -922,9 +890,7 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
     // Conservative read/write sets: argument objects may have been
     // migrated (LDC rehoming) and results were produced — both settle
     // at the call's completion.
-    for (const ipc::Value &value : args)
-        if (value.kind() == ipc::Value::Kind::Ref)
-            noteObjectsReady({value}, done);
+    noteObjectsReady(args, done);
     noteObjectsReady(out.result.values, done);
 
     // Issuing is not free for the host: it encoded the request into
@@ -1263,18 +1229,13 @@ FreePartRuntime::executeOnAgent(uint32_t partition,
             return result;
         }
         // A crash on an earlier attempt may have destroyed an
-        // argument object outright (no checkpoint, no host copy);
-        // re-delivery cannot succeed, so fail the call typed.
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref ||
-                hasObject(value.asRef().objectId))
-                continue;
+        // argument object outright; re-delivery cannot succeed, so
+        // fail the call typed.
+        std::string lost = lostArgumentError(args);
+        if (!lost.empty()) {
             result.ok = false;
             result.agentCrashed = crashed_once;
-            result.error =
-                "argument object " +
-                std::to_string(value.asRef().objectId) +
-                " was lost in an agent crash";
+            result.error = std::move(lost);
             return result;
         }
         switch (attemptOnAgent(partition, desc, args, seq, result)) {
@@ -1364,53 +1325,6 @@ FreePartRuntime::absorbDelivers(uint32_t partition,
     }
 }
 
-bool
-FreePartRuntime::rpcWindowHot(uint32_t partition) const
-{
-    return std::find(hotWindow_.begin(), hotWindow_.end(),
-                     partition) != hotWindow_.end();
-}
-
-void
-FreePartRuntime::warmRpcWindow(uint32_t partition)
-{
-    auto it =
-        std::find(hotWindow_.begin(), hotWindow_.end(), partition);
-    if (it != hotWindow_.end())
-        hotWindow_.erase(it);
-    hotWindow_.push_front(partition);
-    while (hotWindow_.size() > hotDepth_)
-        hotWindow_.pop_back();
-}
-
-void
-FreePartRuntime::adaptHotWindow(const ipc::Channel &channel)
-{
-    double occupancy =
-        static_cast<double>(channel.pendingRequestBytes()) /
-        static_cast<double>(channel.ringCapacity());
-    if (occupancy >= config.batchGrowOccupancy) {
-        // Queueing pressure: data-carrying bursts are stacking up on
-        // the ring. Double the window so the partitions feeding the
-        // burst all stay in busy-poll.
-        if (hotDepth_ < config.hotWindowMaxDepth) {
-            hotDepth_ = std::min(hotDepth_ * 2,
-                                 config.hotWindowMaxDepth);
-            ++stats_.hotWindowGrows;
-            stats_.hotWindowDepthPeak = std::max<uint64_t>(
-                stats_.hotWindowDepthPeak, hotDepth_);
-        }
-    } else if (occupancy < config.batchDecayOccupancy &&
-               hotDepth_ > 1) {
-        // Idle chatter: spinning several agents buys nothing; step
-        // the window back toward the binary heuristic.
-        --hotDepth_;
-        ++stats_.hotWindowDecays;
-        while (hotWindow_.size() > hotDepth_)
-            hotWindow_.pop_back();
-    }
-}
-
 void
 FreePartRuntime::eraseEverywhere(uint64_t id)
 {
@@ -1491,13 +1405,11 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
     Agent &agent = agents.at(partition);
     result = ApiResult();
 
-    // Hot window: a recent ring exchange was with this partition, so
+    // Hot window: the last ring exchange was with this partition, so
     // its agent is still busy-polling the request ring (and we will
     // busy-poll the response ring) — both futex wakes are skipped for
-    // the whole exchange. With the adaptive controller the window
-    // covers the last hotDepth_ distinct partitions, not just the
-    // immediately previous one.
-    bool hot = config.batchedRpc && rpcWindowHot(partition);
+    // the whole exchange.
+    bool hot = config.batchedRpc && hotPartition_ == partition;
 
     // Host -> agent request over the shared-memory channel, batched
     // with any piggybacked LDC object deliveries.
@@ -1516,10 +1428,6 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
     ++stats_.ipcMessages; // the Request; Delivers ride along
     if (hot)
         ++stats_.hotSends;
-    // The batch is enqueued but not yet popped: the ring shows this
-    // exchange's enqueue watermark — the controller's pressure input.
-    if (config.adaptiveBatching)
-        adaptHotWindow(*agent.channel);
 
     std::vector<ipc::Message> incomingBatch;
     if (!agent.channel->receiveRequestBatch(incomingBatch)) {
@@ -1643,7 +1551,7 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
     stats_.bytesTransferred += ipc::batchWireSize(doneBatch);
     // A complete exchange keeps both sides spinning briefly: the next
     // call to this partition (if it comes right away) starts hot.
-    warmRpcWindow(partition);
+    hotPartition_ = partition;
 
     if (!from_cache) {
         // Checkpoint stateful state periodically (A.2.4).
@@ -1684,20 +1592,13 @@ FreePartRuntime::quarantinedCall(uint32_t partition,
         // baseline no-isolation path. Protection is reduced for this
         // call, but the application keeps making progress. Arguments
         // that died with the quarantined agent fail the call typed.
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref ||
-                hasObject(value.asRef().objectId))
-                continue;
-            ApiResult result;
-            result.quarantined = true;
-            result.error =
-                "argument object " +
-                std::to_string(value.asRef().objectId) +
-                " was lost in an agent crash";
+        ApiResult result;
+        result.quarantined = true;
+        result.error = lostArgumentError(args);
+        if (!result.error.empty())
             return result;
-        }
         ++stats_.hostFallbackCalls;
-        ApiResult result = executeInHost(desc, args);
+        result = executeInHost(desc, args);
         result.quarantined = true;
         return result;
     }

@@ -77,19 +77,6 @@ struct RuntimeConfig {
      * kAutoShardId draws the next process-unique namespace.
      */
     uint32_t shardId = kAutoShardId;
-    /**
-     * Adaptive batching-depth controller: widen the hot window from
-     * "the one partition of the previous exchange" to the last D
-     * distinct partitions when the request ring shows queueing
-     * pressure (enqueue watermark above batchGrowOccupancy doubles D
-     * up to hotWindowMaxDepth), and decay D by one step on idle
-     * (watermark below batchDecayOccupancy). Off by default so every
-     * baseline keeps the binary same-partition heuristic.
-     */
-    bool adaptiveBatching = false;
-    uint32_t hotWindowMaxDepth = 8; //!< controller depth ceiling
-    double batchGrowOccupancy = 1.0 / 64;   //!< grow threshold
-    double batchDecayOccupancy = 1.0 / 1024; //!< decay threshold
     bool restartAgents = true;      //!< respawn crashed agents
     bool enforceMemoryProtection = true; //!< temporal mprotect
     bool restrictSyscalls = true;   //!< install seccomp policies
@@ -283,9 +270,6 @@ class FreePartRuntime
     /** Object-id namespace this runtime mints from (resolved value
      *  when the config asked for kAutoShardId). */
     uint32_t shardId() const { return shardId_; }
-
-    /** Current adaptive batching-depth (1 = binary heuristic). */
-    uint32_t hotWindowDepth() const { return hotDepth_; }
 
     /** Whether a speculation window is currently open (a deferred
      *  protection flip / speculative fetch has not reached its commit
@@ -549,15 +533,7 @@ class FreePartRuntime
     void absorbDelivers(uint32_t partition,
                         const std::vector<ipc::Message> &batch);
     /** Forget the hot send window (the peers stopped busy-polling). */
-    void coolRpcWindow() { hotWindow_.clear(); }
-    /** Is this partition's agent still busy-polling? */
-    bool rpcWindowHot(uint32_t partition) const;
-    /** Record a completed exchange: the partition joins (or refreshes
-     *  its place in) the hot window. */
-    void warmRpcWindow(uint32_t partition);
-    /** Adaptive batching depth: grow under queueing pressure, decay
-     *  on idle (ring enqueue watermark vs the config thresholds). */
-    void adaptHotWindow(const ipc::Channel &channel);
+    void coolRpcWindow() { hotPartition_ = kHostPartition; }
     /** Restart (with backoff) until up, quarantined, or disallowed. */
     bool recoverAgent(uint32_t partition);
     /** Graceful degradation for calls on a quarantined partition. */
@@ -567,6 +543,26 @@ class FreePartRuntime
     /** Drop cached responses whose object refs no longer resolve. */
     void pruneSeqCache(Agent &agent);
 
+    /**
+     * The dispatch prologue both invoke paths share: API lookup,
+     * host-alive and lost-argument checks, ++apiCalls,
+     * categorization, the state transition (behind a pipeline barrier
+     * or a speculation window under pipelineParallel), neutral-API
+     * partition inheritance, and the boundary tap for agent calls.
+     * Returns the API's descriptor and sets `partition`, or returns
+     * nullptr with `result.error` set when the call cannot dispatch.
+     */
+    const fw::ApiDescriptor *beginCall(const std::string &api_name,
+                                       const ipc::ValueList &args,
+                                       uint32_t &partition,
+                                       ApiResult &result);
+    /** Typed error naming the first ref argument that resolves
+     *  nowhere any more; empty when every argument still resolves. */
+    std::string lostArgumentError(const ipc::ValueList &args) const;
+    /** `floor` raised to the readiness time of every ref argument:
+     *  the earliest a task reading `args` may start. */
+    osim::SimTime argsReadyAt(const ipc::ValueList &args,
+                              osim::SimTime floor) const;
     /** The classic fully-serialized invoke path (gate off). */
     ApiResult invokeSync(const std::string &api_name,
                          ipc::ValueList args);
@@ -654,14 +650,10 @@ class FreePartRuntime
 
     FrameworkState state_ = FrameworkState::Initialization;
     uint32_t lastPartition = kHostPartition; //!< for neutral APIs
-    /** Partitions of the most recent ring exchanges, newest first. A
-     *  call to any partition in the window finds both sides still
-     *  busy-polling (the adaptive-spin hot window) and skips the
-     *  futex wakes. Depth 1 (the default) is the classic binary
-     *  same-partition heuristic; the adaptive batching controller
-     *  widens it under queueing pressure. */
-    std::deque<uint32_t> hotWindow_;
-    uint32_t hotDepth_ = 1; //!< current controller depth (1..max)
+    /** Partition of the last completed ring exchange (kHostPartition
+     *  = none). A call to it finds both sides still busy-polling (the
+     *  adaptive-spin hot window) and skips the futex wakes. */
+    uint32_t hotPartition_ = kHostPartition;
     std::vector<ProtectedVar> vars;
     /** object id -> (home partition, kind). Mutable so homeOf() can
      *  lazily adopt host-store objects created outside invoke(). */

@@ -106,17 +106,6 @@ class Channel
     const ChannelStats &stats() const { return stats_; }
     void resetStats() { stats_ = ChannelStats(); }
 
-    /**
-     * Bytes currently enqueued on the request ring. Sampled between a
-     * send and the matching pop this is the enqueue watermark of the
-     * in-flight batch — the queueing-pressure signal the runtime's
-     * adaptive batching-depth controller feeds on.
-     */
-    size_t pendingRequestBytes() const { return reqRing.size(); }
-
-    /** Per-direction ring capacity in bytes. */
-    size_t ringCapacity() const { return reqRing.capacity(); }
-
     osim::Pid hostPid() const { return host; }
     osim::Pid agentPid() const { return agent; }
 

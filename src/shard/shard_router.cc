@@ -24,10 +24,6 @@ accumulate(core::RunStats &into, const core::RunStats &s)
     into.eagerCopies += s.eagerCopies;
     into.piggybackedFetches += s.piggybackedFetches;
     into.hotSends += s.hotSends;
-    into.hotWindowGrows += s.hotWindowGrows;
-    into.hotWindowDecays += s.hotWindowDecays;
-    into.hotWindowDepthPeak =
-        std::max(into.hotWindowDepthPeak, s.hotWindowDepthPeak);
     into.protectionFlips += s.protectionFlips;
     into.stateChanges += s.stateChanges;
     into.agentCrashes += s.agentCrashes;
@@ -154,18 +150,7 @@ ShardRouter::ShardRouter(const fw::ApiRegistry &registry,
     for (uint32_t s = 0; s < config.shardCount; ++s) {
         Shard shard;
         shard.id = s;
-        shard.kernel = std::make_unique<osim::Kernel>();
-        if (seed_)
-            seed_(*shard.kernel);
-        core::RuntimeConfig rc = config.runtime;
-        // Namespace s+1: every shard mints from disjoint high bits,
-        // and namespace 0 (an unconfigured standalone runtime) can
-        // never alias a cluster id.
-        rc.shardId = s + 1;
-        shard.runtime = std::make_unique<core::FreePartRuntime>(
-            *shard.kernel, registry, cats, plan_, rc);
-        shard.runtime->supervisor().setCrashListener(
-            [this, s](uint32_t) { monitor_.recordCrash(s); });
+        bootShard(shard, seed_);
         ring_.addShard(s);
         shards_.push_back(std::move(shard));
         monitor_.addShard(0);
@@ -176,6 +161,28 @@ ShardRouter::ShardRouter(const fw::ApiRegistry &registry,
 }
 
 ShardRouter::~ShardRouter() = default;
+
+void
+ShardRouter::bootShard(Shard &shard, const SeedFn &seed)
+{
+    // Tear down any old incarnation before its kernel: the runtime
+    // (and its object stores) unmap through the kernel on
+    // destruction, so the kernel must outlive it.
+    shard.runtime.reset();
+    shard.kernel = std::make_unique<osim::Kernel>();
+    if (seed)
+        seed(*shard.kernel);
+    core::RuntimeConfig rc = config.runtime;
+    // Namespace s+1: every shard mints from disjoint high bits, and
+    // namespace 0 (an unconfigured standalone runtime) can never
+    // alias a cluster id.
+    rc.shardId = shard.id + 1;
+    shard.runtime = std::make_unique<core::FreePartRuntime>(
+        *shard.kernel, registry, cats, plan_, rc);
+    uint32_t id = shard.id;
+    shard.runtime->supervisor().setCrashListener(
+        [this, id](uint32_t) { monitor_.recordCrash(id); });
+}
 
 uint32_t
 ShardRouter::shardCount() const
@@ -315,11 +322,7 @@ ShardRouter::migrateObject(uint32_t from, uint32_t to,
     // The two shards run on separate simulated kernels, so each side's
     // clock advances by its own share.
     src.kernel->advance(src.kernel->costs().copyCost(bytes.size()));
-    dst.kernel->advance(
-        config.netRoundTrip +
-        static_cast<osim::SimTime>(
-            config.netPerByte * static_cast<double>(bytes.size())) +
-        transferChaosCost(to, bytes.size()));
+    dst.kernel->advance(transferCost(to, bytes.size()));
     dst.runtime->hostStore().materialize(object_id, kind, bytes, label);
     // Exactly one shard stays authoritative: stale copies on the
     // source stop resolving (and its dedup caches drop responses that
@@ -331,21 +334,24 @@ ShardRouter::migrateObject(uint32_t from, uint32_t to,
 }
 
 bool
-ShardRouter::restoreReplica(uint32_t to, uint64_t object_id)
+ShardRouter::copyReplica(uint32_t to, uint64_t object_id)
 {
     auto it = replicas_.find(object_id);
     if (it == replicas_.end())
         return false;
     Shard &dst = shards_.at(to);
     const Replica &replica = it->second;
-    dst.kernel->advance(
-        config.netRoundTrip +
-        static_cast<osim::SimTime>(
-            config.netPerByte *
-            static_cast<double>(replica.bytes.size())) +
-        transferChaosCost(to, replica.bytes.size()));
+    dst.kernel->advance(transferCost(to, replica.bytes.size()));
     dst.runtime->hostStore().materialize(object_id, replica.kind,
                                          replica.bytes, replica.label);
+    return true;
+}
+
+bool
+ShardRouter::restoreReplica(uint32_t to, uint64_t object_id)
+{
+    if (!copyReplica(to, object_id))
+        return false;
     objectShard_[object_id] = to;
     ++stats_.replicaRestores;
     return true;
@@ -354,37 +360,26 @@ ShardRouter::restoreReplica(uint32_t to, uint64_t object_id)
 bool
 ShardRouter::stageReplicaRead(uint32_t to, uint64_t object_id)
 {
-    Shard &dst = shards_.at(to);
-    if (dst.runtime->hasObject(object_id))
+    if (shards_.at(to).runtime->hasObject(object_id))
         return true;
-    auto it = replicas_.find(object_id);
-    if (it == replicas_.end())
-        return false;
-    const Replica &replica = it->second;
-    dst.kernel->advance(
-        config.netRoundTrip +
-        static_cast<osim::SimTime>(
-            config.netPerByte *
-            static_cast<double>(replica.bytes.size())) +
-        transferChaosCost(to, replica.bytes.size()));
     // Deliberately NOT moving authority: the directory keeps pointing
     // at the primary copy; this shard serves from a possibly stale
     // replica snapshot (the hedged/degraded read contract).
-    dst.runtime->hostStore().materialize(object_id, replica.kind,
-                                         replica.bytes, replica.label);
+    if (!copyReplica(to, object_id))
+        return false;
     ++stats_.replicaStaleReads;
     return true;
 }
 
 osim::SimTime
-ShardRouter::transferChaosCost(uint32_t dest, size_t bytes)
+ShardRouter::transferCost(uint32_t dest, size_t bytes)
 {
-    if (!chaos_)
-        return 0;
-    osim::SimTime resend =
+    osim::SimTime send =
         config.netRoundTrip +
         static_cast<osim::SimTime>(
             config.netPerByte * static_cast<double>(bytes));
+    if (!chaos_)
+        return send;
     osim::SimTime extra = 0;
     // A dropped or corrupted transfer costs a wasted send and gets
     // retried; stop re-rolling after a few so even a 100%-drop plan
@@ -395,43 +390,39 @@ ShardRouter::transferChaosCost(uint32_t dest, size_t bytes)
             static_cast<osim::Pid>(dest + 1));
         if (fire.action == osim::FaultAction::Transient) {
             ++stats_.messagesDropped;
-            extra += resend;
+            extra += send;
             continue;
         }
         if (fire.action == osim::FaultAction::Corrupt) {
             // Checksummed framing: the receiver detects the flip and
             // asks for a resend, same cost shape as a drop.
             ++stats_.messagesCorrupted;
-            extra += resend;
+            extra += send;
             continue;
         }
         if (fire.action == osim::FaultAction::SlowDown &&
             fire.slowFactor > 1.0)
             extra += static_cast<osim::SimTime>(
-                static_cast<double>(resend) * (fire.slowFactor - 1.0));
+                static_cast<double>(send) * (fire.slowFactor - 1.0));
         break;
     }
-    return extra;
+    return send + extra;
 }
 
 void
 ShardRouter::saveReplica(uint32_t shard_id, uint64_t object_id)
 {
-    Shard &shard = shards_.at(shard_id);
-    core::FreePartRuntime &rt = *shard.runtime;
-    if (!rt.hasObject(object_id))
-        return;
-    fw::ObjectStore &store = rt.storeOf(rt.homeOf(object_id));
-    if (!store.has(object_id))
+    fw::ObjectStore *store = liveStoreOf(shard_id, object_id);
+    if (!store)
         return;
     Replica replica;
-    replica.kind = store.get(object_id).kind;
-    replica.label = store.get(object_id).label;
-    replica.bytes = store.serialize(object_id);
+    replica.kind = store->get(object_id).kind;
+    replica.label = store->get(object_id).label;
+    replica.bytes = store->serialize(object_id);
     // Capture rides the result path while the data is hot: in-place
     // copy rate, charged to the owning shard.
-    shard.kernel->advance(
-        shard.kernel->costs().copyCostInPlace(replica.bytes.size()));
+    osim::Kernel &kernel = *shards_[shard_id].kernel;
+    kernel.advance(kernel.costs().copyCostInPlace(replica.bytes.size()));
     auto it = replicas_.find(object_id);
     if (it != replicas_.end())
         stats_.replicaBytes -= it->second.bytes.size();
@@ -495,16 +486,12 @@ ShardRouter::proactivePush(uint32_t target)
         if (placeKey(routing_key) != target)
             continue;
         uint32_t owner = lookupShard(object_id);
-        if (owner == kInvalidShard || owner == target)
+        if (owner == target)
             continue;
-        const Shard &src = shards_.at(owner);
-        if (!src.live)
+        fw::ObjectStore *store = liveStoreOf(owner, object_id);
+        if (!store)
             continue;
-        core::FreePartRuntime &rt = *src.runtime;
-        uint32_t home = rt.homeOf(object_id);
-        if (!rt.storeOf(home).has(object_id))
-            continue;
-        size_t bytes = rt.storeOf(home).get(object_id).byteLen;
+        size_t bytes = store->get(object_id).byteLen;
         if (bytes > config.migrationMaxBytes)
             continue;
         migrateObject(owner, target, object_id);
@@ -519,15 +506,7 @@ ShardRouter::addShard(SeedFn seed)
     uint32_t id = static_cast<uint32_t>(shards_.size());
     Shard shard;
     shard.id = id;
-    shard.kernel = std::make_unique<osim::Kernel>();
-    if (seed)
-        seed(*shard.kernel);
-    core::RuntimeConfig rc = config.runtime;
-    rc.shardId = id + 1;
-    shard.runtime = std::make_unique<core::FreePartRuntime>(
-        *shard.kernel, registry, cats, plan_, rc);
-    shard.runtime->supervisor().setCrashListener(
-        [this, id](uint32_t) { monitor_.recordCrash(id); });
+    bootShard(shard, seed);
     shards_.push_back(std::move(shard));
     ring_.addShard(id);
     ++stats_.shardsJoined;
@@ -563,21 +542,7 @@ ShardRouter::reviveShard(uint32_t shard_id)
             else
                 ++it;
         }
-        // Tear down the old incarnation before its kernel: the runtime
-        // (and its object stores) unmap through the kernel on
-        // destruction, so the kernel must outlive it.
-        shard.runtime.reset();
-        shard.kernel = std::make_unique<osim::Kernel>();
-        if (seed_)
-            seed_(*shard.kernel);
-        core::RuntimeConfig rc = config.runtime;
-        rc.shardId = shard_id + 1;
-        shard.runtime = std::make_unique<core::FreePartRuntime>(
-            *shard.kernel, registry, cats, plan_, rc);
-        shard.runtime->supervisor().setCrashListener(
-            [this, shard_id](uint32_t) {
-                monitor_.recordCrash(shard_id);
-            });
+        bootShard(shard, seed_);
         shard.live = true;
     }
     // A drained shard keeps its runtime (and its objects); either way
@@ -630,7 +595,6 @@ ShardRouter::retireShard(uint32_t shard_id)
     for (const auto &[object_id, owner] : objectShard_)
         if (owner == shard_id)
             owned.push_back(object_id);
-    core::FreePartRuntime &rt = *shard.runtime;
     std::set<uint64_t> lostIds;
     for (uint64_t id : owned) {
         auto keyIt = objectKey_.find(id);
@@ -641,8 +605,7 @@ ShardRouter::retireShard(uint32_t shard_id)
             lostIds.insert(id);
             continue;
         }
-        if (rt.hasObject(id) &&
-            rt.storeOf(rt.homeOf(id)).has(id)) {
+        if (liveStoreOf(shard_id, id)) {
             migrateObject(shard_id, dest, id);
             ++stats_.retireEvacuations;
             continue;
@@ -876,16 +839,9 @@ ShardRouter::healthTick(osim::SimTime now)
 uint64_t
 ShardRouter::objectBytesOf(uint64_t object_id) const
 {
-    uint32_t owner = lookupShard(object_id);
-    if (owner != kInvalidShard) {
-        const Shard &shard = shards_.at(owner);
-        if (shard.live && shard.runtime->hasObject(object_id)) {
-            core::FreePartRuntime &rt = *shard.runtime;
-            fw::ObjectStore &store = rt.storeOf(rt.homeOf(object_id));
-            if (store.has(object_id))
-                return store.get(object_id).byteLen;
-        }
-    }
+    if (fw::ObjectStore *store =
+            liveStoreOf(lookupShard(object_id), object_id))
+        return store->get(object_id).byteLen;
     auto it = replicas_.find(object_id);
     return it != replicas_.end() ? it->second.bytes.size() : 0;
 }
@@ -1061,6 +1017,155 @@ ShardRouter::applyPlacement(const placement::PartitionResult &solution,
                      static_cast<unsigned long long>(override_.size()));
 }
 
+bool
+ShardRouter::holdsObject(uint32_t shard, uint64_t object_id) const
+{
+    return shard != kInvalidShard && shards_.at(shard).live &&
+           shards_[shard].runtime->hasObject(object_id);
+}
+
+fw::ObjectStore *
+ShardRouter::liveStoreOf(uint32_t shard, uint64_t object_id) const
+{
+    if (!holdsObject(shard, object_id))
+        return nullptr;
+    core::FreePartRuntime &rt = *shards_[shard].runtime;
+    fw::ObjectStore &store = rt.storeOf(rt.homeOf(object_id));
+    return store.has(object_id) ? &store : nullptr;
+}
+
+bool
+ShardRouter::answerFromDedup(uint64_t token, uint64_t routing_key,
+                             RoutedCall &out)
+{
+    // At-least-once dedup: a token already acknowledged is answered
+    // from the cluster cache — the client may resubmit after a shard
+    // failure without double-executing.
+    if (token == 0)
+        return false;
+    const ipc::ValueList *hit = dedup_.find(token);
+    if (!hit)
+        return false;
+    ++stats_.dedupHits;
+    out.result.ok = true;
+    out.result.values = *hit;
+    out.deduped = true;
+    out.shard = placeKey(routing_key);
+    return true;
+}
+
+uint32_t
+ShardRouter::chooseExecShard(uint32_t target, const ipc::ValueList &args,
+                             bool &proxied) const
+{
+    // Migrate-vs-proxy: a large input on another live, serving shard
+    // pulls the call to itself instead of moving its bytes.
+    uint32_t exec = target;
+    proxied = false;
+    uint64_t largest = config.migrationMaxBytes;
+    for (const ipc::Value &value : args) {
+        if (value.kind() != ipc::Value::Kind::Ref)
+            continue;
+        uint64_t id = value.asRef().objectId;
+        uint32_t owner = lookupShard(id);
+        if (owner == target || !holdsObject(owner, id) ||
+            !ring_.contains(owner))
+            continue;
+        uint64_t bytes = objectBytesOf(id);
+        if (bytes > largest) {
+            largest = bytes;
+            exec = owner;
+            proxied = true;
+        }
+    }
+    return exec;
+}
+
+bool
+ShardRouter::stageInputs(uint32_t exec, const ipc::ValueList &args,
+                         bool proxied, bool replica_reads, bool &cross,
+                         RoutedCall &out)
+{
+    for (const ipc::Value &value : args) {
+        if (value.kind() != ipc::Value::Kind::Ref)
+            continue;
+        uint64_t id = value.asRef().objectId;
+        if (replica_reads) {
+            if (stageReplicaRead(exec, id))
+                continue;
+        } else {
+            // An owner whose runtime no longer holds the object (its
+            // agent crashed past the last checkpoint) counts as dead:
+            // the directory entry is stale, so fall back to a replica.
+            uint32_t owner = lookupShard(id);
+            bool held = holdsObject(owner, id);
+            if (held && owner == exec) {
+                ++stats_.localInputs;
+                if (proxied)
+                    stats_.proxiedBytes += objectBytesOf(id);
+                continue;
+            }
+            if (held) {
+                migrateObject(owner, exec, id);
+                cross = true;
+                continue;
+            }
+            if (restoreReplica(exec, id)) {
+                cross = true;
+                continue;
+            }
+        }
+        out.result = core::ApiResult();
+        out.result.error = "cluster: object " + std::to_string(id) +
+                           " lost (no live copy, no replica)";
+        out.errorKind = RouteError::ObjectLost;
+        out.lostObjectId = id;
+        out.shard = exec;
+        ++stats_.lostObjects;
+        ++stats_.callsFailed;
+        return false;
+    }
+    return true;
+}
+
+core::ApiResult
+ShardRouter::issueOn(Shard &shard, const std::string &api_name,
+                     const ipc::ValueList &args)
+{
+    ++shard.calls;
+    if (!config.runtime.pipelineParallel)
+        return shard.runtime->invoke(api_name, args);
+    // Async-per-shard: issue without waiting so consecutive calls
+    // landing on the same shard overlap on its agent timelines.
+    // invoke() would sync the shard's host clock per call and
+    // serialize everything the ring co-located. args stays intact: a
+    // failed call may retry on the next ring owner.
+    core::CallTicket ticket = shard.runtime->invokeAsync(api_name, args);
+    if (const core::ApiResult *peeked = shard.runtime->peekResult(ticket))
+        return *peeked;
+    core::ApiResult vanished;
+    vanished.error = "async ticket vanished";
+    return vanished;
+}
+
+void
+ShardRouter::acknowledge(uint32_t exec, uint64_t routing_key,
+                         uint64_t token, bool proxied, bool cross,
+                         core::ApiResult result, RoutedCall &out)
+{
+    noteResults(exec, routing_key, result.values);
+    if (token != 0)
+        dedup_.insert(token, result.values);
+    ++stats_.callsOk;
+    if (proxied)
+        ++stats_.proxiedCalls;
+    if (cross)
+        ++stats_.crossShardCalls;
+    out.result = std::move(result);
+    out.shard = exec;
+    out.proxied = proxied;
+}
+
 RoutedCall
 ShardRouter::invoke(uint64_t routing_key, const std::string &api_name,
                     ipc::ValueList args, uint64_t dedup_token)
@@ -1068,20 +1173,8 @@ ShardRouter::invoke(uint64_t routing_key, const std::string &api_name,
     ++stats_.routedCalls;
     notePlacementCall(routing_key, args);
     RoutedCall out;
-
-    // At-least-once dedup: a token already acknowledged is answered
-    // from the cluster cache — the client may resubmit after a shard
-    // failure without double-executing.
-    if (dedup_token != 0) {
-        if (const ipc::ValueList *hit = dedup_.find(dedup_token)) {
-            ++stats_.dedupHits;
-            out.result.ok = true;
-            out.result.values = *hit;
-            out.deduped = true;
-            out.shard = placeKey(routing_key);
-            return out;
-        }
-    }
+    if (answerFromDedup(dedup_token, routing_key, out))
+        return out;
 
     // Failover loop: each iteration routes against the current ring;
     // a shard that leaves the ring mid-call sends us back here with
@@ -1095,105 +1188,18 @@ ShardRouter::invoke(uint64_t routing_key, const std::string &api_name,
             ++stats_.callsFailed;
             return out;
         }
-
-        // Migrate-vs-proxy: a large input on another live, serving
-        // shard pulls the call to itself instead of moving its bytes.
-        uint32_t exec = target;
         bool proxied = false;
-        size_t largest = config.migrationMaxBytes;
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref)
-                continue;
-            uint64_t id = value.asRef().objectId;
-            uint32_t owner = lookupShard(id);
-            if (owner == kInvalidShard || owner == target)
-                continue;
-            const Shard &shard = shards_.at(owner);
-            if (!shard.live || !ring_.contains(owner))
-                continue;
-            core::FreePartRuntime &rt = *shard.runtime;
-            size_t bytes =
-                rt.storeOf(rt.homeOf(id)).get(id).byteLen;
-            if (bytes > largest) {
-                largest = bytes;
-                exec = owner;
-                proxied = true;
-            }
-        }
-
-        // Stage inputs onto the executing shard: local refs stay put,
-        // remote ones migrate, dead owners fall back to replicas.
-        bool lost = false;
+        uint32_t exec = chooseExecShard(target, args, proxied);
         bool cross = proxied;
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref)
-                continue;
-            uint64_t id = value.asRef().objectId;
-            uint32_t owner = lookupShard(id);
-            if (owner == exec) {
-                ++stats_.localInputs;
-                if (proxied)
-                    stats_.proxiedBytes += objectBytesOf(id);
-                continue;
-            }
-            if (owner != kInvalidShard && shards_.at(owner).live) {
-                migrateObject(owner, exec, id);
-                cross = true;
-                continue;
-            }
-            if (restoreReplica(exec, id)) {
-                cross = true;
-                continue;
-            }
-            out.result = core::ApiResult();
-            out.result.error =
-                "cluster: object " + std::to_string(id) +
-                " lost with its shard (no replica)";
-            out.errorKind = RouteError::ObjectLost;
-            out.lostObjectId = id;
-            ++stats_.lostObjects;
-            lost = true;
-            break;
-        }
-        if (lost) {
-            out.shard = exec;
-            ++stats_.callsFailed;
+        if (!stageInputs(exec, args, proxied, /*replica_reads=*/false,
+                         cross, out))
             return out;
-        }
 
-        Shard &shard = shards_.at(exec);
-        core::ApiResult result;
-        if (config.runtime.pipelineParallel) {
-            // Async-per-shard: issue without waiting so consecutive
-            // calls landing on the same shard overlap on its agent
-            // timelines. invoke() would sync the shard's host clock
-            // per call and serialize everything the ring co-located.
-            // args stays intact: a failed call may retry on the next
-            // ring owner after this shard leaves the ring.
-            core::CallTicket ticket =
-                shard.runtime->invokeAsync(api_name, args);
-            if (const core::ApiResult *peeked =
-                    shard.runtime->peekResult(ticket))
-                result = *peeked;
-            else
-                result.error = "async ticket vanished";
-        } else {
-            result = shard.runtime->invoke(api_name, args);
-        }
-        ++shard.calls;
-
+        core::ApiResult result = issueOn(shards_.at(exec), api_name,
+                                         args);
         if (result.ok) {
-            noteResults(exec, routing_key, result.values);
-            if (dedup_token != 0)
-                dedup_.insert(dedup_token, result.values);
-            ++stats_.callsOk;
-            if (proxied)
-                ++stats_.proxiedCalls;
-            if (cross)
-                ++stats_.crossShardCalls;
-            out.result = std::move(result);
-            out.shard = exec;
-            out.proxied = proxied;
+            acknowledge(exec, routing_key, dedup_token, proxied, cross,
+                        std::move(result), out);
             return out;
         }
 
@@ -1236,16 +1242,8 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
     osim::SimTime deadline =
         opts.deadline != 0 ? opts.deadline : config.defaultDeadline;
 
-    if (opts.dedupToken != 0) {
-        if (const ipc::ValueList *hit = dedup_.find(opts.dedupToken)) {
-            ++stats_.dedupHits;
-            out.result.ok = true;
-            out.result.values = *hit;
-            out.deduped = true;
-            out.shard = placeKey(routing_key);
-            return out;
-        }
-    }
+    if (answerFromDedup(opts.dedupToken, routing_key, out))
+        return out;
 
     auto startAt = [&](uint32_t s) {
         return std::max({busyUntil_[s], stalledUntil_[s], arrival});
@@ -1310,29 +1308,8 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         }
 
         bool proxied = false;
-        if (!hedged) {
-            // Migrate-vs-proxy, as on the closed-loop path.
-            size_t largest = config.migrationMaxBytes;
-            for (const ipc::Value &value : args) {
-                if (value.kind() != ipc::Value::Kind::Ref)
-                    continue;
-                uint64_t id = value.asRef().objectId;
-                uint32_t owner = lookupShard(id);
-                if (owner == kInvalidShard || owner == target)
-                    continue;
-                const Shard &shard = shards_.at(owner);
-                if (!shard.live || !ring_.contains(owner))
-                    continue;
-                core::FreePartRuntime &rt = *shard.runtime;
-                size_t bytes =
-                    rt.storeOf(rt.homeOf(id)).get(id).byteLen;
-                if (bytes > largest) {
-                    largest = bytes;
-                    exec = owner;
-                    proxied = true;
-                }
-            }
-        }
+        if (!hedged)
+            exec = chooseExecShard(target, args, proxied);
 
         // Admission control before any data moves: the call would
         // start after the queue ahead of it and any injected stall.
@@ -1391,61 +1368,12 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         // attempts read replica snapshots without moving authority.
         Shard &shard = shards_.at(exec);
         osim::SimTime before = shard.kernel->now();
-        bool staged = true;
         bool cross = proxied || hedged || degraded;
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref)
-                continue;
-            uint64_t id = value.asRef().objectId;
-            if (hedged || degraded) {
-                if (stageReplicaRead(exec, id))
-                    continue;
-            } else {
-                uint32_t owner = lookupShard(id);
-                if (owner == exec) {
-                    ++stats_.localInputs;
-                    if (proxied)
-                        stats_.proxiedBytes += objectBytesOf(id);
-                    continue;
-                }
-                if (owner != kInvalidShard && shards_.at(owner).live) {
-                    migrateObject(owner, exec, id);
-                    cross = true;
-                    continue;
-                }
-                if (restoreReplica(exec, id)) {
-                    cross = true;
-                    continue;
-                }
-            }
-            out.result = core::ApiResult();
-            out.result.error =
-                "cluster: object " + std::to_string(id) +
-                " lost with its shard (no replica)";
-            out.errorKind = RouteError::ObjectLost;
-            out.lostObjectId = id;
-            ++stats_.lostObjects;
-            staged = false;
-            break;
-        }
-        if (!staged) {
-            out.shard = exec;
-            ++stats_.callsFailed;
+        if (!stageInputs(exec, args, proxied, hedged || degraded, cross,
+                         out))
             return out;
-        }
 
-        core::ApiResult result;
-        if (config.runtime.pipelineParallel) {
-            core::CallTicket ticket =
-                shard.runtime->invokeAsync(api_name, args);
-            if (const core::ApiResult *peeked =
-                    shard.runtime->peekResult(ticket))
-                result = *peeked;
-            else
-                result.error = "async ticket vanished";
-        } else {
-            result = shard.runtime->invoke(api_name, args);
-        }
+        core::ApiResult result = issueOn(shard, api_name, args);
         osim::SimTime span = shard.kernel->now() - before;
         if (slowFactor > 1.0 && exec == target && span > 0) {
             // The injected slow-down stretches everything this call
@@ -1455,21 +1383,14 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
             shard.kernel->advance(extra);
             span += extra;
         }
-        ++shard.calls;
 
         if (result.ok) {
             busyUntil_[exec] = start + span;
             out.latency = busyUntil_[exec] - arrival;
             out.queueWait = wait;
             monitor_.recordSuccess(exec, arrival, span);
-            noteResults(exec, routing_key, result.values);
-            if (opts.dedupToken != 0)
-                dedup_.insert(opts.dedupToken, result.values);
-            ++stats_.callsOk;
-            if (proxied)
-                ++stats_.proxiedCalls;
-            if (cross)
-                ++stats_.crossShardCalls;
+            acknowledge(exec, routing_key, opts.dedupToken, proxied,
+                        cross, std::move(result), out);
             if (hedged)
                 ++stats_.hedgedCalls;
             if (degraded)
@@ -1478,9 +1399,6 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
                 out.deadlineMissed = true;
                 ++stats_.deadlineMisses;
             }
-            out.result = std::move(result);
-            out.shard = exec;
-            out.proxied = proxied;
             out.hedged = hedged;
             out.degraded = degraded;
             return out;

@@ -140,7 +140,7 @@ struct ShardRouterConfig {
 enum class RouteError : uint8_t {
     None = 0,
     NoLiveShards,     //!< the ring is empty
-    ObjectLost,       //!< a ref input died with its shard, no replica
+    ObjectLost,       //!< a ref input has no live copy and no replica
     Overloaded,       //!< shed: admission queue over maxQueueDepth
     DeadlineExceeded, //!< shed: deadline infeasible before execution
     ExecutionFailed,  //!< the runtime returned an error
@@ -424,6 +424,10 @@ class ShardRouter
         std::string label;
     };
 
+    /** Bring up a fresh incarnation (kernel + runtime) in a slot,
+     *  tearing down any previous one. */
+    void bootShard(Shard &shard, const SeedFn &seed);
+
     /** Directory lookup with lazy adoption of unknown ids. */
     uint32_t lookupShard(uint64_t object_id) const;
 
@@ -449,6 +453,10 @@ class ShardRouter
     /** Move an object's data between two live shards' runtimes. */
     void migrateObject(uint32_t from, uint32_t to, uint64_t object_id);
 
+    /** Ship an object's replica into a shard's host store, charging
+     *  the transfer; false when no replica exists. */
+    bool copyReplica(uint32_t to, uint64_t object_id);
+
     /** Rebuild an object from its replica on a live shard. Returns
      *  false when no replica exists (the object is lost). */
     bool restoreReplica(uint32_t to, uint64_t object_id);
@@ -460,6 +468,49 @@ class ShardRouter
 
     /** Capture (or refresh) an object's replica from its shard. */
     void saveReplica(uint32_t shard, uint64_t object_id);
+
+    // ---- Per-attempt steps shared by invoke and invokeAt ----
+
+    /** Does a live shard's runtime still resolve the object? A live
+     *  owner that lost it (agent crash past its last checkpoint)
+     *  counts as dead for staging. */
+    bool holdsObject(uint32_t shard, uint64_t object_id) const;
+
+    /** The store holding an object on a live shard that still holds
+     *  it outside its checkpoints; nullptr otherwise. */
+    fw::ObjectStore *liveStoreOf(uint32_t shard,
+                                 uint64_t object_id) const;
+
+    /** Answer an already-acknowledged token from the cluster dedup
+     *  cache. False for token 0 or an unknown token. */
+    bool answerFromDedup(uint64_t token, uint64_t routing_key,
+                         RoutedCall &out);
+
+    /** Migrate-vs-proxy: the in-ring shard holding the largest
+     *  cross-shard input above migrationMaxBytes (the call moves to
+     *  its data; `proxied` set), else `target`. */
+    uint32_t chooseExecShard(uint32_t target, const ipc::ValueList &args,
+                             bool &proxied) const;
+
+    /** Stage every ref input onto `exec`: held locally, migrated from
+     *  a live owner, or restored from its replica — or, with
+     *  `replica_reads`, read from replicas without moving authority.
+     *  Sets `cross` when data crossed shards. False when an input is
+     *  lost; `out` then holds the typed ObjectLost failure. */
+    bool stageInputs(uint32_t exec, const ipc::ValueList &args,
+                     bool proxied, bool replica_reads, bool &cross,
+                     RoutedCall &out);
+
+    /** Run (and count) the call on a shard: invokeAsync under
+     *  pipelineParallel (calls overlap on its timelines), else a
+     *  blocking invoke. */
+    core::ApiResult issueOn(Shard &shard, const std::string &api_name,
+                            const ipc::ValueList &args);
+
+    /** Record a successful call: results, dedup token, counters. */
+    void acknowledge(uint32_t exec, uint64_t routing_key, uint64_t token,
+                     bool proxied, bool cross, core::ApiResult result,
+                     RoutedCall &out);
 
     /** Post-failure health check: kill on host death, drain on
      *  quarantine pressure. Returns true if the shard left the ring
@@ -490,10 +541,11 @@ class ShardRouter
      *  `target` (shared by addShard and reviveShard). */
     void proactivePush(uint32_t target);
 
-    /** Extra simulated cost of injected drop/corrupt/slow-down on a
-     *  cross-shard transfer of `bytes` to shard `dest` (0 with no
-     *  chaos armed; consumes no randomness then either). */
-    osim::SimTime transferChaosCost(uint32_t dest, size_t bytes);
+    /** Simulated network cost of one cross-shard transfer of `bytes`
+     *  to shard `dest`: round trip + per-byte, plus the resends and
+     *  slow-downs of any armed chaos plan (no chaos armed consumes no
+     *  randomness). */
+    osim::SimTime transferCost(uint32_t dest, size_t bytes);
 
     const fw::ApiRegistry &registry;
     analysis::Categorization cats;

@@ -35,9 +35,11 @@ struct PipeEnv {
             config);
     }
 
-    /** Replay one Table 6 app against a fresh runtime. */
+    /** Replay one Table 6 app against a fresh runtime, with an
+     *  optional boundary tap installed. */
     apps::WorkloadResult
-    replayApp(size_t model_index, bool pipeline_gate, bool async)
+    replayApp(size_t model_index, bool pipeline_gate, bool async,
+              BoundaryObserver observer = nullptr)
     {
         apps::WorkloadGenerator::Config wconfig;
         wconfig.imageRows = 64;
@@ -53,6 +55,7 @@ struct PipeEnv {
         FreePartRuntime runtime(*kernel, registry, cats,
                                 PartitionPlan::freePartDefault(),
                                 config);
+        runtime.setBoundaryObserver(std::move(observer));
         const apps::AppModel &model =
             apps::appModels().at(model_index);
         return async ? generator.runAsync(runtime, model)
@@ -207,6 +210,77 @@ TEST(Pipeline, DrainAllSettlesTimelines)
     EXPECT_GE(env().kernel->now(), horizon);
     // Post-drain, the global clock covers every per-process timeline.
     EXPECT_EQ(env().kernel->now(), env().kernel->maxTimeline());
+}
+
+TEST(Pipeline, DispatchFailuresMatchAcrossEntryPoints)
+{
+    // One prologue serves every entry point: the sync invoke, the
+    // gate-off async path and the pipelined dispatcher must fail a
+    // call the same way and count it the same way.
+    enum class Fault { UnknownApi, DeadHost, LostArgument };
+    auto failedCall = [&](Fault fault, bool gate, bool async) {
+        RuntimeConfig config;
+        config.pipelineParallel = gate;
+        config.shardId = 7; // same object ids in every runtime
+        auto runtime = env().makeRuntime(config);
+        std::string api = "cv2.GaussianBlur";
+        ipc::ValueList args;
+        if (fault == Fault::UnknownApi) {
+            api = "cv2.doesNotExist";
+        } else if (fault == Fault::DeadHost) {
+            env().kernel->faultProcess(runtime->hostProcess(), "test");
+        } else {
+            // A result left on the processing agent, lost with it:
+            // no checkpoint yet and no host copy.
+            ApiResult img = runtime->invoke("cv2.imread", {imreadArg()});
+            EXPECT_TRUE(img.ok) << img.error;
+            ApiResult blur = runtime->invoke(api, {img.values[0]});
+            EXPECT_TRUE(blur.ok) << blur.error;
+            env().kernel->faultProcess(
+                env().kernel->process(runtime->agentPid(1)), "test");
+            EXPECT_TRUE(runtime->restartAgent(1));
+            args = blur.values;
+        }
+        ApiResult result =
+            async ? runtime->wait(runtime->invokeAsync(api, args))
+                  : runtime->invoke(api, args);
+        return std::make_pair(result, runtime->stats().apiCalls);
+    };
+    const std::pair<Fault, const char *> faults[] = {
+        {Fault::UnknownApi, "unknown API"},
+        {Fault::DeadHost, "host program has crashed"},
+        {Fault::LostArgument, "was lost in an agent crash"}};
+    for (const auto &[fault, expected] : faults) {
+        auto [sync, syncCalls] = failedCall(fault, false, false);
+        auto [asyncOff, asyncOffCalls] = failedCall(fault, false, true);
+        auto [piped, pipedCalls] = failedCall(fault, true, true);
+        EXPECT_FALSE(sync.ok);
+        EXPECT_NE(sync.error.find(expected), std::string::npos)
+            << sync.error;
+        EXPECT_EQ(asyncOff.ok, sync.ok);
+        EXPECT_EQ(piped.ok, sync.ok);
+        EXPECT_EQ(asyncOff.error, sync.error);
+        EXPECT_EQ(piped.error, sync.error);
+        EXPECT_EQ(asyncOffCalls, syncCalls);
+        EXPECT_EQ(pipedCalls, syncCalls);
+    }
+
+    // A full app trace: both paths count the same calls and tap the
+    // same boundary crossings.
+    size_t syncTaps = 0, pipedTaps = 0;
+    auto tally = [](size_t &taps) {
+        return [&taps](const std::string &, uint32_t,
+                       const ipc::ValueList &) { ++taps; };
+    };
+    apps::WorkloadResult sync =
+        env().replayApp(1, false, false, tally(syncTaps));
+    apps::WorkloadResult piped =
+        env().replayApp(1, true, true, tally(pipedTaps));
+    ASSERT_EQ(sync.callsFailed, 0u);
+    ASSERT_EQ(piped.callsFailed, 0u);
+    EXPECT_GT(syncTaps, 0u);
+    EXPECT_EQ(pipedTaps, syncTaps);
+    EXPECT_EQ(piped.stats.apiCalls, sync.stats.apiCalls);
 }
 
 TEST(Pipeline, StatsOverlapFractionBounds)

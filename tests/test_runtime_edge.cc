@@ -593,15 +593,6 @@ TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
     pipeline.pipelineParallel = false;
     EXPECT_NO_THROW(build(pipeline));
 
-    RuntimeConfig batching;
-    batching.adaptiveBatching = true;
-    batching.hotWindowMaxDepth = 0;
-    EXPECT_THROW(build(batching), util::FatalError);
-    batching.hotWindowMaxDepth = 8;
-    batching.batchDecayOccupancy = 0.5;
-    batching.batchGrowOccupancy = 0.1; // decay above grow
-    EXPECT_THROW(build(batching), util::FatalError);
-
     RuntimeConfig backoff;
     backoff.supervision.backoffFactor = 0.5;
     EXPECT_THROW(build(backoff), util::FatalError);

@@ -2,9 +2,8 @@
  * @file
  * Tests for the cluster layer: HashRing placement (uniformity,
  * bounded movement, determinism), per-shard object-id namespacing,
- * ShardRouter routing (migration, proxying, replica failover,
- * at-least-once dedup, drain/kill), and the adaptive batching-depth
- * controller in the runtime hot path.
+ * and ShardRouter routing (migration, proxying, replica failover,
+ * lost inputs on a live owner, at-least-once dedup, drain/kill).
  */
 
 #include <gtest/gtest.h>
@@ -346,6 +345,70 @@ TEST(ShardRouter, LostObjectWithoutReplicaFailsTyped)
     EXPECT_EQ(router->stats().lostObjects, 1u);
 }
 
+/** Leave a GaussianBlur result on the key owner's processing agent,
+ *  then crash and respawn that agent: the object is gone from the
+ *  live owner (no checkpoint, no host copy) while the cluster
+ *  directory still names that shard. */
+ipc::Value
+loseResultOnLiveOwner(ShardRouter &router, uint64_t key)
+{
+    uint32_t owner = router.ownerShardOf(key);
+    uint64_t src = router.createMat(key, 16, 16, 3, 9, "src");
+    RoutedCall blur = router.invoke(
+        key, "cv2.GaussianBlur", {ipc::Value(ipc::ObjectRef{0, src})});
+    EXPECT_TRUE(blur.result.ok) << blur.result.error;
+    ipc::Value ref = blur.result.values.at(0);
+    uint64_t id = ref.asRef().objectId;
+    core::FreePartRuntime &rt = router.runtime(owner);
+    EXPECT_EQ(rt.homeOf(id), 1u);
+    router.kernel(owner).faultProcess(
+        router.kernel(owner).process(rt.agentPid(1)), "induced");
+    EXPECT_TRUE(rt.restartAgent(1));
+    EXPECT_FALSE(rt.hasObject(id));
+    EXPECT_EQ(router.homeShardOf(id), owner);
+    return ref;
+}
+
+TEST(ShardRouter, LostInputOnLiveOwnerIsRestoredOrTyped)
+{
+    // Both entry points stage through the same step: a live owner
+    // that lost the object counts as dead, so the input comes from
+    // its replica, or the call fails typed — never a router panic.
+    for (bool replicate : {true, false}) {
+        for (bool open_loop : {false, true}) {
+            SCOPED_TRACE(std::string(open_loop ? "invokeAt" : "invoke") +
+                         (replicate ? " with replica" : " no replica"));
+            ShardRouterConfig config;
+            config.shardCount = 2;
+            config.replicateObjects = replicate;
+            auto router = env().makeRouter(std::move(config));
+            uint64_t k0 = keyOwnedBy(*router, 0);
+            uint64_t k1 = keyOwnedBy(*router, 1);
+            ipc::Value ref = loseResultOnLiveOwner(*router, k0);
+            uint64_t id = ref.asRef().objectId;
+
+            ClusterStats before = router->stats();
+            RoutedCall call =
+                open_loop ? router->invokeAt(k1, "cv2.erode", {ref},
+                                             CallOptions())
+                          : router->invoke(k1, "cv2.erode", {ref});
+            const ClusterStats &after = router->stats();
+            if (replicate) {
+                ASSERT_TRUE(call.result.ok) << call.result.error;
+                EXPECT_EQ(call.shard, 1u);
+                EXPECT_EQ(after.replicaRestores,
+                          before.replicaRestores + 1);
+                EXPECT_EQ(router->homeShardOf(id), 1u);
+            } else {
+                EXPECT_FALSE(call.result.ok);
+                EXPECT_EQ(call.errorKind, RouteError::ObjectLost);
+                EXPECT_EQ(call.lostObjectId, id);
+                EXPECT_EQ(after.lostObjects, before.lostObjects + 1);
+            }
+        }
+    }
+}
+
 TEST(ShardRouter, DrainedShardLeavesRingButServesMigrations)
 {
     auto router = env().makeRouter(3u);
@@ -470,86 +533,6 @@ TEST(ShardRouter, AsyncPerShardOverlapsAndMatchesResults)
     EXPECT_EQ(sync_stats.shardTotals.asyncCalls, 0u);
     EXPECT_GT(async_stats.shardTotals.asyncCalls, 0u);
     EXPECT_LE(async_stats.makespan, sync_stats.makespan);
-}
-
-// ---- Adaptive batching depth controller ------------------------------
-
-/** Ping-pong a Mat between the processing and storing partitions:
- *  every call carries a cross-partition ref, so each request batch
- *  hauls a Deliver payload and the request ring shows occupancy. */
-uint64_t
-pingPongWorkload(core::FreePartRuntime &runtime, size_t rounds)
-{
-    core::ApiResult img = runtime.invoke(
-        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
-    EXPECT_TRUE(img.ok) << img.error;
-    ipc::Value ref = img.values[0];
-    for (size_t i = 0; i < rounds; ++i) {
-        core::ApiResult blurred =
-            runtime.invoke("cv2.GaussianBlur", {ref});
-        EXPECT_TRUE(blurred.ok) << blurred.error;
-        ref = blurred.values[0];
-        core::ApiResult stored = runtime.invoke(
-            "cv2.imwrite",
-            {ipc::Value(std::string("/out/pp.fpim")), ref});
-        EXPECT_TRUE(stored.ok) << stored.error;
-    }
-    return ref.asRef().objectId;
-}
-
-TEST(AdaptiveBatching, WidensHotWindowUnderPressure)
-{
-    core::RuntimeConfig base;
-    base.ringBytes = 64 << 10; // small ring: delivers show occupancy
-    core::RuntimeConfig adaptive = base;
-    adaptive.adaptiveBatching = true;
-
-    osim::Kernel k1;
-    auto baseline = env().makeRuntime(k1, base);
-    pingPongWorkload(*baseline, 24);
-
-    osim::Kernel k2;
-    auto adapted = env().makeRuntime(k2, adaptive);
-    pingPongWorkload(*adapted, 24);
-
-    // Off: binary same-partition heuristic, depth stays 1 and the
-    // alternating workload never goes hot.
-    EXPECT_EQ(baseline->hotWindowDepth(), 1u);
-    EXPECT_EQ(baseline->stats().hotWindowGrows, 0u);
-
-    // On: pressure doubles the window, both partitions stay hot.
-    EXPECT_GT(adapted->hotWindowDepth(), 1u);
-    EXPECT_GT(adapted->stats().hotWindowGrows, 0u);
-    EXPECT_GT(adapted->stats().hotSends,
-              baseline->stats().hotSends);
-    EXPECT_LT(adapted->stats().elapsed(),
-              baseline->stats().elapsed());
-    EXPECT_GE(adapted->stats().hotWindowDepthPeak, 2u);
-}
-
-TEST(AdaptiveBatching, DecaysOnIdleTraffic)
-{
-    core::RuntimeConfig config;
-    config.adaptiveBatching = true;
-    config.ringBytes = 64 << 10;
-
-    osim::Kernel kernel;
-    auto runtime = env().makeRuntime(kernel, config);
-    pingPongWorkload(*runtime, 16);
-    ASSERT_GT(runtime->hotWindowDepth(), 1u);
-
-    // Same-partition no-deliver traffic: occupancy falls below the
-    // decay threshold and the window narrows back toward 1.
-    core::ApiResult img = runtime->invoke(
-        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
-    ASSERT_TRUE(img.ok);
-    for (size_t i = 0; i < 40; ++i) {
-        core::ApiResult r = runtime->invoke(
-            "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
-        ASSERT_TRUE(r.ok) << r.error;
-    }
-    EXPECT_GT(runtime->stats().hotWindowDecays, 0u);
-    EXPECT_EQ(runtime->hotWindowDepth(), 1u);
 }
 
 } // namespace
