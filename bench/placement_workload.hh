@@ -40,7 +40,6 @@ struct ZipfWorkloadConfig {
     uint64_t seed = 0x5eedf00dull;
     /** Epoch length under the Optimized policy (ignored for Hash). */
     uint64_t repartitionEveryCalls = 240;
-    double balanceEpsilon = 0.10;
     /** Per-epoch migration budget; 0 keeps the router default. */
     size_t migrationMaxBytes = 0;
 };
@@ -76,7 +75,6 @@ runZipfWorkload(const ZipfWorkloadConfig &wl)
     config.runtime.ringBytes = 2 << 20;
     config.dedupEntries = 4096;
     config.placementPolicy = wl.policy;
-    config.placementBalanceEpsilon = wl.balanceEpsilon;
     if (wl.migrationMaxBytes > 0)
         config.migrationMaxBytes = wl.migrationMaxBytes;
     if (wl.policy == shard::PlacementPolicy::Optimized)

@@ -2,13 +2,9 @@
 """CI perf gate: compare fresh bench runs against the checked-in
 baseline and fail on a meaningful regression.
 
-Usage:
-    scripts/check_perf_regression.py --current /tmp/t9.json \
-        [--current-cluster /tmp/cluster.json] \
-        [--current-pipeline /tmp/pipeline.json] \
-        [--baseline BENCH_freepart.json] [--tolerance 0.20]
-
-Three gates:
+Each --current* input is the --json output of one bench binary. Six
+gates, one per input; every gate but the first is skipped when its
+input is not given:
   * bench_table9_overhead (--current, required): FreePart's simulated
     overhead over the no-isolation baseline (freepart_overhead_pct).
     A >20% relative increase (e.g. 5.2% -> 6.3%) fails.
@@ -81,24 +77,6 @@ def check_min(name, baseline, current, tolerance):
 
 
 EPILOG = """\
-the gate set (all deterministic simulated time):
-  table9 overhead   freepart_overhead_pct must not rise > tolerance
-  shard cluster     4-shard throughput + speedup must not drop >
-                    tolerance; zero acked calls lost in the kill drill
-  pipeline          speedup >= 1.2x absolute, overlap >= 0.5,
-                    rollback rate <= 20%, no > tolerance drop (spec
-                    on or off), replays byte-identical + deterministic
-  chaos             availability >= 95%, shed rate <= 10%, zero lost
-                    acks, deterministic replay
-  placement         optimized imbalance <= 1.2 absolute, optimized
-                    cross-shard rate strictly below hash at 4 and 8
-                    shards, per-epoch moved bytes within budget,
-                    deterministic replay
-  serving           SLO attainment >= 95%, zero lost acks, autoscaled
-                    shard-seconds strictly below static max, warm
-                    checkout strictly below cold, >= 1 scale-up and
-                    >= 1 scale-down, deterministic replay
-
 after an intentional perf change, refresh the checked-in baseline
 with the same bench outputs instead of hand-editing it:
 
@@ -140,7 +118,7 @@ def write_baseline(args):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="CI perf gate over the checked-in bench baseline",
+        description=__doc__,
         epilog=EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--current", required=True,

@@ -61,7 +61,7 @@ AgentSupervisor::pruneWindow(PartitionState &state) const
     // because restarts got faster.
     osim::SimTime now = kernel.now() - machineryTime;
     osim::SimTime horizon =
-        now > policy_.crashLoopSpan ? now - policy_.crashLoopSpan : 0;
+        now > kCrashLoopSpan ? now - kCrashLoopSpan : 0;
     while (!state.crashTimes.empty() &&
            state.crashTimes.front() < horizon)
         state.crashTimes.pop_front();
@@ -94,7 +94,7 @@ AgentSupervisor::onCrash(uint32_t partition)
     bool looping =
         state.crashTimes.size() >= policy_.crashLoopThreshold;
     bool exhausted =
-        state.attemptsThisOutage >= policy_.maxRestartAttempts;
+        state.attemptsThisOutage >= kMaxRestartAttempts;
     if (looping || exhausted) {
         quarantine(partition);
         return false;
@@ -115,11 +115,11 @@ AgentSupervisor::chargeBackoff(uint32_t partition)
         return;
     state.health = AgentHealth::Backoff;
     double scaled =
-        static_cast<double>(policy_.backoffBase) *
-        std::pow(policy_.backoffFactor,
+        static_cast<double>(kBackoffBase) *
+        std::pow(kBackoffFactor,
                  static_cast<double>(state.attemptsThisOutage - 2));
-    osim::SimTime delay = static_cast<osim::SimTime>(std::min(
-        scaled, static_cast<double>(policy_.backoffMax)));
+    osim::SimTime delay = static_cast<osim::SimTime>(
+        std::min(scaled, static_cast<double>(kBackoffMax)));
     kernel.advance(delay);
     stats_.backoffTime += delay;
     machineryTime += delay;

@@ -35,31 +35,34 @@ enum class AgentHealth : uint8_t {
 /** Display name of a health state. */
 const char *agentHealthName(AgentHealth health);
 
-/** Tunable supervision policy (per runtime; applies to every agent). */
+// ---- Fixed restart schedule (one policy; applies to every agent) ----
+
+/** Respawn attempts per outage before quarantining. */
+constexpr uint32_t kMaxRestartAttempts = 4;
+
+/** Simulated backoff before the 2nd, 3rd, ... respawn attempt:
+ *  base * factor^(n-2), capped. */
+constexpr osim::SimTime kBackoffBase = 200'000; // 0.2 ms
+constexpr double kBackoffFactor = 2.0;
+constexpr osim::SimTime kBackoffMax = 20'000'000; // 20 ms
+static_assert(kBackoffFactor >= 1.0, "backoff delays must not shrink");
+
+/** Sliding window of crash-loop detection, measured in application
+ *  time (wall clock net of restart machinery — see noteRestartCharge).
+ *  70 ms is the historical 100 ms wall-clock span minus the machinery
+ *  of a full outage cycle (4 backoffs + 5 cold spawns, ~30 ms). */
+constexpr osim::SimTime kCrashLoopSpan = 70'000'000; // 70 ms app time
+
+/** Tunable supervision policy (per runtime; applies to every agent).
+ *  A quarantined partition runs its non-stateful APIs in the host
+ *  (graceful degradation); its stateful APIs fail fast. */
 struct SupervisionPolicy {
     /** Re-delivery attempts per API call before giving up. */
     uint32_t retryBudget = 3;
 
-    /** Respawn attempts per outage before quarantining. */
-    uint32_t maxRestartAttempts = 4;
-
-    /** Simulated backoff before the 2nd, 3rd, ... respawn attempt. */
-    osim::SimTime backoffBase = 200'000; // 0.2 ms
-    double backoffFactor = 2.0;
-    osim::SimTime backoffMax = 20'000'000; // 20 ms
-
-    /** Crash-loop detection: this many crashes inside the sliding
-     *  window span quarantines the partition. The span is measured in
-     *  application time (wall clock net of restart machinery — see
-     *  noteRestartCharge); 70 ms is the historical 100 ms wall-clock
-     *  span minus the machinery of a full outage cycle (4 backoffs +
-     *  5 cold spawns, ~30 ms). */
+    /** Crash-loop detection: this many crashes inside kCrashLoopSpan
+     *  quarantines the partition. */
     uint32_t crashLoopThreshold = 5;
-    osim::SimTime crashLoopSpan = 70'000'000; // 70 ms app time
-
-    /** Route non-stateful APIs of a quarantined partition to host
-     *  execution (graceful degradation; stateful APIs fail fast). */
-    bool hostFallback = true;
 
     /** Keep a warm standby process per partition and promote it on
      *  crash instead of forking on the critical path. The fork cost is
@@ -114,7 +117,7 @@ class AgentSupervisor
      * true if a restart attempt is allowed, false if the partition is
      * (now) quarantined — either because the crash count within the
      * window crossed the threshold, or because this outage already
-     * used up maxRestartAttempts respawns.
+     * used up kMaxRestartAttempts respawns.
      */
     bool onCrash(uint32_t partition);
 

@@ -100,10 +100,6 @@ FreePartRuntime::FreePartRuntime(osim::Kernel &kernel,
     if (config.pipelineParallel && config.maxInFlightPerPartition == 0)
         util::fatal("RuntimeConfig: pipelineParallel needs "
                     "maxInFlightPerPartition >= 1");
-    if (config.supervision.backoffFactor < 1.0)
-        util::fatal("RuntimeConfig: supervision.backoffFactor %.3f "
-                    "would shrink backoff delays (must be >= 1)",
-                    config.supervision.backoffFactor);
     if (config.supervision.crashLoopThreshold == 0)
         util::fatal("RuntimeConfig: supervision.crashLoopThreshold "
                     "must be >= 1 (0 quarantines before any crash)");
@@ -1587,7 +1583,7 @@ FreePartRuntime::quarantinedCall(uint32_t partition,
                                  const fw::ApiDescriptor &desc,
                                  const ipc::ValueList &args)
 {
-    if (supervisor_.policy().hostFallback && !desc.stateful) {
+    if (!desc.stateful) {
         // Graceful degradation: run the API in the host process, the
         // baseline no-isolation path. Protection is reduced for this
         // call, but the application keeps making progress. Arguments

@@ -18,10 +18,8 @@ shardHealthName(ShardHealth health)
     return "?";
 }
 
-HealthMonitor::HealthMonitor(HealthPolicy policy, uint32_t shard_count)
-    : policy_(policy)
+HealthMonitor::HealthMonitor(uint32_t shard_count) : shards_(shard_count)
 {
-    shards_.resize(shard_count);
 }
 
 void
@@ -56,7 +54,7 @@ HealthMonitor::recordSuccess(uint32_t shard, osim::SimTime now,
         state.ewma = static_cast<double>(service);
         state.hasSamples = true;
     } else {
-        state.ewma += policy_.ewmaAlpha
+        state.ewma += kEwmaAlpha
                       * (static_cast<double>(service) - state.ewma);
     }
     noteTransition(shard);
@@ -89,10 +87,10 @@ HealthMonitor::recordCrash(uint32_t shard)
 bool
 HealthMonitor::probeDue(uint32_t shard, osim::SimTime now) const
 {
-    if (shard >= shards_.size() || policy_.heartbeatInterval == 0)
+    if (shard >= shards_.size())
         return false;
     const ShardState &state = shards_[shard];
-    return now >= state.lastContact + policy_.heartbeatInterval;
+    return now >= state.lastContact + kHeartbeatInterval;
 }
 
 void
@@ -108,7 +106,7 @@ HealthMonitor::recordProbe(uint32_t shard, osim::SimTime now,
     } else {
         // Advance lastContact by one interval so the next tick can
         // miss again instead of re-missing the same stale window.
-        state.lastContact += policy_.heartbeatInterval;
+        state.lastContact += kHeartbeatInterval;
         ++state.missed;
     }
     noteTransition(shard);
@@ -120,15 +118,15 @@ HealthMonitor::classify(uint32_t shard) const
     if (shard >= shards_.size())
         return ShardHealth::Dead;
     const ShardState &state = shards_[shard];
-    if (state.missed >= policy_.missedForDead)
+    if (state.missed >= kMissedForDead)
         return ShardHealth::Dead;
-    if (state.missed >= policy_.missedForSuspect)
+    if (state.missed >= kMissedForSuspect)
         return ShardHealth::Suspect;
-    if (state.crashes >= policy_.crashesForSuspect)
+    if (state.crashes >= kCrashesForSuspect)
         return ShardHealth::Suspect;
     if (state.hasSamples) {
         double baseline = static_cast<double>(clusterBaseline(shard));
-        if (state.ewma > policy_.suspectLatencyFactor * baseline)
+        if (state.ewma > kSuspectLatencyFactor * baseline)
             return ShardHealth::Suspect;
     }
     return ShardHealth::Healthy;
@@ -155,9 +153,9 @@ HealthMonitor::clusterBaseline(uint32_t exclude) const
         ++sampled;
     }
     if (sampled == 0)
-        return policy_.latencyBaselineFloor;
+        return kLatencyBaselineFloor;
     auto mean = static_cast<osim::SimTime>(sum / sampled);
-    return std::max(mean, policy_.latencyBaselineFloor);
+    return std::max(mean, kLatencyBaselineFloor);
 }
 
 uint32_t

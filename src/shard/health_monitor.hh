@@ -38,41 +38,43 @@ enum class ShardHealth : uint8_t {
 /** Display name of a shard health state. */
 const char *shardHealthName(ShardHealth health);
 
-/** Tunable health policy (per router; applies to every shard). */
-struct HealthPolicy {
-    /** Probe cadence on the arrival clock. A shard not contacted
-     *  (call or probe) for this long gets probed on the next router
-     *  tick. 0 disables probing entirely. */
-    osim::SimTime heartbeatInterval = 200'000; // 0.2 ms
+// ---- Health policy (one fixed policy; applies to every shard) ----
 
-    /** Missed consecutive heartbeats before Suspect / Dead. */
-    uint32_t missedForSuspect = 2;
-    uint32_t missedForDead = 5;
+/** Probe cadence on the arrival clock. A shard not contacted (call or
+ *  probe) for this long gets probed on the next router tick. */
+constexpr osim::SimTime kHeartbeatInterval = 200'000; // 0.2 ms
 
-    /** Service-time EWMA smoothing factor (0 < alpha <= 1). */
-    double ewmaAlpha = 0.2;
+/** Missed consecutive heartbeats before Suspect / Dead. */
+constexpr uint32_t kMissedForSuspect = 2;
+constexpr uint32_t kMissedForDead = 5;
+static_assert(1 <= kMissedForSuspect && kMissedForSuspect <= kMissedForDead,
+              "health thresholds need 1 <= suspect <= dead");
 
-    /** A shard whose EWMA exceeds this multiple of the cluster
-     *  baseline (mean over its *peers* — the shard itself is excluded
-     *  so one slow shard cannot drag the baseline up) turns Suspect. */
-    double suspectLatencyFactor = 6.0;
+/** Service-time EWMA smoothing factor. */
+constexpr double kEwmaAlpha = 0.2;
+static_assert(kEwmaAlpha > 0.0 && kEwmaAlpha <= 1.0,
+              "EWMA smoothing factor outside (0, 1]");
 
-    /** Floor for the baseline so a near-idle cluster does not flag
-     *  normal jitter as slowness. */
-    osim::SimTime latencyBaselineFloor = 20'000; // 20 us
+/** A shard whose EWMA exceeds this multiple of the cluster baseline
+ *  (mean over its *peers* — the shard itself is excluded so one slow
+ *  shard cannot drag the baseline up) turns Suspect. */
+constexpr double kSuspectLatencyFactor = 6.0;
+static_assert(kSuspectLatencyFactor >= 1.0,
+              "a shard must not be suspect for matching its peers");
 
-    /** Supervisor-reported agent crashes since the last successful
-     *  call before the shard turns Suspect. */
-    uint32_t crashesForSuspect = 3;
-};
+/** Floor for the baseline so a near-idle cluster does not flag normal
+ *  jitter as slowness. */
+constexpr osim::SimTime kLatencyBaselineFloor = 20'000; // 20 us
+
+/** Supervisor-reported agent crashes since the last successful call
+ *  before the shard turns Suspect. */
+constexpr uint32_t kCrashesForSuspect = 3;
 
 /** The monitor. Owned by the ShardRouter; one entry per shard slot. */
 class HealthMonitor
 {
   public:
-    HealthMonitor(HealthPolicy policy, uint32_t shard_count);
-
-    const HealthPolicy &policy() const { return policy_; }
+    explicit HealthMonitor(uint32_t shard_count);
 
     /** Track one more shard slot (router addShard). */
     void addShard(osim::SimTime now);
@@ -107,10 +109,10 @@ class HealthMonitor
     /** Service-time EWMA of a shard (0 until its first success). */
     osim::SimTime latencyEwma(uint32_t shard) const;
 
-    /** Mean EWMA over shards with samples, floored by policy.
-     *  `exclude` (a shard slot) is left out of the mean so a shard is
-     *  always judged against its peers; pass kExcludeNone for the
-     *  whole-cluster mean. */
+    /** Mean EWMA over shards with samples, floored by
+     *  kLatencyBaselineFloor. `exclude` (a shard slot) is left out of
+     *  the mean so a shard is always judged against its peers; pass
+     *  kExcludeNone for the whole-cluster mean. */
     static constexpr uint32_t kExcludeNone = UINT32_MAX;
     osim::SimTime clusterBaseline(uint32_t exclude = kExcludeNone) const;
 
@@ -134,7 +136,6 @@ class HealthMonitor
     /** Re-classify shard `shard` and count state transitions. */
     void noteTransition(uint32_t shard);
 
-    HealthPolicy policy_;
     std::vector<ShardState> shards_;
     uint64_t suspectTransitions_ = 0;
     uint64_t deadTransitions_ = 0;

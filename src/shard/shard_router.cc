@@ -99,14 +99,11 @@ ShardRouter::ShardRouter(const fw::ApiRegistry &registry,
                          ShardRouterConfig config_in, SeedFn seed)
     : registry(registry), cats(std::move(categorization)),
       plan_(std::move(plan)), config(std::move(config_in)),
-      ring_(config.vnodesPerShard), dedup_(config.dedupEntries),
-      trace_(config.trace), seed_(std::move(seed)),
-      monitor_(config.health, 0)
+      ring_(kVnodesPerShard), dedup_(config.dedupEntries),
+      seed_(std::move(seed)), monitor_(0)
 {
     // Reject configurations whose only possible behavior is silent
     // data loss, a guaranteed stall, or a div-by-zero downstream.
-    if (config.vnodesPerShard == 0)
-        util::fatal("ShardRouterConfig: vnodesPerShard must be >= 1");
     if (config.dedupEntries == 0)
         util::fatal("ShardRouterConfig: dedupEntries must be >= 1 "
                     "(at-least-once failover needs the cluster cache)");
@@ -114,30 +111,9 @@ ShardRouter::ShardRouter(const fw::ApiRegistry &registry,
         util::fatal("ShardRouterConfig: migrationMaxBytes 0 with "
                     "replicateObjects off makes every cross-shard "
                     "input unrecoverable after a shard loss");
-    if (config.hedgeRequests && config.retryBudget == 0)
-        util::fatal("ShardRouterConfig: hedgeRequests needs "
-                    "retryBudget >= 1 (the hedge rides a retry slot)");
     if (config.maxQueueDepth == 0)
         util::fatal("ShardRouterConfig: maxQueueDepth must be >= 1 "
                     "(0 would shed every admission)");
-    if (config.netPerByte < 0.0)
-        util::fatal("ShardRouterConfig: netPerByte must be >= 0");
-    if (config.health.ewmaAlpha <= 0.0 || config.health.ewmaAlpha > 1.0)
-        util::fatal("ShardRouterConfig: health.ewmaAlpha %.3f outside "
-                    "(0, 1]",
-                    config.health.ewmaAlpha);
-    if (config.health.missedForSuspect == 0 ||
-        config.health.missedForSuspect > config.health.missedForDead)
-        util::fatal("ShardRouterConfig: health thresholds need "
-                    "1 <= missedForSuspect (%u) <= missedForDead (%u)",
-                    config.health.missedForSuspect,
-                    config.health.missedForDead);
-    if (config.health.suspectLatencyFactor < 1.0)
-        util::fatal("ShardRouterConfig: health.suspectLatencyFactor "
-                    "must be >= 1");
-    if (config.placementBalanceEpsilon < 0.0)
-        util::fatal("ShardRouterConfig: placementBalanceEpsilon must "
-                    "be >= 0");
     if (config.repartitionEveryCalls > 0 &&
         config.placementPolicy != PlacementPolicy::Optimized)
         util::fatal("ShardRouterConfig: repartitionEveryCalls needs "
@@ -207,7 +183,7 @@ ShardRouter::shardLive(uint32_t shard) const
 }
 
 uint32_t
-ShardRouter::placeKey(uint64_t routing_key) const
+ShardRouter::ownerShardOf(uint64_t routing_key) const
 {
     auto it = override_.find(routing_key);
     if (it != override_.end()) {
@@ -223,12 +199,6 @@ ShardRouter::placeKey(uint64_t routing_key) const
     return ring_.ownerOf(routing_key);
 }
 
-uint32_t
-ShardRouter::ownerShardOf(uint64_t routing_key) const
-{
-    return placeKey(routing_key);
-}
-
 core::FreePartRuntime &
 ShardRouter::runtime(uint32_t shard)
 {
@@ -242,7 +212,7 @@ ShardRouter::kernel(uint32_t shard)
 }
 
 uint32_t
-ShardRouter::lookupShard(uint64_t object_id) const
+ShardRouter::homeShardOf(uint64_t object_id) const
 {
     auto it = objectShard_.find(object_id);
     if (it != objectShard_.end())
@@ -256,12 +226,6 @@ ShardRouter::lookupShard(uint64_t object_id) const
         }
     }
     return kInvalidShard;
-}
-
-uint32_t
-ShardRouter::homeShardOf(uint64_t object_id) const
-{
-    return lookupShard(object_id);
 }
 
 void
@@ -298,7 +262,7 @@ ShardRouter::checkShardHealth(uint32_t shard_id)
         return wasInRing;
     }
     if (shard.runtime->supervisor().quarantinedCount() >=
-        config.drainQuarantineThreshold) {
+        kDrainQuarantineThreshold) {
         drainShard(shard_id);
         return wasInRing;
     }
@@ -375,9 +339,8 @@ osim::SimTime
 ShardRouter::transferCost(uint32_t dest, size_t bytes)
 {
     osim::SimTime send =
-        config.netRoundTrip +
-        static_cast<osim::SimTime>(
-            config.netPerByte * static_cast<double>(bytes));
+        kNetRoundTrip +
+        static_cast<osim::SimTime>(kNetPerByte * static_cast<double>(bytes));
     if (!chaos_)
         return send;
     osim::SimTime extra = 0;
@@ -451,7 +414,7 @@ ShardRouter::createMat(uint64_t routing_key, uint32_t rows,
                        uint32_t cols, uint32_t ch, uint64_t seed,
                        const std::string &label)
 {
-    uint32_t owner = placeKey(routing_key);
+    uint32_t owner = ownerShardOf(routing_key);
     if (owner == kInvalidShard)
         util::panic("createMat: no live shards in the ring");
     Shard &shard = shards_.at(owner);
@@ -483,9 +446,9 @@ ShardRouter::proactivePush(uint32_t target)
     std::vector<std::pair<uint64_t, uint64_t>> snapshot(
         objectKey_.begin(), objectKey_.end());
     for (const auto &[object_id, routing_key] : snapshot) {
-        if (placeKey(routing_key) != target)
+        if (ownerShardOf(routing_key) != target)
             continue;
-        uint32_t owner = lookupShard(object_id);
+        uint32_t owner = homeShardOf(object_id);
         if (owner == target)
             continue;
         fw::ObjectStore *store = liveStoreOf(owner, object_id);
@@ -599,7 +562,7 @@ ShardRouter::retireShard(uint32_t shard_id)
     for (uint64_t id : owned) {
         auto keyIt = objectKey_.find(id);
         uint64_t key = keyIt != objectKey_.end() ? keyIt->second : id;
-        uint32_t dest = placeKey(key);
+        uint32_t dest = ownerShardOf(key);
         if (dest == kInvalidShard || dest == shard_id) {
             objectShard_.erase(id);
             lostIds.insert(id);
@@ -666,7 +629,7 @@ ShardRouter::chargeSessionStart(uint64_t routing_key,
                                 osim::SimTime arrival,
                                 osim::SimTime cost, bool warm)
 {
-    uint32_t owner = placeKey(routing_key);
+    uint32_t owner = ownerShardOf(routing_key);
     ++stats_.sessionsStarted;
     if (warm)
         ++stats_.warmCheckouts;
@@ -728,8 +691,7 @@ ShardRouter::queueDepthAt(uint32_t shard, osim::SimTime now) const
     if (busy <= now)
         return 0.0;
     osim::SimTime serviceEst =
-        std::max(monitor_.latencyEwma(shard),
-                 config.health.latencyBaselineFloor);
+        std::max(monitor_.latencyEwma(shard), kLatencyBaselineFloor);
     return static_cast<double>(busy - now) /
            static_cast<double>(std::max<osim::SimTime>(serviceEst, 1));
 }
@@ -793,8 +755,6 @@ ShardRouter::pickAlternative(uint32_t avoid) const
 void
 ShardRouter::healthTick(osim::SimTime now)
 {
-    if (config.health.heartbeatInterval == 0)
-        return;
     for (Shard &shard : shards_) {
         uint32_t s = shard.id;
         if (!shard.live)
@@ -816,7 +776,7 @@ ShardRouter::healthTick(osim::SimTime now)
             // heartbeats is how long the stall went unnoticed.
             stats_.detectionTime +=
                 static_cast<osim::SimTime>(monitor_.missedHeartbeats(s)) *
-                config.health.heartbeatInterval;
+                kHeartbeatInterval;
             if (!shard.runtime->hostAlive()) {
                 killShard(s);
             } else {
@@ -840,7 +800,7 @@ uint64_t
 ShardRouter::objectBytesOf(uint64_t object_id) const
 {
     if (fw::ObjectStore *store =
-            liveStoreOf(lookupShard(object_id), object_id))
+            liveStoreOf(homeShardOf(object_id), object_id))
         return store->get(object_id).byteLen;
     auto it = replicas_.find(object_id);
     return it != replicas_.end() ? it->second.bytes.size() : 0;
@@ -898,8 +858,8 @@ ShardRouter::repartitionNow()
 
     placement::PartitionConfig pc;
     pc.parts = static_cast<uint32_t>(live.size());
-    pc.balanceEpsilon = config.placementBalanceEpsilon;
-    pc.seed = config.placementSeed;
+    pc.balanceEpsilon = kPlacementBalanceEpsilon;
+    pc.seed = kPlacementSeed;
     placement::PartitionResult solution =
         placement::partitionGroups(hypergraph, pc);
 
@@ -913,7 +873,7 @@ ShardRouter::repartitionNow()
     std::vector<std::vector<uint64_t>> overlap(
         k, std::vector<uint64_t>(k, 0));
     for (const auto &[group, part] : solution.groupPart) {
-        uint32_t current = placeKey(group);
+        uint32_t current = ownerShardOf(group);
         for (size_t slot = 0; slot < k; ++slot)
             if (live[slot] == current) {
                 overlap[part][slot] += groupWeight[group];
@@ -963,7 +923,7 @@ ShardRouter::applyPlacement(const placement::PartitionResult &solution,
     std::vector<GroupMove> moves;
     for (const auto &[group, part] : solution.groupPart) {
         uint32_t to = targets.at(part);
-        if (placeKey(group) == to) {
+        if (ownerShardOf(group) == to) {
             // Already in place: pin it against ring churn for free.
             override_[group] = to;
             continue;
@@ -972,7 +932,7 @@ ShardRouter::applyPlacement(const placement::PartitionResult &solution,
         move.group = group;
         move.to = to;
         for (uint64_t id : trace_.objectsOf(group)) {
-            uint32_t owner = lookupShard(id);
+            uint32_t owner = homeShardOf(id);
             if (owner == kInvalidShard || owner == to ||
                 !shards_.at(owner).live)
                 continue;
@@ -1050,7 +1010,7 @@ ShardRouter::answerFromDedup(uint64_t token, uint64_t routing_key,
     out.result.ok = true;
     out.result.values = *hit;
     out.deduped = true;
-    out.shard = placeKey(routing_key);
+    out.shard = ownerShardOf(routing_key);
     return true;
 }
 
@@ -1067,7 +1027,7 @@ ShardRouter::chooseExecShard(uint32_t target, const ipc::ValueList &args,
         if (value.kind() != ipc::Value::Kind::Ref)
             continue;
         uint64_t id = value.asRef().objectId;
-        uint32_t owner = lookupShard(id);
+        uint32_t owner = homeShardOf(id);
         if (owner == target || !holdsObject(owner, id) ||
             !ring_.contains(owner))
             continue;
@@ -1097,7 +1057,7 @@ ShardRouter::stageInputs(uint32_t exec, const ipc::ValueList &args,
             // An owner whose runtime no longer holds the object (its
             // agent crashed past the last checkpoint) counts as dead:
             // the directory entry is stale, so fall back to a replica.
-            uint32_t owner = lookupShard(id);
+            uint32_t owner = homeShardOf(id);
             bool held = holdsObject(owner, id);
             if (held && owner == exec) {
                 ++stats_.localInputs;
@@ -1181,7 +1141,7 @@ ShardRouter::invoke(uint64_t routing_key, const std::string &api_name,
     // the keys already remapped to the survivors.
     for (uint32_t attempt = 0; attempt <= config.shardCount;
          ++attempt) {
-        uint32_t target = placeKey(routing_key);
+        uint32_t target = ownerShardOf(routing_key);
         if (target == kInvalidShard) {
             out.result.error = "cluster: no live shards in the ring";
             out.errorKind = RouteError::NoLiveShards;
@@ -1249,11 +1209,10 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         return std::max({busyUntil_[s], stalledUntil_[s], arrival});
     };
 
-    uint32_t budget = std::max<uint32_t>(config.retryBudget, 1);
-    for (uint32_t attempt = 0; attempt < budget; ++attempt) {
+    for (uint32_t attempt = 0; attempt < kRetryBudget; ++attempt) {
         if (attempt > 0)
             ++stats_.retriesSpent;
-        uint32_t target = placeKey(routing_key);
+        uint32_t target = ownerShardOf(routing_key);
         if (target == kInvalidShard) {
             out.result.error = "cluster: no live shards in the ring";
             out.errorKind = RouteError::NoLiveShards;
@@ -1297,7 +1256,7 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         // answer from the primary later collapses in the dedup cache.
         uint32_t exec = target;
         bool hedged = false;
-        if (config.hedgeRequests && config.replicateObjects &&
+        if (config.replicateObjects &&
             (stalledAt(target, arrival) ||
              monitor_.classify(target) != ShardHealth::Healthy)) {
             uint32_t alt = pickAlternative(target);
@@ -1316,8 +1275,7 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         osim::SimTime start = startAt(exec);
         osim::SimTime wait = start - arrival;
         osim::SimTime serviceEst =
-            std::max(monitor_.latencyEwma(exec),
-                     config.health.latencyBaselineFloor);
+            std::max(monitor_.latencyEwma(exec), kLatencyBaselineFloor);
         uint64_t depth = wait / std::max<osim::SimTime>(serviceEst, 1);
         stats_.queueDepthPeak = std::max(stats_.queueDepthPeak, depth);
         bool infeasible =
@@ -1327,10 +1285,8 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
             // Degraded fallback: serve from the least-loaded healthy
             // shard via stale replica reads rather than queueing
             // without bound — shed only when no shard can take it.
-            uint32_t alt =
-                (config.degradedReads && config.replicateObjects)
-                    ? pickAlternative(exec)
-                    : kInvalidShard;
+            uint32_t alt = config.replicateObjects ? pickAlternative(exec)
+                                                   : kInvalidShard;
             bool altOk = false;
             if (alt != kInvalidShard) {
                 osim::SimTime altWait = startAt(alt) - arrival;

@@ -58,10 +58,38 @@ enum class PlacementPolicy : uint8_t {
     Optimized,
 };
 
+// ---- Fixed cluster policy ----
+
+/** Virtual nodes each shard contributes to the consistent-hash ring. */
+constexpr uint32_t kVnodesPerShard = 64;
+static_assert(kVnodesPerShard >= 1, "a shard needs a ring point");
+
+/** Drain a shard from the ring once its supervisor has this many
+ *  partitions quarantined (the health integration signal). */
+constexpr size_t kDrainQuarantineThreshold = 2;
+
+/** Simulated cross-shard network: per-byte and per-transfer fixed
+ *  cost, charged to the receiving shard's kernel. Distinct from (and
+ *  above) the intra-shard shared-memory costs. */
+constexpr double kNetPerByte = 0.25;
+constexpr osim::SimTime kNetRoundTrip = 80'000;
+static_assert(kNetPerByte >= 0.0, "a transfer cannot refund time");
+
+/** Attempts per invokeAt call across failovers and chaos drops (the
+ *  closed-loop invoke path keeps its shardCount-bounded loop). */
+constexpr uint32_t kRetryBudget = 3;
+static_assert(kRetryBudget >= 1, "a hedge rides a retry slot");
+
+/** Seed and balance constraint of the (deterministic) partitioner:
+ *  max shard load factor over the ideal average it may plan for. */
+constexpr uint64_t kPlacementSeed = 1;
+constexpr double kPlacementBalanceEpsilon = 0.10;
+static_assert(kPlacementBalanceEpsilon >= 0.0,
+              "a part cannot be planned below the average load");
+
 /** Cluster knobs. */
 struct ShardRouterConfig {
     uint32_t shardCount = 4;
-    uint32_t vnodesPerShard = 64;
 
     /**
      * Migrate-vs-proxy threshold: a cross-shard ref input at or below
@@ -72,45 +100,20 @@ struct ShardRouterConfig {
 
     /** Capture a serialized replica of every result object so a
      *  shard's objects survive its death (restored on the failover
-     *  owner). Off = objects on a killed shard are lost. */
+     *  owner). Off = objects on a killed shard are lost, and invokeAt
+     *  neither hedges nor serves degraded (both read replicas). */
     bool replicateObjects = true;
-
-    /** Drain a shard from the ring once its supervisor has this many
-     *  partitions quarantined (the health integration signal). */
-    size_t drainQuarantineThreshold = 2;
-
-    /** Simulated cross-shard network: per-byte and per-transfer
-     *  fixed cost, charged to the receiving shard's kernel. Distinct
-     *  from (and above) the intra-shard shared-memory costs. */
-    double netPerByte = 0.25;
-    osim::SimTime netRoundTrip = 80'000;
 
     /** Cluster-level at-least-once dedup cache capacity (tokens). */
     size_t dedupEntries = 1024;
-
-    /** Heartbeat/EWMA failure detection (the invokeAt path). */
-    HealthPolicy health;
 
     /** Default per-call deadline for invokeAt, relative to arrival.
      *  0 = no deadline (CallOptions::deadline overrides per call). */
     osim::SimTime defaultDeadline = 0;
 
-    /** Attempts per invokeAt call across failovers and chaos drops
-     *  (the legacy invoke path keeps its shardCount-bounded loop). */
-    uint32_t retryBudget = 3;
-
-    /** When the primary turns suspect, run the attempt on a healthy
-     *  replica-capable shard instead (inputs staged as stale replica
-     *  reads; duplicates collapse through the cluster dedup). */
-    bool hedgeRequests = true;
-
     /** Admission control: shed when a shard's queue (in units of its
      *  service-time EWMA) is deeper than this. */
     uint64_t maxQueueDepth = 64;
-
-    /** On overload/infeasible deadline, serve from the least-loaded
-     *  healthy shard via stale replica reads instead of shedding. */
-    bool degradedReads = true;
 
     // ---- Load-aware placement (DESIGN.md §13) ----
 
@@ -119,16 +122,6 @@ struct ShardRouterConfig {
     /** Re-partition period in accepted calls (Optimized only; 0 =
      *  re-partition only on explicit repartitionNow() calls). */
     uint64_t repartitionEveryCalls = 0;
-
-    /** Balance constraint of the optimizer: max shard load factor
-     *  over the ideal average the solution may plan for. */
-    double placementBalanceEpsilon = 0.10;
-
-    /** Seed of the (deterministic) partitioner. */
-    uint64_t placementSeed = 1;
-
-    /** Memory bounds of the online trace collector. */
-    placement::TraceConfig trace;
 
     /** Per-shard runtime feature switches. The router overrides
      *  RuntimeConfig::shardId per shard (namespace s+1). */
@@ -383,8 +376,9 @@ class ShardRouter
      *  consistent-hash ring (always the ring under the Hash policy). */
     uint32_t ownerShardOf(uint64_t routing_key) const;
 
-    /** Shard currently holding an object (directory + lazy scan);
-     *  kInvalidShard when the object resolves nowhere. */
+    /** Shard currently holding an object: the directory, lazily
+     *  adopting ids minted by direct runtime access; kInvalidShard
+     *  when the object resolves nowhere. */
     uint32_t homeShardOf(uint64_t object_id) const;
 
     /** A shard's runtime (live or dead — introspection only). */
@@ -427,13 +421,6 @@ class ShardRouter
     /** Bring up a fresh incarnation (kernel + runtime) in a slot,
      *  tearing down any previous one. */
     void bootShard(Shard &shard, const SeedFn &seed);
-
-    /** Directory lookup with lazy adoption of unknown ids. */
-    uint32_t lookupShard(uint64_t object_id) const;
-
-    /** Override-aware placement of a routing key (falls back to the
-     *  ring when the override target is dead or out of the ring). */
-    uint32_t placeKey(uint64_t routing_key) const;
 
     /** Record one call into the trace window (Optimized policy) and
      *  fire the periodic re-partition when the epoch fills. */
@@ -555,8 +542,8 @@ class ShardRouter
     HashRing ring_;
     std::vector<Shard> shards_;
     /** Cluster object directory: object id -> shard slot. Mutable so
-     *  homeShardOf()/lookupShard() can lazily adopt ids minted by
-     *  direct runtime access (mirrors FreePartRuntime::objectHome). */
+     *  homeShardOf() can lazily adopt ids minted by direct runtime
+     *  access (mirrors FreePartRuntime::objectHome). */
     mutable std::map<uint64_t, uint32_t> objectShard_;
     /** object id -> routing key it was created under. Ring ownership
      *  is keyed by routing keys, not object ids, so a joiner's push

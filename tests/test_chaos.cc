@@ -138,18 +138,17 @@ TEST(ChaosSchedule, ShapeMatchesContract)
 
 TEST(HealthMonitor, MissedHeartbeatsEscalateSuspectThenDead)
 {
-    HealthPolicy policy;
-    HealthMonitor monitor(policy, 2);
+    HealthMonitor monitor(2);
     EXPECT_EQ(monitor.classify(0), ShardHealth::Healthy);
 
-    osim::SimTime now = policy.heartbeatInterval;
+    osim::SimTime now = kHeartbeatInterval;
     ASSERT_TRUE(monitor.probeDue(0, now));
     monitor.recordProbe(0, now, false);
     EXPECT_EQ(monitor.classify(0), ShardHealth::Healthy);
-    monitor.recordProbe(0, now + policy.heartbeatInterval, false);
+    monitor.recordProbe(0, now + kHeartbeatInterval, false);
     EXPECT_EQ(monitor.classify(0), ShardHealth::Suspect);
-    for (uint32_t i = 0; i < policy.missedForDead; ++i)
-        monitor.recordProbe(0, now + (i + 2) * policy.heartbeatInterval,
+    for (uint32_t i = 0; i < kMissedForDead; ++i)
+        monitor.recordProbe(0, now + (i + 2) * kHeartbeatInterval,
                             false);
     EXPECT_EQ(monitor.classify(0), ShardHealth::Dead);
     EXPECT_EQ(monitor.suspectTransitions(), 1u);
@@ -163,8 +162,7 @@ TEST(HealthMonitor, MissedHeartbeatsEscalateSuspectThenDead)
 
 TEST(HealthMonitor, SlowEwmaAndCrashChurnRaiseSuspicion)
 {
-    HealthPolicy policy;
-    HealthMonitor monitor(policy, 2);
+    HealthMonitor monitor(2);
     // Establish a fast baseline on shard 1 and a slow EWMA on 0.
     for (int i = 0; i < 20; ++i) {
         monitor.recordSuccess(1, i * 1000, 30'000);
@@ -177,7 +175,7 @@ TEST(HealthMonitor, SlowEwmaAndCrashChurnRaiseSuspicion)
 
     // Supervisor crash churn alone suspects a shard; a success
     // clears the crash count.
-    for (uint32_t i = 0; i < policy.crashesForSuspect; ++i)
+    for (uint32_t i = 0; i < kCrashesForSuspect; ++i)
         monitor.recordCrash(1);
     EXPECT_EQ(monitor.classify(1), ShardHealth::Suspect);
     monitor.recordSuccess(1, 100'000, 30'000);
@@ -274,8 +272,9 @@ TEST(ChaosRouter, StallDrivesMonitorDrainAndRejoin)
 {
     ShardRouterConfig config;
     config.shardCount = 2;
-    config.hedgeRequests = false; // keep routing to the stalled owner
-    config.degradedReads = false;
+    // No replicas: no hedge or degraded read can avoid the stalled
+    // owner, so calls keep routing to it.
+    config.replicateObjects = false;
     auto router = env().makeRouter(config);
     uint64_t k0 = keyOwnedBy(*router, 0);
     uint64_t k1 = keyOwnedBy(*router, 1);
@@ -291,7 +290,7 @@ TEST(ChaosRouter, StallDrivesMonitorDrainAndRejoin)
     plan.specs.push_back(stall);
     router->applyChaosSchedule(plan);
 
-    osim::SimTime step = config.health.heartbeatInterval;
+    osim::SimTime step = kHeartbeatInterval;
     CallOptions opts;
     uint64_t token = 500;
     // First call arms the stall on shard 0; subsequent arrivals walk
@@ -321,6 +320,9 @@ TEST(ChaosRouter, StallDrivesMonitorDrainAndRejoin)
     }
     EXPECT_TRUE(rejoined);
     EXPECT_GE(router->stats().shardsRejoined, 1u);
+    // Hedging and degraded reads both read replicas, so neither ran.
+    EXPECT_EQ(router->stats().hedgedCalls, 0u);
+    EXPECT_EQ(router->stats().degradedCalls, 0u);
 }
 
 TEST(ChaosRouter, OverloadShedsWhenNoAlternative)
@@ -328,8 +330,6 @@ TEST(ChaosRouter, OverloadShedsWhenNoAlternative)
     ShardRouterConfig config;
     config.shardCount = 1;
     config.maxQueueDepth = 1;
-    config.hedgeRequests = false;
-    config.degradedReads = false;
     auto router = env().makeRouter(config);
     uint64_t key = keyOwnedBy(*router, 0);
 
@@ -356,7 +356,6 @@ TEST(ChaosRouter, OverloadDegradesToReplicaServingPeer)
     ShardRouterConfig config;
     config.shardCount = 2;
     config.maxQueueDepth = 1;
-    config.hedgeRequests = false;
     auto router = env().makeRouter(config);
     uint64_t key = keyOwnedBy(*router, 0);
 
@@ -392,8 +391,6 @@ TEST(ChaosRouter, InfeasibleDeadlineIsShedBeforeExecution)
 {
     ShardRouterConfig config;
     config.shardCount = 1;
-    config.hedgeRequests = false;
-    config.degradedReads = false;
     config.defaultDeadline = 1; // 1 ns: nothing fits
     auto router = env().makeRouter(config);
     uint64_t key = keyOwnedBy(*router, 0);
@@ -550,10 +547,6 @@ TEST(RouterConfigValidation, RejectsBrokenCombinations)
     ShardRouterConfig ok;
     EXPECT_NO_THROW(build(ok));
 
-    ShardRouterConfig vnodes;
-    vnodes.vnodesPerShard = 0;
-    EXPECT_THROW(build(vnodes), util::FatalError);
-
     ShardRouterConfig dedup;
     dedup.dedupEntries = 0;
     EXPECT_THROW(build(dedup), util::FatalError);
@@ -566,29 +559,9 @@ TEST(RouterConfigValidation, RejectsBrokenCombinations)
     unrecoverable.replicateObjects = true;
     EXPECT_NO_THROW(build(unrecoverable));
 
-    ShardRouterConfig hedge;
-    hedge.hedgeRequests = true;
-    hedge.retryBudget = 0;
-    EXPECT_THROW(build(hedge), util::FatalError);
-
     ShardRouterConfig queue;
     queue.maxQueueDepth = 0;
     EXPECT_THROW(build(queue), util::FatalError);
-
-    ShardRouterConfig alpha;
-    alpha.health.ewmaAlpha = 0.0;
-    EXPECT_THROW(build(alpha), util::FatalError);
-    alpha.health.ewmaAlpha = 1.5;
-    EXPECT_THROW(build(alpha), util::FatalError);
-
-    ShardRouterConfig thresholds;
-    thresholds.health.missedForSuspect = 9;
-    thresholds.health.missedForDead = 3;
-    EXPECT_THROW(build(thresholds), util::FatalError);
-
-    ShardRouterConfig net;
-    net.netPerByte = -0.5;
-    EXPECT_THROW(build(net), util::FatalError);
 }
 
 } // namespace

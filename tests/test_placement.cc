@@ -398,12 +398,8 @@ TEST(PlacementRouter, RetireScrubsOverridesWhereKillKeepsThem)
 
 TEST(PlacementRouter, RepartitionDeterministicForFixedSeedAndTrace)
 {
-    ShardRouterConfig ca = optimizedConfig(4);
-    ca.placementSeed = 42;
-    ShardRouterConfig cb = optimizedConfig(4);
-    cb.placementSeed = 42;
-    auto a = env().makeRouter(std::move(ca));
-    auto b = env().makeRouter(std::move(cb));
+    auto a = env().makeRouter(optimizedConfig(4));
+    auto b = env().makeRouter(optimizedConfig(4));
 
     std::vector<uint64_t> keys = {801, 802, 803, 804,
                                   805, 806, 807, 808};

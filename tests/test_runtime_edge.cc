@@ -593,10 +593,6 @@ TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
     pipeline.pipelineParallel = false;
     EXPECT_NO_THROW(build(pipeline));
 
-    RuntimeConfig backoff;
-    backoff.supervision.backoffFactor = 0.5;
-    EXPECT_THROW(build(backoff), util::FatalError);
-
     RuntimeConfig loop;
     loop.supervision.crashLoopThreshold = 0;
     EXPECT_THROW(build(loop), util::FatalError);
