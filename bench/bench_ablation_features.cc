@@ -173,7 +173,7 @@ main(int argc, char **argv)
     }
     {
         core::RuntimeConfig config;
-        config.supervision.backgroundRestart = false;
+        config.backgroundRestart = false;
         variants.push_back(
             {"cold (foreground) restart", "hot path", config});
     }

@@ -234,8 +234,7 @@ PartitionLinter::lintCrossings(const LintInput &input,
         const ValueCrossing &crossing = input.crossings[i];
         if (crossing.byRef)
             continue; // already (or repaired to) an LDC reference
-        if (!crossing.critical &&
-            crossing.bytes < config_.byValueMinBytes)
+        if (!crossing.critical && crossing.bytes < kByValueMinBytes)
             continue; // small scalar-ish blob, not bulk data
         LintFinding finding;
         finding.defect = LintDefect::ByValueCrossing;
@@ -449,7 +448,7 @@ PartitionLinter::lintRegistry(const LintInput &input,
     // Unreachable implemented APIs: nothing in the 23 Table 6 traces
     // can ever exercise them, so their syscall profiles inflate the
     // agent allowlists without any replay able to justify them.
-    if (config_.flagUnreachable && !input.reachableApis.empty()) {
+    if (!input.reachableApis.empty()) {
         for (const fw::ApiDescriptor &api : registry.all()) {
             if (!api.implemented() ||
                 input.reachableApis.count(api.name))

@@ -149,17 +149,16 @@ struct LintInput {
     size_t appsReplayed = 0;
 };
 
+/** Blob arguments below this size are ignored by L1 unless they match
+ *  a critical object (scalar-ish payloads, not bulk data). */
+constexpr size_t kByValueMinBytes = 4096;
+
 /** Linter knobs. */
 struct LintConfig {
     /** Syscalls tolerated in an allowlist even when never observed
      *  (the runtime-infrastructure set the agents need regardless of
      *  which APIs a trace happens to exercise). */
     std::set<osim::Syscall> allowlistSlack;
-    /** Blob arguments below this size are ignored by L1 unless they
-     *  match a critical object (scalar-ish payloads, not bulk data). */
-    size_t byValueMinBytes = 4096;
-    /** Emit L4 unreachable-API findings (Info severity). */
-    bool flagUnreachable = true;
 
     LintConfig() : allowlistSlack(defaultAllowlistSlack()) {}
 

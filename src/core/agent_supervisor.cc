@@ -24,9 +24,8 @@ agentHealthName(AgentHealth health)
 }
 
 AgentSupervisor::AgentSupervisor(osim::Kernel &kernel,
-                                 SupervisionPolicy policy,
                                  uint32_t partition_count)
-    : kernel(kernel), policy_(policy), parts(partition_count)
+    : kernel(kernel), parts(partition_count)
 {
 }
 
@@ -92,7 +91,7 @@ AgentSupervisor::onCrash(uint32_t partition)
     state.crashTimes.push_back(kernel.now() - machineryTime);
     pruneWindow(state);
     bool looping =
-        state.crashTimes.size() >= policy_.crashLoopThreshold;
+        state.crashTimes.size() >= kCrashLoopThreshold;
     bool exhausted =
         state.attemptsThisOutage >= kMaxRestartAttempts;
     if (looping || exhausted) {

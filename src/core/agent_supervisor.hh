@@ -53,24 +53,16 @@ static_assert(kBackoffFactor >= 1.0, "backoff delays must not shrink");
  *  of a full outage cycle (4 backoffs + 5 cold spawns, ~30 ms). */
 constexpr osim::SimTime kCrashLoopSpan = 70'000'000; // 70 ms app time
 
-/** Tunable supervision policy (per runtime; applies to every agent).
- *  A quarantined partition runs its non-stateful APIs in the host
- *  (graceful degradation); its stateful APIs fail fast. */
-struct SupervisionPolicy {
-    /** Re-delivery attempts per API call before giving up. */
-    uint32_t retryBudget = 3;
+/** Re-delivery attempts per API call before giving up. */
+constexpr uint32_t kCallRetryBudget = 3;
 
-    /** Crash-loop detection: this many crashes inside kCrashLoopSpan
-     *  quarantines the partition. */
-    uint32_t crashLoopThreshold = 5;
-
-    /** Keep a warm standby process per partition and promote it on
-     *  crash instead of forking on the critical path. The fork cost is
-     *  paid in background (simulated) time; a crash arriving before
-     *  the standby finished spawning waits out the remainder — never
-     *  longer than a cold restart would have taken. */
-    bool backgroundRestart = true;
-};
+/** Crash-loop detection: this many crashes inside kCrashLoopSpan
+ *  quarantines the partition. A quarantined partition runs its
+ *  non-stateful APIs in the host (graceful degradation); its stateful
+ *  APIs fail fast. */
+constexpr uint32_t kCrashLoopThreshold = 5;
+static_assert(kCrashLoopThreshold >= 1,
+              "0 would quarantine before any crash");
 
 /** Aggregated recovery accounting across all partitions. */
 struct SupervisionStats {
@@ -98,10 +90,7 @@ struct SupervisionStats {
 class AgentSupervisor
 {
   public:
-    AgentSupervisor(osim::Kernel &kernel, SupervisionPolicy policy,
-                    uint32_t partition_count);
-
-    const SupervisionPolicy &policy() const { return policy_; }
+    AgentSupervisor(osim::Kernel &kernel, uint32_t partition_count);
 
     AgentHealth health(uint32_t partition) const;
     bool quarantined(uint32_t partition) const;
@@ -146,7 +135,7 @@ class AgentSupervisor
      * standby is ready (0 when the background spawn already finished)
      * and schedules the background replenishment — the next standby
      * becomes ready one processRestart span after this promotion.
-     * Only meaningful when policy().backgroundRestart is set.
+     * Only meaningful under RuntimeConfig::backgroundRestart.
      */
     osim::SimTime consumeStandby(uint32_t partition);
 
@@ -196,7 +185,6 @@ class AgentSupervisor
     void pruneWindow(PartitionState &state) const;
 
     osim::Kernel &kernel;
-    SupervisionPolicy policy_;
     std::vector<PartitionState> parts;
     SupervisionStats stats_;
     std::function<void(uint32_t)> crashListener_;

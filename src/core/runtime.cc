@@ -79,14 +79,11 @@ FreePartRuntime::FreePartRuntime(osim::Kernel &kernel,
     : kernel_(kernel), registry(registry),
       cats(std::move(categorization)), plan_(std::move(plan)),
       config(config),
-      supervisor_(kernel, config.supervision, plan_.partitionCount())
+      supervisor_(kernel, plan_.partitionCount())
 {
     // Reject configurations whose only possible behavior is a latent
     // div-by-zero, a stall, or silent data loss — a clear message at
     // construction beats a wrong simulation result later.
-    if (config.checkpointInterval == 0)
-        util::fatal("RuntimeConfig: checkpointInterval must be >= 1 "
-                    "(calls between checkpoints)");
     if (config.checkpointFullEvery == 0)
         util::fatal("RuntimeConfig: checkpointFullEvery must be >= 1 "
                     "(1 = every checkpoint full)");
@@ -94,15 +91,6 @@ FreePartRuntime::FreePartRuntime(osim::Kernel &kernel,
         util::fatal("RuntimeConfig: ringBytes %zu is below the 4 KiB "
                     "minimum ring capacity",
                     config.ringBytes);
-    if (config.dedupCacheEntries == 0)
-        util::fatal("RuntimeConfig: dedupCacheEntries must be >= 1 "
-                    "(at-least-once delivery needs the cache)");
-    if (config.pipelineParallel && config.maxInFlightPerPartition == 0)
-        util::fatal("RuntimeConfig: pipelineParallel needs "
-                    "maxInFlightPerPartition >= 1");
-    if (config.supervision.crashLoopThreshold == 0)
-        util::fatal("RuntimeConfig: supervision.crashLoopThreshold "
-                    "must be >= 1 (0 quarantines before any crash)");
 
     osim::Process &host = kernel_.spawn("host-program");
     hostPid_ = host.pid();
@@ -130,7 +118,6 @@ FreePartRuntime::setupAgents()
         agent.channel = std::make_unique<ipc::Channel>(
             kernel_, "ch:" + plan_.partitionName(p), hostPid_,
             agent.pid, config.ringBytes);
-        agent.seqCache.setCapacity(config.dedupCacheEntries);
     }
     // Record which APIs route to which agent (drives the per-agent
     // syscall unions and the lockdown trigger).
@@ -566,9 +553,13 @@ FreePartRuntime::registerResultHomes(uint32_t partition,
     }
 }
 
-void
+bool
 FreePartRuntime::fetchToHost(const ipc::ObjectRef &ref)
 {
+    // A ref that resolves nowhere (forged, or lost with a crashed
+    // agent) is a typed refusal, never a host panic.
+    if (!hasObject(ref.objectId))
+        return false;
     maybeRetireSpeculation();
     // Speculative fetch (speculativeFlips, DESIGN.md §15): when the
     // producer is still running on its virtual timeline, run the
@@ -620,7 +611,7 @@ FreePartRuntime::fetchToHost(const ipc::ObjectRef &ref)
                             obj.addr, obj.byteLen, state_, false});
             ++stats_.speculativeFetches;
             extendSpeculation(done);
-            return;
+            return true;
         }
     }
     // Pipeline mode: dereferencing a result is a per-object
@@ -629,7 +620,7 @@ FreePartRuntime::fetchToHost(const ipc::ObjectRef &ref)
     syncObjectReady(ref.objectId);
     uint32_t home = homeOf(ref.objectId);
     if (home == kHostPartition)
-        return;
+        return true;
     // The host program dereferences the data: a non-lazy copy.
     transferObject(home, kHostPartition, ref.objectId, /*eager=*/true);
     // Host-resident copies of framework objects fall under temporal
@@ -637,6 +628,7 @@ FreePartRuntime::fetchToHost(const ipc::ObjectRef &ref)
     const fw::StoredObject &obj = hostStore_->get(ref.objectId);
     vars.push_back({"fetched:" + obj.label, hostPid_, obj.addr,
                     obj.byteLen, state_, false});
+    return true;
 }
 
 ApiResult
@@ -810,8 +802,7 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
     // already passed; if the queue is still full, stall the
     // dispatcher until the oldest call retires.
     agent.channel->reapCompleted(kernel_.now());
-    while (agent.channel->inFlightDepth() >=
-           config.maxInFlightPerPartition) {
+    while (agent.channel->inFlightDepth() >= kMaxInFlightPerPartition) {
         osim::SimTime oldest = agent.channel->oldestInFlightDone();
         if (oldest > kernel_.now())
             kernel_.advance(oldest - kernel_.now());
@@ -1193,8 +1184,7 @@ FreePartRuntime::executeOnAgent(uint32_t partition,
     uint64_t seq = nextSeq++;
     ApiResult result;
     bool crashed_once = false;
-    uint32_t budget = supervisor_.policy().retryBudget;
-    for (uint32_t attempt = 0; attempt <= budget; ++attempt) {
+    for (uint32_t attempt = 0; attempt <= kCallRetryBudget; ++attempt) {
         if (attempt)
             ++stats_.retriedCalls;
         if (!agentAlive(partition) && !recoverAgent(partition)) {
@@ -1259,7 +1249,7 @@ FreePartRuntime::executeOnAgent(uint32_t partition,
     ++stats_.retriesExhausted;
     result.ok = false;
     result.agentCrashed = crashed_once;
-    result.error = "retry budget (" + std::to_string(budget) +
+    result.error = "retry budget (" + std::to_string(kCallRetryBudget) +
                    ") exhausted for " + desc.name +
                    (result.error.empty() ? "" : ": " + result.error);
     return result;
@@ -1551,7 +1541,7 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
 
     if (!from_cache) {
         // Checkpoint stateful state periodically (A.2.4).
-        if (++agent.callsSinceCheckpoint >= config.checkpointInterval) {
+        if (++agent.callsSinceCheckpoint >= kCheckpointInterval) {
             checkpointAgent(partition);
             agent.callsSinceCheckpoint = 0;
         }
@@ -1604,9 +1594,8 @@ FreePartRuntime::quarantinedCall(uint32_t partition,
     ApiResult result;
     result.quarantined = true;
     result.error = "partition " + plan_.partitionName(partition) +
-                   " is quarantined; " +
-                   (desc.stateful ? "stateful API " : "API ") +
-                   desc.name + " fails fast";
+                   " is quarantined; stateful API " + desc.name +
+                   " fails fast";
     return result;
 }
 
@@ -1697,7 +1686,7 @@ FreePartRuntime::restartAgent(uint32_t partition)
     Agent &agent = agents.at(partition);
     if (!config.restartAgents)
         return false;
-    if (supervisor_.policy().backgroundRestart) {
+    if (config.backgroundRestart) {
         // Background restart: promote the pre-spawned warm standby
         // instead of forking on the critical path. If a crash arrives
         // before the standby finished its background spawn, wait out

@@ -58,6 +58,21 @@ FrameworkState stateForType(fw::ApiType type);
 /** Sentinel: allocate a process-unique object-id namespace. */
 constexpr uint32_t kAutoShardId = UINT32_MAX;
 
+/** Calls between periodic checkpoints of an agent's state (A.2.4). */
+constexpr uint32_t kCheckpointInterval = 8;
+static_assert(kCheckpointInterval >= 1, "calls between checkpoints");
+
+/** At-least-once delivery: per-agent LRU dedup cache capacity. */
+constexpr size_t kDedupCacheEntries = 64;
+static_assert(kDedupCacheEntries >= 1,
+              "at-least-once delivery needs the cache");
+
+/** Pipeline-parallel mode: max issued-but-unwaited async calls per
+ *  partition before the dispatcher stalls on the oldest completion. */
+constexpr uint32_t kMaxInFlightPerPartition = 4;
+static_assert(kMaxInFlightPerPartition >= 1,
+              "an async call needs a queue slot");
+
 /** Feature switches (defaults = full FreePart). */
 struct RuntimeConfig {
     bool lazyDataCopy = true;       //!< LDC on (§4.3.2)
@@ -81,14 +96,12 @@ struct RuntimeConfig {
     bool enforceMemoryProtection = true; //!< temporal mprotect
     bool restrictSyscalls = true;   //!< install seccomp policies
     bool lockAfterInit = true;      //!< drop init-only syscalls + lock
-    uint32_t checkpointInterval = 8; //!< calls between checkpoints
     /** Every Nth checkpoint is a full-store snapshot; the ones in
      *  between are dirty-epoch incrementals that save only objects
      *  mutated since the last checkpoint. 1 = always full (the
      *  pre-incremental behavior, used as the ablation baseline). */
     uint32_t checkpointFullEvery = 4;
     size_t ringBytes = 8 << 20;     //!< per-direction ring capacity
-    size_t dedupCacheEntries = 64;  //!< at-least-once LRU cache cap
     /**
      * Pipeline-parallel execution: agents run on per-process virtual
      * timelines, invoke() becomes wait(invokeAsync()), and calls to
@@ -97,9 +110,6 @@ struct RuntimeConfig {
      * serialized accounting — the Table 9 baseline numbers.
      */
     bool pipelineParallel = false;
-    /** Max issued-but-unwaited async calls per partition before the
-     *  dispatcher stalls on the oldest completion. */
-    uint32_t maxInFlightPerPartition = 4;
     /**
      * Speculate past pending protection flips instead of draining
      * every timeline (DESIGN.md §15). A transition whose flip touches
@@ -116,7 +126,13 @@ struct RuntimeConfig {
      * Meaningful only with pipelineParallel.
      */
     bool speculativeFlips = false;
-    SupervisionPolicy supervision;  //!< recovery policy (§4.4.2 +)
+    /** Keep a warm standby process per partition and promote it on
+     *  crash instead of forking on the critical path. The fork cost is
+     *  paid in background (simulated) time; a crash arriving before
+     *  the standby finished spawning waits out the remainder — never
+     *  longer than a cold restart would have taken. Off = cold
+     *  respawn on every restart. */
+    bool backgroundRestart = true;
 };
 
 /** Result of one framework API invocation. */
@@ -258,8 +274,10 @@ class FreePartRuntime
                              const std::string &label);
 
     /** Copy an object's current data into the host store (the app
-     *  dereferencing a result — a non-lazy copy). */
-    void fetchToHost(const ipc::ObjectRef &ref);
+     *  dereferencing a result — a non-lazy copy). Returns false, and
+     *  changes nothing, when the ref resolves nowhere (!hasObject:
+     *  forged, or lost in an agent crash). */
+    bool fetchToHost(const ipc::ObjectRef &ref);
 
     // ---- Introspection -------------------------------------------------
 
@@ -439,7 +457,7 @@ class FreePartRuntime
          * is recognized as a duplicate even across a respawn. Bounded
          * (LRU) so long runs cannot grow it without limit.
          */
-        DedupCache seqCache;
+        DedupCache seqCache{kDedupCacheEntries};
         /** Checkpoint generations, newest first. Enough are kept to
          *  reconstruct kCheckpointGenerations full chains. */
         std::deque<CheckpointGen> checkpoints;

@@ -126,7 +126,8 @@ Autoscaler::tick(osim::SimTime now)
         bool panic = maxDepth >= config_.panicDepth;
         if (now < nextAllowed_ && !panic) {
             ++stats_.cooldownHolds;
-        } else if (scaleUp(now)) {
+        } else {
+            scaleUp();
             if (panic && now < nextAllowed_)
                 ++stats_.panicScaleUps;
             ++stats_.scaleUps;
@@ -152,8 +153,8 @@ Autoscaler::tick(osim::SimTime now)
     governPool(now);
 }
 
-bool
-Autoscaler::scaleUp(osim::SimTime /*now*/)
+void
+Autoscaler::scaleUp()
 {
     // Prefer reviving a retired slot: the namespace already exists,
     // and reviveShard's proactive push rehydrates its key range.
@@ -163,16 +164,13 @@ Autoscaler::scaleUp(osim::SimTime /*now*/)
             ++stats_.shardsRevived;
             if (pool_)
                 pool_->ensureShards(router_.shardCount());
-            return true;
+            return;
         }
     }
-    if (!config_.growByAddShard)
-        return false;
     router_.addShard(config_.seed);
     ++stats_.shardsAdded;
     if (pool_)
         pool_->ensureShards(router_.shardCount());
-    return true;
 }
 
 bool

@@ -68,10 +68,6 @@ struct AutoscalerConfig {
     /** Quiet window after any membership change. */
     osim::SimTime cooldown = 2'000'000;
 
-    /** When no retired slot is available to revive, grow the cluster
-     *  with addShard (off = revive-only, bounded by history). */
-    bool growByAddShard = true;
-
     /** Kernel seeding for shards the policy adds (fixture files). */
     shard::ShardRouter::SeedFn seed;
 
@@ -120,7 +116,7 @@ class Autoscaler
 
   private:
     void tick(osim::SimTime now);
-    bool scaleUp(osim::SimTime now);
+    void scaleUp();
     bool scaleDown(osim::SimTime now);
     void governPool(osim::SimTime now);
     void accumulateCapacity(osim::SimTime now);

@@ -57,7 +57,7 @@ TenantTrafficGenerator::TenantTrafficGenerator(
 uint64_t
 TenantTrafficGenerator::keyOf(uint32_t tenant) const
 {
-    return config_.keyBase + static_cast<uint64_t>(tenant) * 131;
+    return kTenantKeyBase + static_cast<uint64_t>(tenant) * 131;
 }
 
 size_t
@@ -84,7 +84,7 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
         uint32_t leaseShard = 0;
     };
 
-    util::Rng rng(config_.seed);
+    util::Rng rng(kTenantSeed);
     util::ZipfSampler popularity(config_.tenants,
                                  config_.zipfExponent);
     std::vector<Tenant> tenants(config_.tenants);
@@ -179,7 +179,6 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
             shard::CallOptions opts;
             opts.dedupToken = ++token;
             opts.arrival = arrival;
-            opts.deadline = config_.deadline;
             shard::RoutedCall routed =
                 router.invokeAt(key, api, std::move(args), opts);
             ++out.issued;
@@ -264,8 +263,7 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
         if (tenant.issued > 0)
             ++out.tenantsTouched;
         hottest = std::max(hottest, tenant.issued);
-        if (tenant.latenciesUs.size() <
-            config_.tenantPercentileMinAcks)
+        if (tenant.latenciesUs.size() < kTenantPercentileMinAcks)
             continue;
         std::sort(tenant.latenciesUs.begin(),
                   tenant.latenciesUs.end());

@@ -32,6 +32,17 @@
 
 namespace freepart::serve {
 
+/** Seed of the single Rng behind tenant draws and arrival gaps. */
+constexpr uint64_t kTenantSeed = 0x5eafe11;
+
+/** Routing-key base; tenant t keys at kTenantKeyBase + t * 131. */
+constexpr uint64_t kTenantKeyBase = 0x7e4a0000;
+
+/** Tenants with at least this many acked calls enter the per-tenant
+ *  percentile breakdown (tiny samples are noise). */
+constexpr uint64_t kTenantPercentileMinAcks = 20;
+
+/** Traffic shape. Calls carry the router's defaultDeadline. */
 struct TenantWorkloadConfig {
     /** Distinct tenants the popularity distribution draws from. */
     uint32_t tenants = 1000;
@@ -39,25 +50,12 @@ struct TenantWorkloadConfig {
     /** Zipf exponent of tenant popularity (0 = uniform). */
     double zipfExponent = 1.1;
 
-    /** Seed of the single Rng behind tenant draws and arrival gaps. */
-    uint64_t seed = 0x5eafe11;
-
-    /** Routing-key base; tenant t keys at keyBase + t * stride. */
-    uint64_t keyBase = 0x7e4a0000;
-
-    /** Per-call deadline relative to arrival (0 = router default). */
-    osim::SimTime deadline = 0;
-
     /** Session admission cap of the serving frontend: at most this
      *  many tenant sessions run concurrently (each holds one warm
      *  agent set). Arrivals drawn for a tenant without a slot while
      *  the cap is full advance an already-active session instead —
      *  open-loop call rate is preserved, lease concurrency bounded. */
     uint32_t maxConcurrentSessions = 48;
-
-    /** Tenants with at least this many acked calls enter the
-     *  per-tenant percentile breakdown (tiny samples are noise). */
-    uint64_t tenantPercentileMinAcks = 20;
 };
 
 /** One load phase: `calls` arrivals at mean Poisson gap

@@ -8,8 +8,6 @@ namespace freepart::shard::placement {
 
 // ---- TraceCollector --------------------------------------------------
 
-TraceCollector::TraceCollector(TraceConfig config) : config_(config) {}
-
 void
 TraceCollector::recordCall(uint64_t routing_key,
                            const std::vector<ObjectAccess> &inputs)
@@ -28,7 +26,7 @@ TraceCollector::recordCall(uint64_t routing_key,
             vertices_[it->second].weight += weight;
             continue;
         }
-        if (vertices_.size() < config_.maxObjects) {
+        if (vertices_.size() < kTraceMaxObjects) {
             vertexIndex_[access.objectId] = vertices_.size();
             vertices_.push_back({access.objectId, access.group, weight});
         } else {
@@ -43,15 +41,15 @@ TraceCollector::recordCall(uint64_t routing_key,
     pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
     if (pins.size() < 2)
         return; // single-group call: no cut contribution
-    if (pins.size() > config_.maxPinsPerEdge)
-        pins.resize(config_.maxPinsPerEdge);
+    if (pins.size() > kTraceMaxPinsPerEdge)
+        pins.resize(kTraceMaxPinsPerEdge);
 
     auto it = edgeIndex_.find(pins);
     if (it != edgeIndex_.end()) {
         edges_[it->second].weight += 1;
         return;
     }
-    if (edges_.size() < config_.maxEdges) {
+    if (edges_.size() < kTraceMaxEdges) {
         edgeIndex_[pins] = edges_.size();
         edges_.push_back({pins, 1});
         return;
@@ -144,11 +142,10 @@ edgeScore(const GroupHypergraph::Edge &edge)
 } // namespace
 
 PartitionResult
-partitionGroups(const GroupHypergraph &hypergraph,
-                const PartitionConfig &config)
+partitionGroups(const GroupHypergraph &hypergraph, uint32_t parts)
 {
     const size_t n = hypergraph.vertices.size();
-    const uint32_t k = std::max<uint32_t>(config.parts, 1);
+    const uint32_t k = std::max<uint32_t>(parts, 1);
     PartitionResult out;
     out.partWeight.assign(k, 0);
     if (n == 0)
@@ -165,7 +162,7 @@ partitionGroups(const GroupHypergraph &hypergraph,
     const uint64_t maxPart = std::max<uint64_t>(
         heaviest,
         static_cast<uint64_t>(
-            (1.0 + config.balanceEpsilon) *
+            (1.0 + kPlacementBalanceEpsilon) *
             static_cast<double>(total) / static_cast<double>(k)) +
             1);
 
@@ -188,11 +185,11 @@ partitionGroups(const GroupHypergraph &hypergraph,
         label[v] = static_cast<uint32_t>(v);
         labelWeight[v] = weight[v];
     }
-    util::Rng rng(config.seed);
+    util::Rng rng(kPlacementSeed);
     std::vector<uint32_t> order(n);
     for (size_t v = 0; v < n; ++v)
         order[v] = static_cast<uint32_t>(v);
-    for (uint32_t pass = 0; pass < config.coarsenPasses; ++pass) {
+    for (uint32_t pass = 0; pass < kCoarsenPasses; ++pass) {
         rng.shuffle(order);
         size_t moves = 0;
         for (uint32_t v : order) {
@@ -337,7 +334,7 @@ partitionGroups(const GroupHypergraph &hypergraph,
         part[v] = to;
     };
 
-    for (uint32_t pass = 0; pass < config.refinementPasses; ++pass) {
+    for (uint32_t pass = 0; pass < kRefinementPasses; ++pass) {
         size_t moves = 0;
         for (uint32_t v = 0; v < n; ++v) {
             uint32_t from = part[v];

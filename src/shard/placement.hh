@@ -8,8 +8,8 @@
  * by bytes x access frequency, calls are hyperedges spanning the
  * objects they touch — and computes a placement of *placement groups*
  * (routing keys, the unit the router can actually place) that
- * minimizes the weighted hyperedge cut under a configurable balance
- * constraint.
+ * minimizes the weighted hyperedge cut under a fixed balance
+ * constraint (kPlacementBalanceEpsilon).
  *
  * The algorithm is a small, deterministic, seeded take on the
  * mt-kahypar recipe (community-detection coarsening + boundary
@@ -30,8 +30,8 @@
  *      any residual overweight part with minimum-loss moves.
  *
  * Everything is integer-weighted and visits vertices in orders fully
- * determined by (trace, seed), so a fixed trace and seed reproduce
- * the same placement bit-for-bit on every platform.
+ * determined by the trace and the fixed kPlacementSeed, so a fixed
+ * trace reproduces the same placement bit-for-bit on every platform.
  */
 
 #ifndef FREEPART_SHARD_PLACEMENT_HH
@@ -44,17 +44,30 @@
 
 namespace freepart::shard::placement {
 
-/** Memory bounds of the online trace collector. */
-struct TraceConfig {
-    /** Distinct objects tracked; later new objects still add weight
-     *  to their group but are not individually recorded. */
-    size_t maxObjects = 65536;
-    /** Distinct hyperedges (deduplicated pin sets). When full, a new
-     *  pin set evicts the lowest-weight recorded edge. */
-    size_t maxEdges = 4096;
-    /** Pins kept per hyperedge (sorted; the tail is dropped). */
-    size_t maxPinsPerEdge = 16;
-};
+// ---- Memory bounds of the online trace collector ----
+
+/** Distinct objects tracked; later new objects still add weight to
+ *  their group but are not individually recorded. */
+constexpr size_t kTraceMaxObjects = 65536;
+/** Distinct hyperedges (deduplicated pin sets). When full, a new pin
+ *  set evicts the lowest-weight recorded edge. */
+constexpr size_t kTraceMaxEdges = 4096;
+/** Pins kept per hyperedge (sorted; the tail is dropped). */
+constexpr size_t kTraceMaxPinsPerEdge = 16;
+
+// ---- Fixed partitioner schedule ----
+
+/** Seed of the partitioner's vertex visiting order. */
+constexpr uint64_t kPlacementSeed = 1;
+/** Max part weight = (1 + epsilon) * total / parts (never below the
+ *  heaviest single vertex — a group is indivisible). */
+constexpr double kPlacementBalanceEpsilon = 0.10;
+static_assert(kPlacementBalanceEpsilon >= 0.0,
+              "a part cannot be planned below the average load");
+/** Label-propagation coarsening passes (stops early on no move). */
+constexpr uint32_t kCoarsenPasses = 4;
+/** FM refinement passes (stops early on no move). */
+constexpr uint32_t kRefinementPasses = 8;
 
 /** One object touched by a recorded call. */
 struct ObjectAccess {
@@ -87,8 +100,6 @@ struct GroupHypergraph {
 class TraceCollector
 {
   public:
-    explicit TraceCollector(TraceConfig config = {});
-
     /** Record one call: the routing key it was submitted under and
      *  the objects its ref inputs resolved to. */
     void recordCall(uint64_t routing_key,
@@ -122,7 +133,6 @@ class TraceCollector
         uint64_t weight = 0;
     };
 
-    TraceConfig config_;
     std::map<uint64_t, size_t> vertexIndex_; //!< object id -> slot
     std::vector<Vertex> vertices_;
     /** Per-group call count (+ overflow weight of untracked objects). */
@@ -131,19 +141,6 @@ class TraceCollector
     std::vector<Edge> edges_;
     uint64_t calls_ = 0;
     uint64_t edgeEvictions_ = 0;
-};
-
-/** Partitioner knobs. */
-struct PartitionConfig {
-    uint32_t parts = 2;
-    /** Max part weight = (1 + epsilon) * total / parts (never below
-     *  the heaviest single vertex — a group is indivisible). */
-    double balanceEpsilon = 0.10;
-    uint64_t seed = 1;
-    uint32_t coarsenPasses = 4;
-    /** Stop coarsening once this many communities remain. */
-    uint32_t coarsenTarget = 64;
-    uint32_t refinementPasses = 8;
 };
 
 /** A computed placement of groups onto parts. */
@@ -158,11 +155,11 @@ struct PartitionResult {
     double imbalance = 1.0;
 };
 
-/** Partition a group hypergraph into `config.parts` balanced parts
+/** Partition a group hypergraph into `parts` balanced parts
  *  minimizing the weighted hyperedge cut. Deterministic for a fixed
- *  (hypergraph, seed). */
+ *  hypergraph. */
 PartitionResult partitionGroups(const GroupHypergraph &hypergraph,
-                                const PartitionConfig &config);
+                                uint32_t parts);
 
 } // namespace freepart::shard::placement
 

@@ -111,9 +111,6 @@ ShardRouter::ShardRouter(const fw::ApiRegistry &registry,
         util::fatal("ShardRouterConfig: migrationMaxBytes 0 with "
                     "replicateObjects off makes every cross-shard "
                     "input unrecoverable after a shard loss");
-    if (config.maxQueueDepth == 0)
-        util::fatal("ShardRouterConfig: maxQueueDepth must be >= 1 "
-                    "(0 would shed every admission)");
     if (config.repartitionEveryCalls > 0 &&
         config.placementPolicy != PlacementPolicy::Optimized)
         util::fatal("ShardRouterConfig: repartitionEveryCalls needs "
@@ -856,12 +853,8 @@ ShardRouter::repartitionNow()
         return;
     }
 
-    placement::PartitionConfig pc;
-    pc.parts = static_cast<uint32_t>(live.size());
-    pc.balanceEpsilon = kPlacementBalanceEpsilon;
-    pc.seed = kPlacementSeed;
-    placement::PartitionResult solution =
-        placement::partitionGroups(hypergraph, pc);
+    placement::PartitionResult solution = placement::partitionGroups(
+        hypergraph, static_cast<uint32_t>(live.size()));
 
     // Map solution parts onto shard slots so the labels line up with
     // where the mass already sits: greedy maximum-overlap matching,
@@ -1281,7 +1274,7 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         bool infeasible =
             deadline != 0 && wait + serviceEst > deadline;
         bool degraded = false;
-        if (depth > config.maxQueueDepth || infeasible) {
+        if (depth > kMaxQueueDepth || infeasible) {
             // Degraded fallback: serve from the least-loaded healthy
             // shard via stale replica reads rather than queueing
             // without bound — shed only when no shard can take it.
@@ -1292,7 +1285,7 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
                 osim::SimTime altWait = startAt(alt) - arrival;
                 uint64_t altDepth =
                     altWait / std::max<osim::SimTime>(serviceEst, 1);
-                altOk = altDepth <= config.maxQueueDepth &&
+                altOk = altDepth <= kMaxQueueDepth &&
                         (deadline == 0 ||
                          altWait + serviceEst <= deadline);
             }

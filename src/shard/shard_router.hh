@@ -80,12 +80,10 @@ static_assert(kNetPerByte >= 0.0, "a transfer cannot refund time");
 constexpr uint32_t kRetryBudget = 3;
 static_assert(kRetryBudget >= 1, "a hedge rides a retry slot");
 
-/** Seed and balance constraint of the (deterministic) partitioner:
- *  max shard load factor over the ideal average it may plan for. */
-constexpr uint64_t kPlacementSeed = 1;
-constexpr double kPlacementBalanceEpsilon = 0.10;
-static_assert(kPlacementBalanceEpsilon >= 0.0,
-              "a part cannot be planned below the average load");
+/** Admission control: shed when a shard's queue (in units of its
+ *  service-time EWMA) is deeper than this. */
+constexpr uint64_t kMaxQueueDepth = 64;
+static_assert(kMaxQueueDepth >= 1, "0 would shed every admission");
 
 /** Cluster knobs. */
 struct ShardRouterConfig {
@@ -111,10 +109,6 @@ struct ShardRouterConfig {
      *  0 = no deadline (CallOptions::deadline overrides per call). */
     osim::SimTime defaultDeadline = 0;
 
-    /** Admission control: shed when a shard's queue (in units of its
-     *  service-time EWMA) is deeper than this. */
-    uint64_t maxQueueDepth = 64;
-
     // ---- Load-aware placement (DESIGN.md §13) ----
 
     PlacementPolicy placementPolicy = PlacementPolicy::Hash;
@@ -134,7 +128,7 @@ enum class RouteError : uint8_t {
     None = 0,
     NoLiveShards,     //!< the ring is empty
     ObjectLost,       //!< a ref input has no live copy and no replica
-    Overloaded,       //!< shed: admission queue over maxQueueDepth
+    Overloaded,       //!< shed: admission queue over kMaxQueueDepth
     DeadlineExceeded, //!< shed: deadline infeasible before execution
     ExecutionFailed,  //!< the runtime returned an error
     RetriesExhausted, //!< budget spent without an acknowledgment

@@ -329,14 +329,15 @@ TEST(ChaosRouter, OverloadShedsWhenNoAlternative)
 {
     ShardRouterConfig config;
     config.shardCount = 1;
-    config.maxQueueDepth = 1;
     auto router = env().makeRouter(config);
     uint64_t key = keyOwnedBy(*router, 0);
 
+    // A closed fist of simultaneous arrivals, more than the admission
+    // queue holds: each one queues a service time deeper.
     CallOptions opts;
-    opts.arrival = 0; // closed fist of simultaneous arrivals
+    opts.arrival = 0;
     uint64_t shed = 0;
-    for (int i = 0; i < 12; ++i) {
+    for (uint64_t i = 0; i < kMaxQueueDepth + 16; ++i) {
         opts.dedupToken = 900 + i;
         RoutedCall call = router->invokeAt(key, "cv2.imread",
                                            imreadArgs(), opts);
@@ -355,15 +356,15 @@ TEST(ChaosRouter, OverloadDegradesToReplicaServingPeer)
 {
     ShardRouterConfig config;
     config.shardCount = 2;
-    config.maxQueueDepth = 1;
     auto router = env().makeRouter(config);
     uint64_t key = keyOwnedBy(*router, 0);
 
+    // Enough simultaneous arrivals to fill both shards' queues.
     CallOptions opts;
     opts.arrival = 0;
     uint64_t degraded = 0;
     uint64_t shed = 0;
-    for (int i = 0; i < 12; ++i) {
+    for (uint64_t i = 0; i < 2 * kMaxQueueDepth + 16; ++i) {
         opts.dedupToken = 1900 + i;
         RoutedCall call = router->invokeAt(key, "cv2.imread",
                                            imreadArgs(), opts);
@@ -558,10 +559,6 @@ TEST(RouterConfigValidation, RejectsBrokenCombinations)
     // Either mechanism alone is a legal layout.
     unrecoverable.replicateObjects = true;
     EXPECT_NO_THROW(build(unrecoverable));
-
-    ShardRouterConfig queue;
-    queue.maxQueueDepth = 0;
-    EXPECT_THROW(build(queue), util::FatalError);
 }
 
 } // namespace

@@ -380,9 +380,10 @@ env()
     return instance;
 }
 
-/** Load a model and train it `rounds` times; every call checkpoints
- *  (interval 1), so most generations see one dirty object among the
- *  accumulated clean ones. Returns the weights ref. */
+/** Load a model and train it `rounds` times, checkpointing the
+ *  training agent after every round, so most generations see one
+ *  dirty object among the accumulated clean ones. Returns the
+ *  weights ref. */
 ipc::ObjectRef
 trainRounds(core::FreePartRuntime &runtime, int rounds)
 {
@@ -397,6 +398,7 @@ trainRounds(core::FreePartRuntime &runtime, int rounds)
             "tf.estimator.DNNClassifier.train",
             {ipc::Value(weights), data.values[0]});
         EXPECT_TRUE(trained.ok) << trained.error;
+        runtime.checkpointAgent(runtime.homeOf(weights.objectId));
     }
     return weights;
 }
@@ -408,7 +410,6 @@ TEST(DirtyEpoch, IncrementalCheckpointsSaveFewerBytes)
     core::RunStats full_stats;
     {
         core::RuntimeConfig full;
-        full.checkpointInterval = 1;
         full.checkpointFullEvery = 1; // every generation is full
         auto full_rt = env().makeRuntime(full);
         trainRounds(*full_rt, 8);
@@ -418,7 +419,6 @@ TEST(DirtyEpoch, IncrementalCheckpointsSaveFewerBytes)
     EXPECT_GT(full_stats.fullCheckpoints, 0u);
 
     core::RuntimeConfig inc;
-    inc.checkpointInterval = 1;
     inc.checkpointFullEvery = 4; // dirty-epoch deltas in between
     auto inc_rt = env().makeRuntime(inc);
     trainRounds(*inc_rt, 8);
@@ -436,7 +436,6 @@ TEST(DirtyEpoch, IncrementalCheckpointsSaveFewerBytes)
 TEST(DirtyEpoch, IncrementalRestoreMatchesPreCrashState)
 {
     core::RuntimeConfig config;
-    config.checkpointInterval = 1;
     config.checkpointFullEvery = 4;
     auto runtime = env().makeRuntime(config);
     // 5 training rounds: the last generation before the crash is an
@@ -486,11 +485,9 @@ TEST(DedupLru, EvictsLeastRecentlyUsedAndTouchOnFindProtects)
 
 TEST(DedupLru, RuntimeCountsEvictionsUnderTightCap)
 {
-    core::RuntimeConfig config;
-    config.dedupCacheEntries = 2;
-    auto runtime = env().makeRuntime(config);
+    auto runtime = env().makeRuntime();
     // More distinct calls on one partition than the cache holds.
-    for (int i = 0; i < 6; ++i) {
+    for (size_t i = 0; i < core::kDedupCacheEntries + 4; ++i) {
         uint64_t id = runtime->createHostMat(
             4, 4, 1, static_cast<uint64_t>(i), "m");
         core::ApiResult res = runtime->invoke(
@@ -499,7 +496,7 @@ TEST(DedupLru, RuntimeCountsEvictionsUnderTightCap)
         ASSERT_TRUE(res.ok) << res.error;
     }
     EXPECT_GT(runtime->stats().dedupEvictions, 0u);
-    EXPECT_LE(runtime->seqCacheSize(1), 2u);
+    EXPECT_EQ(runtime->seqCacheSize(1), core::kDedupCacheEntries);
 }
 
 } // namespace

@@ -157,13 +157,13 @@ TEST(Pipeline, InFlightDepthIsBoundedAndStallsAreCounted)
 {
     RuntimeConfig config;
     config.pipelineParallel = true;
-    config.maxInFlightPerPartition = 2;
     auto runtime = env().makeRuntime(config);
     // Independent loads pile onto the loading agent's timeline while
-    // the host clock stays nearly still: the queue must cap at the
-    // configured depth and charge stall time instead of growing.
+    // the host clock stays nearly still: the queue must cap at
+    // kMaxInFlightPerPartition and charge stall time instead of
+    // growing.
     std::vector<CallTicket> tickets;
-    for (int i = 0; i < 8; ++i)
+    for (uint32_t i = 0; i < 2 * kMaxInFlightPerPartition; ++i)
         tickets.push_back(
             runtime->invokeAsync("cv2.imread", {imreadArg()}));
     for (const CallTicket &ticket : tickets) {
@@ -172,7 +172,7 @@ TEST(Pipeline, InFlightDepthIsBoundedAndStallsAreCounted)
         EXPECT_TRUE(res->ok) << res->error;
     }
     const RunStats &stats = runtime->stats();
-    EXPECT_LE(stats.inFlightPeak, 2u);
+    EXPECT_LE(stats.inFlightPeak, kMaxInFlightPerPartition);
     EXPECT_GT(stats.inFlightStalls, 0u);
     runtime->drainAll();
     EXPECT_EQ(runtime->pendingAsyncCalls(), 0u);

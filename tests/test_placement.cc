@@ -63,36 +63,36 @@ TEST(TraceCollector, RecordsCallsAndContracts)
 
 TEST(TraceCollector, BoundedMemory)
 {
-    placement::TraceConfig config;
-    config.maxObjects = 8;
-    config.maxEdges = 4;
-    config.maxPinsPerEdge = 3;
-    placement::TraceCollector trace(config);
+    placement::TraceCollector trace;
 
-    // 32 distinct objects across 32 groups: only 8 recorded
-    // individually, the rest still add weight to their group.
-    for (uint64_t i = 0; i < 32; ++i)
-        trace.recordCall(100 + i, {access(1000 + i, 100 + i, 4096)});
-    EXPECT_EQ(trace.objectCount(), 8u);
+    // More distinct objects than tracked, across 32 groups: only
+    // kTraceMaxObjects are recorded individually, the rest still add
+    // weight to their group.
+    const uint64_t objects = placement::kTraceMaxObjects + 32;
+    for (uint64_t i = 0; i < objects; ++i)
+        trace.recordCall(100 + i % 32,
+                         {access(1'000'000 + i, 100 + i % 32, 4096)});
+    EXPECT_EQ(trace.objectCount(), placement::kTraceMaxObjects);
     placement::GroupHypergraph h = trace.contractByGroup();
     EXPECT_EQ(h.vertices.size(), 32u); // groups are always tracked
 
-    // Distinct pin sets beyond maxEdges evict the lightest edge.
-    for (uint64_t i = 0; i < 6; ++i)
-        trace.recordCall(100 + i, {access(1000 + i, 100 + i, 64),
-                                   access(1000 + i + 8,
-                                          100 + i + 8, 64)});
-    EXPECT_LE(trace.edgeCount(), 4u);
+    // Distinct pin sets (group pairs) beyond kTraceMaxEdges evict the
+    // lightest edge.
+    uint64_t pairs = 0;
+    for (uint64_t a = 0; pairs <= placement::kTraceMaxEdges; ++a)
+        for (uint64_t b = a + 1; b < 100; ++b, ++pairs)
+            trace.recordCall(1000 + a, {access(a, 1000 + b, 64)});
+    EXPECT_EQ(trace.edgeCount(), placement::kTraceMaxEdges);
     EXPECT_GT(trace.edgeEvictions(), 0u);
 
-    // A wide call keeps only maxPinsPerEdge pins.
+    // A wide call keeps only kTraceMaxPinsPerEdge pins.
     std::vector<placement::ObjectAccess> wide;
-    for (uint64_t i = 0; i < 6; ++i)
+    for (uint64_t i = 0; i < placement::kTraceMaxPinsPerEdge + 4; ++i)
         wide.push_back(access(2000 + i, 200 + i, 64));
     trace.recordCall(200, wide);
     h = trace.contractByGroup();
     for (const auto &e : h.edges)
-        EXPECT_LE(e.pins.size(), 3u);
+        EXPECT_LE(e.pins.size(), placement::kTraceMaxPinsPerEdge);
 }
 
 // ---- Partitioner -----------------------------------------------------
@@ -123,10 +123,8 @@ communityGraph()
 
 TEST(Partitioner, CutsTheLightEdgeNotTheCommunities)
 {
-    placement::PartitionConfig config;
-    config.parts = 2;
     placement::PartitionResult r =
-        placement::partitionGroups(communityGraph(), config);
+        placement::partitionGroups(communityGraph(), 2);
 
     EXPECT_EQ(r.cut, 1u); // only the weight-1 bridge is cut
     EXPECT_LE(r.imbalance, 1.0 + 1e-9);
@@ -151,19 +149,17 @@ TEST(Partitioner, RespectsBalanceConstraint)
         e.weight = 5;
         h.edges.push_back(std::move(e));
     }
-    placement::PartitionConfig config;
-    config.parts = 4;
-    config.balanceEpsilon = 0.10;
-    placement::PartitionResult r =
-        placement::partitionGroups(h, config);
+    placement::PartitionResult r = placement::partitionGroups(h, 4);
 
     uint64_t total = 0, heaviest = 0;
     for (const auto &v : h.vertices)
         total += v.weight;
     for (uint64_t w : r.partWeight)
         heaviest = std::max(heaviest, w);
-    uint64_t maxPart = std::max<uint64_t>(
-        40, static_cast<uint64_t>(1.10 * total / 4.0) + 1);
+    const double cap = (1.0 + placement::kPlacementBalanceEpsilon) *
+                       static_cast<double>(total) / 4.0;
+    uint64_t maxPart =
+        std::max<uint64_t>(40, static_cast<uint64_t>(cap) + 1);
     EXPECT_LE(heaviest, maxPart);
     for (uint32_t p = 0; p < 4; ++p)
         EXPECT_GT(r.partWeight[p], 0u) << "empty part " << p;
@@ -171,8 +167,8 @@ TEST(Partitioner, RespectsBalanceConstraint)
 
 TEST(Partitioner, DeterministicForFixedSeedAndTrace)
 {
-    // A noisy random hypergraph, partitioned twice with the same
-    // seed: identical assignment, cut, and weights.
+    // A noisy random hypergraph, partitioned twice under the fixed
+    // kPlacementSeed: identical assignment, cut, and weights.
     util::Rng rng(7);
     placement::GroupHypergraph h;
     for (uint64_t g = 0; g < 40; ++g)
@@ -187,13 +183,8 @@ TEST(Partitioner, DeterministicForFixedSeedAndTrace)
         e.weight = 1 + rng.below(9);
         h.edges.push_back(std::move(e));
     }
-    placement::PartitionConfig config;
-    config.parts = 3;
-    config.seed = 99;
-    placement::PartitionResult r1 =
-        placement::partitionGroups(h, config);
-    placement::PartitionResult r2 =
-        placement::partitionGroups(h, config);
+    placement::PartitionResult r1 = placement::partitionGroups(h, 3);
+    placement::PartitionResult r2 = placement::partitionGroups(h, 3);
     EXPECT_EQ(r1.groupPart, r2.groupPart);
     EXPECT_EQ(r1.cut, r2.cut);
     EXPECT_EQ(r1.partWeight, r2.partWeight);

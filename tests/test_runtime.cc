@@ -351,10 +351,7 @@ TEST(Runtime, NoRestartLeavesAgentDead)
 
 TEST(Runtime, CheckpointRestoresStatefulObjectsAcrossRestart)
 {
-    RuntimeConfig config;
-    config.checkpointInterval = 1; // checkpoint after every call
-    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault(),
-                                     config);
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
     // Train a "model": stateful weights live in the processing agent.
     ApiResult model = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
@@ -368,8 +365,10 @@ TEST(Runtime, CheckpointRestoresStatefulObjectsAcrossRestart)
         {ipc::Value(weights), data.values[0]});
     ASSERT_TRUE(trained.ok) << trained.error;
 
-    // The weights live in the processing agent now; remember them.
+    // The weights live in the processing agent now; checkpoint the
+    // trained state and remember it.
     uint32_t p = runtime->homeOf(weights.objectId);
+    runtime->checkpointAgent(p);
     runtime->fetchToHost(weights);
     std::vector<uint8_t> before =
         runtime->hostStore().serialize(weights.objectId);
@@ -415,7 +414,7 @@ TEST(Runtime, FetchToHostMakesDataReadableAndCountsEager)
     ApiResult img = runtime->invoke(
         "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
     ipc::ObjectRef ref = img.values[0].asRef();
-    runtime->fetchToHost(ref);
+    EXPECT_TRUE(runtime->fetchToHost(ref));
     EXPECT_EQ(runtime->homeOf(ref.objectId), kHostPartition);
     const fw::MatDesc &mat = runtime->hostStore().mat(ref.objectId);
     EXPECT_EQ(mat.rows, 64u);

@@ -144,30 +144,36 @@ TEST(RuntimeEdge, RepeatedStateCycleReprotectsNewData)
 
 TEST(RuntimeEdge, CheckpointIntervalControlsCadence)
 {
-    RuntimeConfig config;
-    config.checkpointInterval = 2;
-    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault(),
-                                     config);
-    // Load a model (loading agent) then mutate it in place twice so
-    // a checkpoint lands after the 2nd processing call.
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    // Load a model (loading agent) then mutate it in place so a
+    // checkpoint lands after the kCheckpointInterval-th processing
+    // call, and not before.
     ApiResult model = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
     ASSERT_TRUE(model.ok);
     ApiResult data = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
-    for (int i = 0; i < 2; ++i)
-        ASSERT_TRUE(runtime
-                        ->invoke("tf.estimator.DNNClassifier.train",
-                                 {model.values[0], data.values[0]})
-                        .ok);
-    uint32_t p = runtime->homeOf(model.values[0].asRef().objectId);
-    // Crash + restart: the checkpointed (twice-trained) weights come
-    // back.
+    auto train = [&]() {
+        return runtime
+            ->invoke("tf.estimator.DNNClassifier.train",
+                     {model.values[0], data.values[0]})
+            .ok;
+    };
+    for (uint32_t i = 1; i < kCheckpointInterval; ++i)
+        ASSERT_TRUE(train());
+    EXPECT_EQ(runtime->stats().checkpointsTaken, 0u);
+    ASSERT_TRUE(train());
+    EXPECT_EQ(runtime->stats().checkpointsTaken, 1u);
+
+    uint64_t id = model.values[0].asRef().objectId;
+    uint32_t p = runtime->homeOf(id);
+    std::vector<uint8_t> trained = runtime->storeOf(p).serialize(id);
+    // Crash + restart: the checkpointed weights come back.
     env().kernel->faultProcess(
         env().kernel->process(runtime->agentPid(p)), "induced");
     ASSERT_TRUE(runtime->restartAgent(p));
-    EXPECT_TRUE(runtime->storeOf(p).has(
-        model.values[0].asRef().objectId));
+    ASSERT_TRUE(runtime->storeOf(p).has(id));
+    EXPECT_EQ(runtime->storeOf(p).serialize(id), trained);
 }
 
 TEST(RuntimeEdge, RestartReassignsLostObjectHomesToHostCopies)
@@ -296,15 +302,13 @@ TEST(RuntimeEdge, HasObjectSeesCheckpointHeldObjectsAcrossDeadRespawn)
     // incarnation is stillborn (injected restore crash) and the bulk
     // restore never ran: hasObject consults the checkpoint chains,
     // and the lost-scan eagerly rebuilds the object from them.
-    RuntimeConfig config;
-    config.checkpointInterval = 1;
-    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault(),
-                                     config);
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
     ApiResult model = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
     ASSERT_TRUE(model.ok) << model.error;
     uint64_t id = model.values[0].asRef().objectId;
     uint32_t p = runtime->homeOf(id);
+    runtime->checkpointAgent(p);
 
     osim::FaultInjector injector(1);
     env().kernel->setFaultInjector(&injector);
@@ -332,14 +336,12 @@ TEST(RuntimeEdge, EvictedCheckpointedObjectStaysGone)
     // Eviction scrubs the checkpoint generations, so hasObject's
     // checkpoint scan must not resurrect data that was deliberately
     // handed to another runtime.
-    RuntimeConfig config;
-    config.checkpointInterval = 1;
-    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault(),
-                                     config);
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
     ApiResult model = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
     ASSERT_TRUE(model.ok) << model.error;
     uint64_t id = model.values[0].asRef().objectId;
+    runtime->checkpointAgent(runtime->homeOf(id));
     ASSERT_TRUE(runtime->hasObject(id));
     runtime->evictObject(id);
     EXPECT_FALSE(runtime->hasObject(id));
@@ -366,8 +368,44 @@ TEST(RuntimeEdge, FetchToHostFallsBackToStaleAgentCopyAfterOwnerDeath)
     // Home fell back to the loading agent's stale copy...
     EXPECT_EQ(runtime->homeOf(ref.objectId), 0u);
     // ...and a host dereference of that copy works.
-    runtime->fetchToHost(ref);
+    EXPECT_TRUE(runtime->fetchToHost(ref));
     EXPECT_TRUE(runtime->hostStore().has(ref.objectId));
+}
+
+TEST(RuntimeEdge, FetchToHostRefusesAForgedRef)
+{
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    ipc::ObjectRef forged{1, 0xdeadbeefull};
+    osim::SimTime before = env().kernel->now();
+    EXPECT_FALSE(runtime->fetchToHost(forged));
+    EXPECT_FALSE(runtime->hostStore().has(forged.objectId));
+    EXPECT_FALSE(runtime->hasObject(forged.objectId));
+    EXPECT_EQ(env().kernel->now(), before);
+    EXPECT_EQ(runtime->stats().eagerCopies, 0u);
+}
+
+TEST(RuntimeEdge, FetchToHostRefusesAnObjectLostInACrash)
+{
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    ApiResult img = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(img.ok) << img.error;
+    ApiResult blurred =
+        runtime->invoke("cv2.GaussianBlur", {img.values[0]});
+    ASSERT_TRUE(blurred.ok) << blurred.error;
+    ipc::ObjectRef ref = blurred.values[0].asRef();
+    // No host copy and no checkpoint: the result dies with its agent.
+    env().kernel->faultProcess(
+        env().kernel->process(runtime->agentPid(1)), "induced");
+    ASSERT_TRUE(runtime->restartAgent(1));
+    ASSERT_FALSE(runtime->hasObject(ref.objectId));
+
+    osim::SimTime before = env().kernel->now();
+    uint64_t copies = runtime->stats().eagerCopies;
+    EXPECT_FALSE(runtime->fetchToHost(ref));
+    EXPECT_FALSE(runtime->hostStore().has(ref.objectId));
+    EXPECT_EQ(env().kernel->now(), before);
+    EXPECT_EQ(runtime->stats().eagerCopies, copies);
 }
 
 TEST(RuntimeEdge, EvictObjectPrunesDedupEntriesReferencingIt)
@@ -391,8 +429,8 @@ TEST(RuntimeEdge, EvictObjectPrunesDedupEntriesReferencingIt)
 
 // ---- Checkpoint verdicts: verified once, when written -----------------
 
-/** Two torch.load results in one agent, checkpointing after every
- *  call; the generation cut after the second load is corrupted at
+/** Two torch.load results in one agent, checkpointing it after each
+ *  load; the generation cut after the second load is corrupted at
  *  write time, so only the first load's generation is restorable. */
 struct CorruptGenFixture {
     std::unique_ptr<FreePartRuntime> runtime;
@@ -403,17 +441,16 @@ struct CorruptGenFixture {
 
     CorruptGenFixture()
     {
-        RuntimeConfig config;
-        config.checkpointInterval = 1;
-        runtime = env().makeRuntime(PartitionPlan::freePartDefault(),
-                                    config);
+        runtime = env().makeRuntime(PartitionPlan::freePartDefault());
         env().kernel->setFaultInjector(&injector);
         kept = load();
         partition = runtime->homeOf(kept);
+        runtime->checkpointAgent(partition);
         schedule(osim::FaultPoint::Checkpoint,
                  osim::FaultAction::Corrupt);
         corrupt = load();
         EXPECT_EQ(runtime->homeOf(corrupt), partition);
+        runtime->checkpointAgent(partition);
     }
 
     ~CorruptGenFixture() { env().kernel->setFaultInjector(nullptr); }
@@ -509,7 +546,6 @@ TEST(CheckpointVerdict, SquashScrubbingACorruptEntryKeepsTheCount)
     fw::seedFixtureFiles(kernel);
     kernel.setFaultInjector(&injector);
     RuntimeConfig config;
-    config.checkpointInterval = 1;
     config.pipelineParallel = true;
     config.speculativeFlips = true;
     FreePartRuntime runtime(kernel, registry, cats,
@@ -524,10 +560,17 @@ TEST(CheckpointVerdict, SquashScrubbingACorruptEntryKeepsTheCount)
     ipc::ValueList frame =
         call("cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
     ASSERT_EQ(frame.size(), 1u);
-    ipc::ValueList chain = call("cv2.GaussianBlur", frame);
-    ASSERT_EQ(chain.size(), 1u);
+    // kCheckpointInterval - 1 blurs on the processing agent, then one
+    // explicit checkpoint: the cadence cuts the next generation inside
+    // the speculative call below, the agent's kCheckpointInterval-th.
+    ipc::ValueList chain = frame;
+    for (uint32_t i = 1; i < kCheckpointInterval; ++i) {
+        chain = call("cv2.GaussianBlur", chain);
+        ASSERT_EQ(chain.size(), 1u);
+    }
     uint64_t chain_id = chain[0].asRef().objectId;
     uint32_t p = runtime.homeOf(chain_id);
+    runtime.checkpointAgent(p);
     runtime.fetchToHost(chain[0].asRef()); // opens the window
     ASSERT_TRUE(runtime.speculationActive());
 
@@ -547,6 +590,8 @@ TEST(CheckpointVerdict, SquashScrubbingACorruptEntryKeepsTheCount)
     ASSERT_EQ(drawn.size(), 2u);
     runtime.drainAll();
     ASSERT_EQ(runtime.stats().speculationRollbacks, 1u);
+    // Capture the re-issued call's copy in a generation of its own.
+    runtime.checkpointAgent(p);
 
     // The squash scrubbed the corrupt minted copy; evicting the
     // chain removes the generation's other corrupt entry. Only a
@@ -567,10 +612,6 @@ TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
     RuntimeConfig ok;
     EXPECT_NO_THROW(build(ok));
 
-    RuntimeConfig interval;
-    interval.checkpointInterval = 0;
-    EXPECT_THROW(build(interval), util::FatalError);
-
     RuntimeConfig fullEvery;
     fullEvery.checkpointFullEvery = 0;
     EXPECT_THROW(build(fullEvery), util::FatalError);
@@ -581,21 +622,6 @@ TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
     ring.ringBytes = 0;
     EXPECT_THROW(build(ring), util::FatalError);
 
-    RuntimeConfig dedup;
-    dedup.dedupCacheEntries = 0;
-    EXPECT_THROW(build(dedup), util::FatalError);
-
-    RuntimeConfig pipeline;
-    pipeline.pipelineParallel = true;
-    pipeline.maxInFlightPerPartition = 0;
-    EXPECT_THROW(build(pipeline), util::FatalError);
-    // Without the pipeline gate the in-flight knob is ignored.
-    pipeline.pipelineParallel = false;
-    EXPECT_NO_THROW(build(pipeline));
-
-    RuntimeConfig loop;
-    loop.supervision.crashLoopThreshold = 0;
-    EXPECT_THROW(build(loop), util::FatalError);
 }
 
 } // namespace

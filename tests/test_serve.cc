@@ -576,7 +576,6 @@ TEST(TenantTraffic, ZipfSkewsTrafficTowardHotTenants)
     tconfig.tenants = 100;
     tconfig.zipfExponent = 1.4;
     tconfig.maxConcurrentSessions = 8;
-    tconfig.tenantPercentileMinAcks = 5;
 
     ShardRouterConfig config;
     config.shardCount = 2;

@@ -81,40 +81,9 @@ TEST(Supervisor, RetryBudgetExhaustionSurfacesAgentCrashed)
         << result.error;
     const RunStats &stats = runtime->stats();
     EXPECT_EQ(stats.retriesExhausted, 1u);
-    // retryBudget=3 means 4 delivery attempts, all crashed.
+    // kCallRetryBudget=3 means 4 delivery attempts, all crashed.
     EXPECT_EQ(stats.agentCrashes, 4u);
     EXPECT_EQ(stats.retriedCalls, 3u);
-    EXPECT_TRUE(runtime->hostAlive());
-}
-
-TEST(Supervisor, CrashLoopQuarantinesWithinConfiguredWindow)
-{
-    RuntimeConfig config;
-    config.supervision.crashLoopThreshold = 2;
-    config.supervision.retryBudget = 5;
-    auto runtime = env().makeRuntime(config);
-    env().crashEveryCall(*runtime, 1);
-    ApiResult result = blurFreshMat(*runtime, 1);
-    // The 2nd crash inside the window quarantines the partition. The
-    // quarantining call itself fails typed — its input crashed the
-    // agent twice, so it is suspect and never re-executed in the
-    // host (a poisoned frame must not escape into the host process).
-    EXPECT_FALSE(result.ok);
-    EXPECT_TRUE(result.quarantined);
-    EXPECT_TRUE(result.agentCrashed);
-    EXPECT_NE(result.error.find("suspect input"), std::string::npos)
-        << result.error;
-    EXPECT_TRUE(runtime->supervisor().quarantined(1));
-    EXPECT_EQ(runtime->supervisor().stats().crashesObserved, 2u);
-    EXPECT_EQ(runtime->stats().quarantines, 1u);
-    EXPECT_EQ(runtime->stats().hostFallbackCalls, 0u);
-    // A fresh call arriving after the quarantine does degrade to the
-    // host (GaussianBlur is not stateful).
-    ApiResult next = blurFreshMat(*runtime, 2);
-    EXPECT_TRUE(next.ok) << next.error;
-    EXPECT_TRUE(next.quarantined);
-    EXPECT_FALSE(next.agentCrashed);
-    EXPECT_EQ(runtime->stats().hostFallbackCalls, 1u);
     EXPECT_TRUE(runtime->hostAlive());
 }
 
@@ -122,22 +91,36 @@ TEST(Supervisor, QuarantineDegradesGracefully)
 {
     auto runtime = env().makeRuntime();
     env().crashEveryCall(*runtime, 1);
-    // Default policy: crash-loop threshold 5. The first call burns
-    // its budget; the second crosses the threshold mid-recovery.
+    // The first call burns its retry budget: 4 deliveries, of which
+    // the 3 re-deliveries each report a crash to the supervisor.
     ApiResult first = blurFreshMat(*runtime, 1);
     EXPECT_FALSE(first.ok);
-    // The second call crosses the threshold mid-recovery; having
-    // crashed the agent itself, it fails typed rather than carrying
-    // its suspect input into the host.
+    EXPECT_FALSE(first.quarantined);
+    // The second call's recovery reports crashes 4 and 5: the
+    // kCrashLoopThreshold-th crash inside the window quarantines the
+    // partition. Having crashed the agent itself, the quarantining
+    // call fails typed — its input is suspect and is never
+    // re-executed in the host (a poisoned frame must not escape into
+    // the host process).
     ApiResult second = blurFreshMat(*runtime, 2);
     EXPECT_FALSE(second.ok);
     EXPECT_TRUE(second.quarantined);
+    EXPECT_TRUE(second.agentCrashed);
+    EXPECT_NE(second.error.find("suspect input"), std::string::npos)
+        << second.error;
     ASSERT_TRUE(runtime->supervisor().quarantined(1));
+    EXPECT_EQ(runtime->supervisor().stats().crashesObserved,
+              kCrashLoopThreshold);
+    EXPECT_EQ(runtime->stats().quarantines, 1u);
+    EXPECT_EQ(runtime->stats().hostFallbackCalls, 0u);
 
     // Non-stateful APIs arriving afterwards complete via the host...
     ApiResult third = blurFreshMat(*runtime, 3);
     EXPECT_TRUE(third.ok) << third.error;
-    EXPECT_GE(runtime->stats().hostFallbackCalls, 1u);
+    EXPECT_TRUE(third.quarantined);
+    EXPECT_FALSE(third.agentCrashed);
+    EXPECT_EQ(runtime->stats().hostFallbackCalls, 1u);
+    EXPECT_TRUE(runtime->hostAlive());
 
     // ...while stateful APIs on the quarantined partition fail fast
     // with a typed error instead of running without their state.
@@ -155,16 +138,37 @@ TEST(Supervisor, QuarantineDegradesGracefully)
     EXPECT_EQ(runtime->stats().statefulFastFails, 1u);
 }
 
+TEST(Supervisor, CrashLoopWindowQuarantinesAcrossRecoveredOutages)
+{
+    osim::Kernel kernel;
+    AgentSupervisor supervisor(kernel, 1);
+    // Crashes spaced wider than kCrashLoopSpan never loop: every
+    // outage recovers and the window holds one crash at a time.
+    for (uint32_t i = 0; i < 2 * kCrashLoopThreshold; ++i) {
+        EXPECT_TRUE(supervisor.onCrash(0));
+        supervisor.onCallSucceeded(0);
+        kernel.advance(kCrashLoopSpan + 1);
+    }
+    EXPECT_FALSE(supervisor.quarantined(0));
+    // Packed inside the window, each outage still recovers after one
+    // respawn (far from kMaxRestartAttempts), so only the loop
+    // detector can quarantine: on the kCrashLoopThreshold-th crash.
+    for (uint32_t i = 1; i < kCrashLoopThreshold; ++i) {
+        EXPECT_TRUE(supervisor.onCrash(0));
+        supervisor.onCallSucceeded(0);
+    }
+    EXPECT_FALSE(supervisor.onCrash(0));
+    EXPECT_TRUE(supervisor.quarantined(0));
+    EXPECT_EQ(supervisor.stats().quarantines, 1u);
+}
+
 TEST(Supervisor, HostileInputNeverFallsBackToHost)
 {
     // A real DoS payload (not an injected fault) that crashes the
     // loading agent on every delivery. Driving it into quarantine
     // must not re-execute the poisoned frame inside the host — the
     // drone case study's attack would otherwise escape containment.
-    RuntimeConfig config;
-    config.supervision.crashLoopThreshold = 2;
-    config.supervision.retryBudget = 5;
-    auto runtime = env().makeRuntime(config);
+    auto runtime = env().makeRuntime();
     fw::ExploitPayload dos;
     dos.kind = fw::PayloadKind::Dos;
     dos.cve = "CVE-2017-14136";
@@ -172,6 +176,13 @@ TEST(Supervisor, HostileInputNeverFallsBackToHost)
         "/spool/dos.fpim",
         fw::encodeImageFile(8, 8, 1, fw::synthPixels(8, 8, 1, 0),
                             dos));
+    // The first delivery burns the retry budget without reaching the
+    // crash-loop threshold; the second one's 5th crash quarantines.
+    ApiResult first = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/spool/dos.fpim"))});
+    EXPECT_FALSE(first.ok);
+    EXPECT_TRUE(first.agentCrashed);
+    EXPECT_FALSE(runtime->supervisor().quarantined(0));
     ApiResult hostile = runtime->invoke(
         "cv2.imread", {ipc::Value(std::string("/spool/dos.fpim"))});
     EXPECT_FALSE(hostile.ok);
@@ -235,9 +246,7 @@ TEST(Supervisor, CrashDuringRestoreIsSurvived)
 
 TEST(Supervisor, CorruptedCheckpointFallsBackAGeneration)
 {
-    RuntimeConfig config;
-    config.checkpointInterval = 1; // checkpoint after every call
-    auto runtime = env().makeRuntime(config);
+    auto runtime = env().makeRuntime();
     ApiResult model = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
     ASSERT_TRUE(model.ok) << model.error;
@@ -251,6 +260,7 @@ TEST(Supervisor, CorruptedCheckpointFallsBackAGeneration)
                              {model.values[0], data.values[0]})
                     .ok);
     uint32_t p = runtime->homeOf(weights_id);
+    runtime->checkpointAgent(p);
     std::vector<uint8_t> v1 = runtime->storeOf(p).serialize(weights_id);
 
     // The next checkpoint of this agent is corrupted after its
@@ -264,6 +274,7 @@ TEST(Supervisor, CorruptedCheckpointFallsBackAGeneration)
                     ->invoke("tf.estimator.DNNClassifier.train",
                              {model.values[0], data.values[0]})
                     .ok);
+    runtime->checkpointAgent(p);
     std::vector<uint8_t> v2 = runtime->storeOf(p).serialize(weights_id);
     ASSERT_NE(v1, v2); // training moved the weights
 
