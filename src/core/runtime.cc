@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "util/checksum.hh"
 #include "util/logging.hh"
 
 namespace freepart::core {
@@ -115,6 +114,7 @@ FreePartRuntime::setupAgents()
         agent.pid = proc.pid();
         agent.store = std::make_unique<fw::ObjectStore>(
             kernel_, agent.pid, &idCounter);
+        agent.checkpoints = CheckpointStore(config.checkpointFullEvery);
         agent.channel = std::make_unique<ipc::Channel>(
             kernel_, "ch:" + plan_.partitionName(p), hostPid_,
             agent.pid, config.ringBytes);
@@ -342,83 +342,29 @@ FreePartRuntime::homeOf(uint64_t object_id) const
 bool
 FreePartRuntime::hasObject(uint64_t object_id) const
 {
-    if (objectHome.count(object_id) > 0 || hostStore_->has(object_id))
-        return true;
-    // Align with the restore path: an object recoverable from an
-    // intact checkpoint chain is not lost, even when no live store
-    // currently holds a copy.
-    for (const Agent &agent : agents)
-        if (checkpointEntryFor(agent, object_id))
-            return true;
-    return false;
+    return objectHome.count(object_id) > 0 || hostStore_->has(object_id);
 }
 
-FreePartRuntime::CheckpointChain
-FreePartRuntime::restorableChain(const Agent &agent)
+void
+FreePartRuntime::restoreCheckpointed(Agent &agent, uint64_t id,
+                                     const fw::ObjectSnapshot &snap)
 {
-    // A candidate is restorable when its whole chain — itself, the
-    // incrementals below it, and the full base they extend — holds
-    // no entry that failed verification when it was sealed.
-    const std::deque<CheckpointGen> &gens = agent.checkpoints;
-    CheckpointChain chain;
-    for (; chain.top < gens.size(); ++chain.top) {
-        size_t corrupt = 0;
-        for (chain.base = chain.top; chain.base < gens.size();
-             ++chain.base) {
-            corrupt += gens[chain.base].corruptEntries;
-            if (gens[chain.base].full)
-                break;
-        }
-        if (chain.base < gens.size() && corrupt == 0)
-            break;
-    }
-    return chain;
-}
-
-const FreePartRuntime::CheckpointEntry *
-FreePartRuntime::checkpointEntryFor(const Agent &agent, uint64_t id)
-{
-    // The chain a restore would pick is authoritative: its top's
-    // liveIds decide whether the object exists at all — a deleted
-    // object must not resurrect from an older generation — and the
-    // newest copy inside the chain is the one a restore would
-    // materialize.
-    CheckpointChain chain = restorableChain(agent);
-    if (chain.top == agent.checkpoints.size())
-        return nullptr;
-    const std::vector<uint64_t> &live =
-        agent.checkpoints[chain.top].liveIds;
-    if (std::find(live.begin(), live.end(), id) == live.end())
-        return nullptr;
-    return entryInChain(agent, chain, id);
-}
-
-const FreePartRuntime::CheckpointEntry *
-FreePartRuntime::entryInChain(const Agent &agent, CheckpointChain chain,
-                              uint64_t id)
-{
-    for (size_t j = chain.top; j <= chain.base; ++j) {
-        auto it = agent.checkpoints[j].objects.find(id);
-        if (it != agent.checkpoints[j].objects.end())
-            return &it->second;
-    }
-    return nullptr; // live at the snapshot but never captured
+    agent.store->restore(id, snap);
+    stats_.checkpointBytesRestored += snap.bytes.size();
 }
 
 bool
-FreePartRuntime::restoreFromCheckpoint(uint32_t partition,
-                                       uint64_t id)
+FreePartRuntime::ensureResident(uint32_t home, uint64_t id)
 {
-    Agent &agent = agents.at(partition);
-    const CheckpointEntry *entry = checkpointEntryFor(agent, id);
-    if (!entry)
-        return false;
-    agent.store->materialize(id, entry->kind, entry->bytes,
-                             entry->label);
-    objectHome[id] = {partition, entry->kind};
-    stats_.checkpointBytesRestored += entry->bytes.size();
-    ++stats_.checkpointSourcedRestores;
-    return true;
+    if (home == kHostPartition || storeOf(home).has(id))
+        return storeOf(home).has(id);
+    Agent &agent = agents.at(home);
+    const fw::ObjectSnapshot *snap = agent.checkpoints.lookup(id);
+    if (snap) {
+        restoreCheckpointed(agent, id, *snap);
+        ++stats_.checkpointSourcedRestores;
+    }
+    return snap != nullptr;
 }
 
 const RunStats &
@@ -483,18 +429,14 @@ FreePartRuntime::transferObject(uint32_t from, uint32_t to,
     if (from == to)
         return;
     // The source store may have lost the bytes (cleared on a restart
-    // whose restore skipped this object) while a checkpoint chain
-    // still vouches for it — rebuild lazily before copying out.
-    if (from != kHostPartition && !storeOf(from).has(id))
-        restoreFromCheckpoint(from, id);
-    fw::ObjectStore &src = storeOf(from);
-    fw::ObjectStore &dst = storeOf(to);
-    std::vector<uint8_t> bytes = src.serialize(id);
-    fw::ObjKind kind = src.get(id).kind;
-    dst.materialize(id, kind, bytes, src.get(id).label);
-    kernel_.advance(kernel_.costs().copyCost(bytes.size()));
-    stats_.bytesTransferred += bytes.size();
-    objectHome[id] = {to, kind};
+    // whose restore skipped this object) while its checkpoints still
+    // vouch for it — rebuild lazily before copying out.
+    ensureResident(from, id);
+    fw::ObjectSnapshot snap = storeOf(from).snapshot(id);
+    storeOf(to).restore(id, snap);
+    kernel_.advance(kernel_.costs().copyCost(snap.bytes.size()));
+    stats_.bytesTransferred += snap.bytes.size();
+    objectHome[id] = {to, snap.kind};
     if (eager) {
         // Host-mediated copies ride their own request/response pair
         // (Fig. 11-(b)), unlike LDC's piggybacked direct fetches. The
@@ -561,6 +503,8 @@ FreePartRuntime::fetchToHost(const ipc::ObjectRef &ref)
     if (!hasObject(ref.objectId))
         return false;
     maybeRetireSpeculation();
+    uint32_t home = homeOf(ref.objectId);
+    auto ready = objectReadyAt_.find(ref.objectId);
     // Speculative fetch (speculativeFlips, DESIGN.md §15): when the
     // producer is still running on its virtual timeline, run the
     // dereference — copy and round trip — on the *host process's*
@@ -576,53 +520,29 @@ FreePartRuntime::fetchToHost(const ipc::ObjectRef &ref)
     // completion, which extends the speculation window so calls
     // issued before then are checkpointed and squashable.
     if (config.pipelineParallel && config.speculativeFlips &&
-        !kernel_.taskActive()) {
-        auto ready = objectReadyAt_.find(ref.objectId);
-        uint32_t home = homeOf(ref.objectId);
-        if (ready != objectReadyAt_.end() &&
-            ready->second > kernel_.now() && home != kHostPartition) {
-            if (!storeOf(home).has(ref.objectId))
-                restoreFromCheckpoint(home, ref.objectId);
-            fw::ObjectStore &src = storeOf(home);
-            osim::SimTime start =
-                std::max({ready->second,
-                          kernel_.timelineOf(hostPid_),
-                          kernel_.now()});
-            kernel_.beginTask(hostPid_, start);
-            std::vector<uint8_t> bytes =
-                src.serialize(ref.objectId);
-            hostStore_->materialize(ref.objectId,
-                                    src.get(ref.objectId).kind,
-                                    bytes,
-                                    src.get(ref.objectId).label);
-            kernel_.advance(kernel_.costs().copyCost(bytes.size()));
-            kernel_.advance(kernel_.costs().ipcRoundTrip);
-            stats_.bytesTransferred += bytes.size();
-            stats_.ipcMessages += 2;
-            ++stats_.eagerCopies;
-            coolRpcWindow();
-            osim::SimTime done = kernel_.endTask();
-            if (home < stats_.partitionBusyTime.size())
-                stats_.partitionBusyTime[home] += done - start;
-            kernel_.advance(kernel_.costs().ipcPerMessage);
-            const fw::StoredObject &obj =
-                hostStore_->get(ref.objectId);
-            vars.push_back({"fetched:" + obj.label, hostPid_,
-                            obj.addr, obj.byteLen, state_, false});
-            ++stats_.speculativeFetches;
-            extendSpeculation(done);
+        !kernel_.taskActive() && home != kHostPartition &&
+        ready != objectReadyAt_.end() && ready->second > kernel_.now()) {
+        osim::SimTime start = std::max(
+            {ready->second, kernel_.timelineOf(hostPid_), kernel_.now()});
+        kernel_.beginTask(hostPid_, start);
+        transferObject(home, kHostPartition, ref.objectId, /*eager=*/true);
+        objectHome[ref.objectId].first = home;
+        osim::SimTime done = kernel_.endTask();
+        if (home < stats_.partitionBusyTime.size())
+            stats_.partitionBusyTime[home] += done - start;
+        kernel_.advance(kernel_.costs().ipcPerMessage);
+        ++stats_.speculativeFetches;
+        extendSpeculation(done);
+    } else {
+        // Pipeline mode: dereferencing a result is a per-object
+        // synchronization point — the host clock catches up with the
+        // call that produces it (but not with unrelated timelines).
+        syncObjectReady(ref.objectId);
+        if (home == kHostPartition)
             return true;
-        }
+        // The host program dereferences the data: a non-lazy copy.
+        transferObject(home, kHostPartition, ref.objectId, /*eager=*/true);
     }
-    // Pipeline mode: dereferencing a result is a per-object
-    // synchronization point — the host clock catches up with the
-    // call that produces it (but not with unrelated timelines).
-    syncObjectReady(ref.objectId);
-    uint32_t home = homeOf(ref.objectId);
-    if (home == kHostPartition)
-        return true;
-    // The host program dereferences the data: a non-lazy copy.
-    transferObject(home, kHostPartition, ref.objectId, /*eager=*/true);
     // Host-resident copies of framework objects fall under temporal
     // protection from the state they were fetched in.
     const fw::StoredObject &obj = hostStore_->get(ref.objectId);
@@ -1010,28 +930,15 @@ FreePartRuntime::checkpointSpecArgs(const ipc::ValueList &args)
         if (value.kind() != ipc::Value::Kind::Ref)
             continue;
         uint64_t id = value.asRef().objectId;
-        bool seen = false;
-        for (const SpecCheckpoint &cp : saved)
-            if (cp.id == id)
-                seen = true;
-        if (seen)
-            continue;
         auto it = objectHome.find(id);
-        if (it == objectHome.end())
+        if (it == objectHome.end() ||
+            std::any_of(saved.begin(), saved.end(),
+                        [&](const SpecCheckpoint &cp) { return cp.id == id; }))
             continue;
         uint32_t home = it->second.first;
-        fw::ObjectStore &store = storeOf(home);
-        if (!store.has(id) && (home == kHostPartition ||
-                               !restoreFromCheckpoint(home, id)))
+        if (!ensureResident(home, id))
             continue; // unresolvable: nothing to checkpoint
-        const fw::StoredObject &obj = store.get(id);
-        SpecCheckpoint cp;
-        cp.id = id;
-        cp.home = home;
-        cp.kind = obj.kind;
-        cp.label = obj.label;
-        cp.bytes = store.serialize(id);
-        saved.push_back(std::move(cp));
+        saved.push_back({id, home, storeOf(home).snapshot(id)});
     }
     return saved;
 }
@@ -1059,7 +966,7 @@ FreePartRuntime::specConflict(const ipc::ValueList &results,
             if (it == objectHome.end())
                 break;
             fw::ObjectStore &store = storeOf(it->second.first);
-            if (store.has(id) && store.serialize(id) != cp.bytes)
+            if (store.has(id) && store.serialize(id) != cp.snapshot.bytes)
                 return true;
             break;
         }
@@ -1081,10 +988,10 @@ FreePartRuntime::squashSpeculativeCall(
         if (it == objectHome.end())
             continue; // lost meanwhile: gone in both schedules
         fw::ObjectStore &store = storeOf(it->second.first);
-        if (store.has(cp.id) && store.serialize(cp.id) == cp.bytes)
+        if (store.has(cp.id) && store.serialize(cp.id) == cp.snapshot.bytes)
             continue;
-        store.materialize(cp.id, cp.kind, cp.bytes, cp.label);
-        stats_.squashedWriteBytes += cp.bytes.size();
+        store.restore(cp.id, cp.snapshot);
+        stats_.squashedWriteBytes += cp.snapshot.bytes.size();
     }
     // Discard the ticket's effects: objects the squashed execution
     // minted stop resolving, and the id counter rewinds so the
@@ -1274,38 +1181,38 @@ FreePartRuntime::buildDeliverBatch(uint32_t partition,
         // LDC fetch piggybacked on the request batch (Fig. 11-(a),
         // but riding the same round trip instead of its own): the
         // object bytes are encoded straight into the ring frame.
-        if (home != kHostPartition && !storeOf(home).has(id))
-            restoreFromCheckpoint(home, id);
-        fw::ObjectStore &src = storeOf(home);
+        ensureResident(home, id);
+        fw::ObjectSnapshot snap = storeOf(home).snapshot(id);
         ipc::Message deliver;
         deliver.kind = ipc::MsgKind::Deliver;
         deliver.seq = seq;
         deliver.values.emplace_back(id);
-        deliver.values.emplace_back(
-            static_cast<uint64_t>(src.get(id).kind));
-        deliver.values.emplace_back(src.get(id).label);
-        deliver.values.emplace_back(src.serialize(id));
+        deliver.values.emplace_back(static_cast<uint64_t>(snap.kind));
+        deliver.values.emplace_back(std::move(snap.label));
+        deliver.values.emplace_back(std::move(snap.bytes));
         batch.push_back(std::move(deliver));
     }
 }
 
 void
 FreePartRuntime::absorbDelivers(uint32_t partition,
-                                const std::vector<ipc::Message> &batch)
+                                std::vector<ipc::Message> &batch)
 {
     Agent &agent = agents.at(partition);
-    for (const ipc::Message &msg : batch) {
+    for (ipc::Message &msg : batch) {
         if (msg.kind != ipc::MsgKind::Deliver)
             continue;
         uint64_t id = msg.values.at(0).asU64();
-        auto kind = static_cast<fw::ObjKind>(msg.values.at(1).asU64());
-        const std::string &label = msg.values.at(2).asStr();
-        const std::vector<uint8_t> &bytes = msg.values.at(3).asBlob();
-        agent.store->materialize(id, kind, bytes, label);
-        objectHome[id] = {partition, kind};
+        fw::ObjectSnapshot snap{
+            static_cast<fw::ObjKind>(msg.values.at(1).asU64()),
+            std::move(msg.values.at(3).asBlobMutable()),
+            msg.values.at(2).asStr()};
+        agent.store->restore(id, snap);
+        objectHome[id] = {partition, snap.kind};
         // In-place rate: the bytes were never staged outside the
         // ring; one memcpy out of shared memory, no re-serialize.
-        kernel_.advance(kernel_.costs().copyCostInPlace(bytes.size()));
+        kernel_.advance(
+            kernel_.costs().copyCostInPlace(snap.bytes.size()));
         ++stats_.directCopies;
         ++stats_.piggybackedFetches;
     }
@@ -1319,17 +1226,7 @@ FreePartRuntime::eraseEverywhere(uint64_t id)
     objectReadyAt_.erase(id);
     for (Agent &agent : agents) {
         agent.store->erase(id);
-        for (CheckpointGen &gen : agent.checkpoints) {
-            auto it = gen.objects.find(id);
-            if (it != gen.objects.end()) {
-                if (!it->second.intact)
-                    --gen.corruptEntries;
-                gen.objects.erase(it);
-            }
-            gen.liveIds.erase(std::remove(gen.liveIds.begin(),
-                                          gen.liveIds.end(), id),
-                              gen.liveIds.end());
-        }
+        agent.checkpoints.erase(id);
     }
 }
 
@@ -1613,70 +1510,13 @@ FreePartRuntime::checkpointAgent(uint32_t partition)
                              "injected: crash during checkpoint");
         return;
     }
-    if (action == osim::FaultAction::Transient)
-        return; // skipped; old gens AND the epoch watermark remain
-
-    // Dirty-epoch incremental checkpoints: a full generation every
-    // checkpointFullEvery-th snapshot, incrementals (only objects
-    // whose dirtyEpoch moved past the watermark) in between. The
-    // first checkpoint of an incarnation is always full — there is
-    // no chain to extend.
-    bool full = agent.forceFullCheckpoint || agent.checkpoints.empty() ||
-                config.checkpointFullEvery <= 1 ||
-                agent.incrementalsSinceFull + 1 >=
-                    config.checkpointFullEvery;
-    // Snapshot the epoch BEFORE serializing: a write racing the
-    // checkpoint would then look dirty to the next one (safe side).
-    uint64_t snapshotEpoch = agent.store->writeEpoch();
-
-    CheckpointGen gen;
-    gen.full = full;
-    gen.liveIds = agent.store->ids();
-    for (uint64_t id : gen.liveIds) {
-        const fw::StoredObject &obj = agent.store->get(id);
-        if (!full && obj.dirtyEpoch <= agent.lastCheckpointEpoch)
-            continue; // unchanged since the watermark: skip
-        CheckpointEntry entry;
-        entry.kind = obj.kind;
-        entry.bytes = agent.store->serialize(id);
-        entry.label = obj.label;
-        // Checksum before any corruption, verify as the generation is
-        // sealed: bit-rot of the stored snapshot is exactly what the
-        // verification must catch. The bytes are never written after
-        // this, so the verdict holds for every later lookup and
-        // restore.
-        uint64_t written = util::wideChecksum(entry.bytes);
-        stats_.checkpointBytesSaved += entry.bytes.size();
-        if (action == osim::FaultAction::Corrupt &&
-            kernel_.faultInjector() && !entry.bytes.empty())
-            kernel_.faultInjector()->corrupt(entry.bytes);
-        entry.intact = util::wideChecksum(entry.bytes) == written;
-        if (!entry.intact)
-            ++gen.corruptEntries;
-        gen.objects.emplace(id, std::move(entry));
-    }
-    agent.checkpoints.push_front(std::move(gen));
-    // Retain enough history for kCheckpointGenerations full chains:
-    // everything older than the kCheckpointGenerations-th full
-    // generation can never be needed by a reconstruction.
-    size_t fulls = 0;
-    for (size_t i = 0; i < agent.checkpoints.size(); ++i) {
-        if (!agent.checkpoints[i].full)
-            continue;
-        if (++fulls == kCheckpointGenerations) {
-            agent.checkpoints.resize(i + 1);
-            break;
-        }
-    }
-    if (full) {
-        agent.incrementalsSinceFull = 0;
-        agent.forceFullCheckpoint = false;
-        ++stats_.fullCheckpoints;
-    } else {
-        ++agent.incrementalsSinceFull;
-        ++stats_.incrementalCheckpoints;
-    }
-    agent.lastCheckpointEpoch = snapshotEpoch;
+    CheckpointWrite written =
+        agent.checkpoints.write(*agent.store, action, kernel_.faultInjector());
+    if (!written.taken)
+        return; // skipped; old checkpoints AND the watermark remain
+    stats_.checkpointBytesSaved += written.bytesSaved;
+    ++(written.full ? stats_.fullCheckpoints
+                    : stats_.incrementalCheckpoints);
     ++stats_.checkpointsTaken;
 }
 
@@ -1718,9 +1558,7 @@ FreePartRuntime::restartAgent(uint32_t partition)
     agent.channel->remapInto(agent.pid);
     agent.executedApis.clear();
     agent.callsSinceCheckpoint = 0;
-    // The rebuilt store has no incremental lineage; the next
-    // checkpoint must re-establish a full base.
-    agent.forceFullCheckpoint = true;
+    agent.checkpoints.requireFull();
     if (config.restrictSyscalls)
         installPolicy(agent);
     osim::Process &proc = kernel_.process(agent.pid);
@@ -1734,30 +1572,25 @@ FreePartRuntime::restartAgent(uint32_t partition)
         up = false;
     }
     if (up) {
-        // Restore from the newest restorable chain; every newer
+        // Restore from the newest restorable checkpoint; every newer
         // candidate with a corrupt link is skipped (one fallback
-        // each). Each id live at the candidate's snapshot gets its
-        // newest copy inside the chain. Values newer than the chosen
-        // checkpoint are intentionally NOT restored (§6 "Restoring
-        // States of Crashed Process").
-        CheckpointChain chain = restorableChain(agent);
-        if (chain.top > 0) {
-            stats_.checkpointFallbacks += chain.top;
-            util::inform("runtime: %zu corrupt checkpoint chain(s) for "
+        // each). Values newer than the chosen checkpoint are
+        // intentionally NOT restored (§6 "Restoring States of Crashed
+        // Process"). An object that moved on to a store still holding
+        // it keeps that home: its checkpointed bytes are older.
+        CheckpointRestore restore = agent.checkpoints.restoreSet();
+        if (restore.skipped > 0) {
+            stats_.checkpointFallbacks += restore.skipped;
+            util::inform("runtime: %zu corrupt checkpoint(s) for "
                          "partition %u skipped at restore",
-                         chain.top, partition);
+                         restore.skipped, partition);
         }
-        if (chain.top < agent.checkpoints.size()) {
-            for (uint64_t id : agent.checkpoints[chain.top].liveIds) {
-                const CheckpointEntry *entry =
-                    entryInChain(agent, chain, id);
-                if (!entry)
-                    continue;
-                agent.store->materialize(id, entry->kind, entry->bytes,
-                                         entry->label);
-                objectHome[id] = {partition, entry->kind};
-                stats_.checkpointBytesRestored += entry->bytes.size();
-            }
+        for (const auto &[id, snap] : restore.objects) {
+            restoreCheckpointed(agent, id, *snap);
+            auto home = objectHome.find(id);
+            if (home == objectHome.end() || home->second.first == partition ||
+                !storeOf(home->second.first).has(id))
+                objectHome[id] = {partition, snap->kind};
         }
     }
     // Objects whose authoritative copy died with the old incarnation
@@ -1775,31 +1608,19 @@ FreePartRuntime::restartAgent(uint32_t partition)
             home.first = kHostPartition;
             continue;
         }
-        bool found = false;
-        for (const Agent &other : agents) {
-            if (other.partition == partition ||
-                !other.store->has(id) || !agentAlive(other.partition))
-                continue;
-            home.first = other.partition;
-            found = true;
-            break;
-        }
-        if (found)
-            continue;
-        // Last resort: a checkpoint chain the bulk restore above did
-        // not select (e.g. the fresh incarnation is itself dead, or
-        // the chosen generation predates the object) may still vouch
-        // for it. Rebuild it eagerly so the object keeps resolving —
-        // matching what hasObject() now promises.
-        if (const CheckpointEntry *entry =
-                checkpointEntryFor(agent, id)) {
-            agent.store->materialize(id, entry->kind, entry->bytes,
-                                     entry->label);
-            stats_.checkpointBytesRestored += entry->bytes.size();
-            ++stats_.checkpointSourcedRestores;
-            continue;
-        }
-        lost.push_back(id);
+        auto other = std::find_if(
+            agents.begin(), agents.end(), [&](const Agent &a) {
+                return a.partition != partition && a.store->has(id) &&
+                       agentAlive(a.partition);
+            });
+        // Else, when the bulk restore above did not run (the fresh
+        // incarnation is itself dead), the agent's checkpoints may
+        // still vouch for the object: rebuild it eagerly so it keeps
+        // resolving (hasObject).
+        if (other != agents.end())
+            home.first = other->partition;
+        else if (!ensureResident(partition, id))
+            lost.push_back(id);
     }
     for (uint64_t id : lost)
         objectHome.erase(id);

@@ -19,7 +19,6 @@
 #ifndef FREEPART_CORE_RUNTIME_HH
 #define FREEPART_CORE_RUNTIME_HH
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,6 +28,7 @@
 
 #include "analysis/hybrid_categorizer.hh"
 #include "core/agent_supervisor.hh"
+#include "core/checkpoint_store.hh"
 #include "core/dedup_cache.hh"
 #include "core/partition_plan.hh"
 #include "core/run_stats.hh"
@@ -311,10 +311,10 @@ class FreePartRuntime
     /** Partition currently holding an object's data. */
     uint32_t homeOf(uint64_t object_id) const;
 
-    /** Whether an object still resolves anywhere: a live store, the
-     *  host store, or a checkpoint chain verified intact when written
-     *  (the same generations the restore path would accept). False
-     *  means it is genuinely lost — homeOf() would panic on it. */
+    /** Whether homeOf() resolves the object: it has a recorded home
+     *  or sits in the host store. A restart keeps every object its
+     *  own checkpoints vouch for homed, so false means genuinely lost
+     *  (a dead agent's checkpoints do not count until it restarts). */
     bool hasObject(uint64_t object_id) const;
 
     /** Snapshot stats (sets endTime to the current sim clock and
@@ -360,16 +360,11 @@ class FreePartRuntime
     bool restartAgent(uint32_t partition);
 
     /**
-     * Snapshot an agent's object store (stateful-API checkpoint).
-     * Each serialized object is checksummed when written and
-     * verified once when the generation is sealed; the last
-     * kCheckpointGenerations generations are kept so a corrupted
-     * checkpoint falls back to the previous good one at restore.
+     * Snapshot an agent's object store (stateful-API checkpoint) into
+     * its CheckpointStore, which verifies every entry once as it is
+     * written and falls back past a corrupted checkpoint at restore.
      */
     void checkpointAgent(uint32_t partition);
-
-    /** Checkpoint generations retained per agent. */
-    static constexpr size_t kCheckpointGenerations = 2;
 
     /**
      * Remove an object from every store in this runtime (the cluster
@@ -383,7 +378,7 @@ class FreePartRuntime
      * Bulk evictObject for tenant-session teardown: erases every
      * listed object, then prunes each agent's dedup cache once at the
      * end instead of once per object. Returns how many of the ids
-     * still resolved here (store, host, or checkpoint chain).
+     * still resolved here (hasObject).
      */
     size_t evictObjects(const std::vector<uint64_t> &object_ids);
 
@@ -406,39 +401,6 @@ class FreePartRuntime
     osim::SimTime sessionEpochResetCost() const;
 
   private:
-    /** One serialized object inside a checkpoint. Its bytes are
-     *  verified against their write-time checksum once, when the
-     *  generation is sealed, and never written after that. */
-    struct CheckpointEntry {
-        fw::ObjKind kind = fw::ObjKind::Bytes;
-        std::vector<uint8_t> bytes;
-        std::string label;
-        bool intact = true; //!< passed the seal-time verification
-    };
-
-    /** One checkpoint generation: object id -> entry. A full
-     *  generation snapshots every live object; an incremental one
-     *  holds only the objects dirtied since the previous checkpoint
-     *  and must be overlaid on its chain (the nearest older full
-     *  generation plus the incrementals between) to reconstruct the
-     *  store. liveIds records the live set at snapshot time so a
-     *  reconstruction never resurrects deleted objects. */
-    struct CheckpointGen {
-        bool full = false;
-        std::vector<uint64_t> liveIds;
-        std::map<uint64_t, CheckpointEntry> objects;
-        /** Entries of `objects` that are not intact. */
-        size_t corruptEntries = 0;
-    };
-
-    /** Generations [top, base] of an agent's checkpoint deque: a
-     *  candidate and the chain it needs (base is the nearest full
-     *  generation at or below top). */
-    struct CheckpointChain {
-        size_t top = 0;
-        size_t base = 0;
-    };
-
     struct Agent {
         uint32_t partition = 0;
         osim::Pid pid = 0;
@@ -458,17 +420,7 @@ class FreePartRuntime
          * (LRU) so long runs cannot grow it without limit.
          */
         DedupCache seqCache{kDedupCacheEntries};
-        /** Checkpoint generations, newest first. Enough are kept to
-         *  reconstruct kCheckpointGenerations full chains. */
-        std::deque<CheckpointGen> checkpoints;
-        /** Store write epoch covered by the newest checkpoint; an
-         *  incremental saves only objects dirtied after this. */
-        uint64_t lastCheckpointEpoch = 0;
-        /** Incremental generations taken since the last full one. */
-        uint32_t incrementalsSinceFull = 0;
-        /** Next checkpoint must be full (set after restore: the
-         *  rebuilt store has no incremental history to chain onto). */
-        bool forceFullCheckpoint = false;
+        CheckpointStore checkpoints;
     };
 
     /** A call issued through invokeAsync, awaiting wait()/drainAll().
@@ -483,14 +435,11 @@ class FreePartRuntime
 
     /** Pre-execution snapshot of one argument object of a speculative
      *  call: enough to restore the exact bytes (and home binding) if
-     *  the call is squashed. Serialized through the same path the
-     *  dirty-epoch checkpoints use (§8.2). */
+     *  the call is squashed. */
     struct SpecCheckpoint {
         uint64_t id = 0;
         uint32_t home = kHostPartition;
-        fw::ObjKind kind = fw::ObjKind::Bytes;
-        std::vector<uint8_t> bytes;
-        std::string label;
+        fw::ObjectSnapshot snapshot;
     };
 
     /**
@@ -547,9 +496,10 @@ class FreePartRuntime
     void buildDeliverBatch(uint32_t partition,
                            const ipc::ValueList &args, uint64_t seq,
                            std::vector<ipc::Message> &batch);
-    /** Agent-side intake of a request batch's Deliver messages. */
+    /** Agent-side intake of a request batch's Deliver messages (their
+     *  object bytes are moved out). */
     void absorbDelivers(uint32_t partition,
-                        const std::vector<ipc::Message> &batch);
+                        std::vector<ipc::Message> &batch);
     /** Forget the hot send window (the peers stopped busy-polling). */
     void coolRpcWindow() { hotPartition_ = kHostPartition; }
     /** Restart (with backoff) until up, quarantined, or disallowed. */
@@ -629,28 +579,17 @@ class FreePartRuntime
     /** Mark refs in `values` as produced/settled at `ready`. */
     void noteObjectsReady(const ipc::ValueList &values,
                           osim::SimTime ready);
-    /** The newest restorable chain: its candidate and every link
-     *  down to its full base were intact when written. `top` is the
-     *  number of newer candidates skipped, and equals
-     *  agent.checkpoints.size() when no chain is restorable. Lookups
-     *  and restores both select through this. */
-    static CheckpointChain restorableChain(const Agent &agent);
-    /** Newest copy of an object inside the restorable chain, if that
-     *  chain's snapshot holds it live; nullptr otherwise. */
-    static const CheckpointEntry *checkpointEntryFor(const Agent &agent,
-                                                     uint64_t id);
-    /** Newest copy of an object inside one chain (newest generation
-     *  first); nullptr when no link captured it. */
-    static const CheckpointEntry *entryInChain(const Agent &agent,
-                                               CheckpointChain chain,
-                                               uint64_t id);
-    /** Drop an object from every store, checkpoint generation, home
+    /** Drop an object from every store, checkpoint store, home
      *  and readiness record of this runtime (dedup caches are the
      *  caller's to prune). */
     void eraseEverywhere(uint64_t id);
-    /** Rebuild a checkpoint-held object into its partition's store
-     *  (the lazy restore twin of the restartAgent bulk path). */
-    bool restoreFromCheckpoint(uint32_t partition, uint64_t id);
+    /** Materialize a checkpointed copy into the agent's store and
+     *  count the restored bytes (homes are the caller's). */
+    void restoreCheckpointed(Agent &agent, uint64_t id,
+                             const fw::ObjectSnapshot &snap);
+    /** Whether `home`'s store holds the object, first rebuilding it
+     *  from the agent's checkpoints if a restart left it out. */
+    bool ensureResident(uint32_t home, uint64_t id);
 
     osim::Kernel &kernel_;
     const fw::ApiRegistry &registry;

@@ -47,15 +47,9 @@ ObjectStore::noteWrite(osim::Addr addr, size_t len)
 }
 
 uint64_t
-ObjectStore::putMat(const MatDesc &desc, const std::string &label)
+ObjectStore::put(StoredObject obj)
 {
     uint64_t id = ++*idCounter;
-    StoredObject obj;
-    obj.kind = ObjKind::Mat;
-    obj.mat = desc;
-    obj.addr = desc.addr;
-    obj.byteLen = desc.byteLen();
-    obj.label = label;
     auto [it, ok] = objects.emplace(id, std::move(obj));
     byAddr[it->second.addr] = id;
     markDirty(it->second); // fresh objects are dirty by definition
@@ -63,35 +57,27 @@ ObjectStore::putMat(const MatDesc &desc, const std::string &label)
 }
 
 uint64_t
+ObjectStore::putMat(const MatDesc &desc, const std::string &label)
+{
+    return put({.kind = ObjKind::Mat, .mat = desc, .tensor = {},
+                .addr = desc.addr, .byteLen = desc.byteLen(),
+                .label = label});
+}
+
+uint64_t
 ObjectStore::putTensor(const TensorDesc &desc, const std::string &label)
 {
-    uint64_t id = ++*idCounter;
-    StoredObject obj;
-    obj.kind = ObjKind::Tensor;
-    obj.tensor = desc;
-    obj.addr = desc.addr;
-    obj.byteLen = desc.byteLen();
-    obj.label = label;
-    auto [it, ok] = objects.emplace(id, std::move(obj));
-    byAddr[it->second.addr] = id;
-    markDirty(it->second);
-    return id;
+    return put({.kind = ObjKind::Tensor, .mat = {}, .tensor = desc,
+                .addr = desc.addr, .byteLen = desc.byteLen(),
+                .label = label});
 }
 
 uint64_t
 ObjectStore::putBytes(osim::Addr addr, size_t len,
                       const std::string &label)
 {
-    uint64_t id = ++*idCounter;
-    StoredObject obj;
-    obj.kind = ObjKind::Bytes;
-    obj.addr = addr;
-    obj.byteLen = len;
-    obj.label = label;
-    auto [it, ok] = objects.emplace(id, std::move(obj));
-    byAddr[it->second.addr] = id;
-    markDirty(it->second);
-    return id;
+    return put({.kind = ObjKind::Bytes, .mat = {}, .tensor = {},
+                .addr = addr, .byteLen = len, .label = label});
 }
 
 const StoredObject &
@@ -160,40 +146,33 @@ ObjectStore::serialize(uint64_t id) const
 }
 
 void
-ObjectStore::materialize(uint64_t id, ObjKind kind,
-                         const std::vector<uint8_t> &bytes,
-                         const std::string &label)
+ObjectStore::restore(uint64_t id, const ObjectSnapshot &snap)
 {
     osim::AddressSpace &space = kernel.process(pid_).space();
     StoredObject obj;
-    obj.kind = kind;
-    obj.label = label;
-    switch (kind) {
+    obj.kind = snap.kind;
+    obj.label = snap.label;
+    switch (snap.kind) {
       case ObjKind::Mat:
-        obj.mat = matFromBytes(space, bytes, label);
+        obj.mat = matFromBytes(space, snap.bytes, snap.label);
         obj.addr = obj.mat.addr;
         obj.byteLen = obj.mat.byteLen();
         break;
       case ObjKind::Tensor:
-        obj.tensor = tensorFromBytes(space, bytes, label);
+        obj.tensor = tensorFromBytes(space, snap.bytes, snap.label);
         obj.addr = obj.tensor.addr;
         obj.byteLen = obj.tensor.byteLen();
         break;
       case ObjKind::Bytes:
-        obj.addr = space.alloc(bytes.size() ? bytes.size() : 1,
-                               osim::PermRW, label);
-        obj.byteLen = bytes.size();
-        space.write(obj.addr, bytes.data(), bytes.size());
+        obj.byteLen = snap.bytes.size();
+        obj.addr = space.alloc(obj.byteLen ? obj.byteLen : 1,
+                               osim::PermRW, snap.label);
+        space.write(obj.addr, snap.bytes.data(), obj.byteLen);
         break;
     }
     // A re-materialize moves the object to a fresh buffer; the stale
     // address must stop resolving to this id.
-    auto old = objects.find(id);
-    if (old != objects.end()) {
-        auto by = byAddr.find(old->second.addr);
-        if (by != byAddr.end() && by->second == id)
-            byAddr.erase(by);
-    }
+    erase(id);
     StoredObject &stored = objects[id] = std::move(obj);
     byAddr[stored.addr] = id;
     markDirty(stored);

@@ -64,6 +64,15 @@ objectIdIndex(uint64_t object_id)
 /** Kinds of stored framework objects. */
 enum class ObjKind : uint8_t { Mat, Tensor, Bytes };
 
+/** An object's contents detached from any process: what LDC moves
+ *  between stores and what checkpoints and speculative squashes keep
+ *  (serialize() bytes plus the kind and label to rebuild it). */
+struct ObjectSnapshot {
+    ObjKind kind = ObjKind::Bytes;
+    std::vector<uint8_t> bytes;
+    std::string label;
+};
+
 /** One entry in an ObjectStore. */
 struct StoredObject {
     ObjKind kind = ObjKind::Bytes;
@@ -126,14 +135,17 @@ class ObjectStore
     /** Serialize an object's header+data (for eager RPC transfer). */
     std::vector<uint8_t> serialize(uint64_t id) const;
 
-    /**
-     * Materialize serialized bytes produced by serialize() into this
-     * store's process, preserving the original object id so refs keep
-     * resolving after a cross-process move.
-     */
-    void materialize(uint64_t id, ObjKind kind,
-                     const std::vector<uint8_t> &bytes,
-                     const std::string &label = "");
+    /** Detach an object's contents (panics on unknown id). */
+    ObjectSnapshot
+    snapshot(uint64_t id) const
+    {
+        return {get(id).kind, serialize(id), get(id).label};
+    }
+
+    /** Materialize a snapshot into this store's process under its
+     *  original id, so refs keep resolving after a cross-process move
+     *  (a held id moves to a fresh buffer). */
+    void restore(uint64_t id, const ObjectSnapshot &snap);
 
     /** Number of live objects. */
     size_t count() const { return objects.size(); }
@@ -171,6 +183,9 @@ class ObjectStore
     void bindObserver();
 
   private:
+    /** Register a fresh object under a newly minted id. */
+    uint64_t put(StoredObject obj);
+
     /** Write-observer callback: stamp the touched object. */
     void noteWrite(osim::Addr addr, size_t len);
 

@@ -275,23 +275,21 @@ ShardRouter::migrateObject(uint32_t from, uint32_t to,
     Shard &src = shards_.at(from);
     Shard &dst = shards_.at(to);
     core::FreePartRuntime &srcRt = *src.runtime;
-    fw::ObjectStore &srcStore = srcRt.storeOf(srcRt.homeOf(object_id));
-    std::vector<uint8_t> bytes = srcStore.serialize(object_id);
-    fw::ObjKind kind = srcStore.get(object_id).kind;
-    std::string label = srcStore.get(object_id).label;
+    fw::ObjectSnapshot snap =
+        srcRt.storeOf(srcRt.homeOf(object_id)).snapshot(object_id);
     // Source pays the serialize; destination pays the network hop.
     // The two shards run on separate simulated kernels, so each side's
     // clock advances by its own share.
-    src.kernel->advance(src.kernel->costs().copyCost(bytes.size()));
-    dst.kernel->advance(transferCost(to, bytes.size()));
-    dst.runtime->hostStore().materialize(object_id, kind, bytes, label);
+    src.kernel->advance(src.kernel->costs().copyCost(snap.bytes.size()));
+    dst.kernel->advance(transferCost(to, snap.bytes.size()));
+    dst.runtime->hostStore().restore(object_id, snap);
     // Exactly one shard stays authoritative: stale copies on the
     // source stop resolving (and its dedup caches drop responses that
     // referenced the object).
     srcRt.evictObject(object_id);
     objectShard_[object_id] = to;
     ++stats_.migrations;
-    stats_.migratedBytes += bytes.size();
+    stats_.migratedBytes += snap.bytes.size();
 }
 
 bool
@@ -301,10 +299,8 @@ ShardRouter::copyReplica(uint32_t to, uint64_t object_id)
     if (it == replicas_.end())
         return false;
     Shard &dst = shards_.at(to);
-    const Replica &replica = it->second;
-    dst.kernel->advance(transferCost(to, replica.bytes.size()));
-    dst.runtime->hostStore().materialize(object_id, replica.kind,
-                                         replica.bytes, replica.label);
+    dst.kernel->advance(transferCost(to, it->second.bytes.size()));
+    dst.runtime->hostStore().restore(object_id, it->second);
     return true;
 }
 
@@ -375,10 +371,7 @@ ShardRouter::saveReplica(uint32_t shard_id, uint64_t object_id)
     fw::ObjectStore *store = liveStoreOf(shard_id, object_id);
     if (!store)
         return;
-    Replica replica;
-    replica.kind = store->get(object_id).kind;
-    replica.label = store->get(object_id).label;
-    replica.bytes = store->serialize(object_id);
+    fw::ObjectSnapshot replica = store->snapshot(object_id);
     // Capture rides the result path while the data is hot: in-place
     // copy rate, charged to the owning shard.
     osim::Kernel &kernel = *shards_[shard_id].kernel;

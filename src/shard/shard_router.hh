@@ -405,13 +405,6 @@ class ShardRouter
         uint64_t calls = 0;   //!< calls executed here
     };
 
-    /** Serialized copy of an object for cross-shard failover. */
-    struct Replica {
-        fw::ObjKind kind = fw::ObjKind::Bytes;
-        std::vector<uint8_t> bytes;
-        std::string label;
-    };
-
     /** Bring up a fresh incarnation (kernel + runtime) in a slot,
      *  tearing down any previous one. */
     void bootShard(Shard &shard, const SeedFn &seed);
@@ -543,7 +536,8 @@ class ShardRouter
      *  is keyed by routing keys, not object ids, so a joiner's push
      *  set is exactly the objects whose key now maps to it. */
     std::map<uint64_t, uint64_t> objectKey_;
-    std::map<uint64_t, Replica> replicas_;
+    /** Serialized copies of result objects for cross-shard failover. */
+    std::map<uint64_t, fw::ObjectSnapshot> replicas_;
     core::DedupCache dedup_;
     ClusterStats stats_;
 

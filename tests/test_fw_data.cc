@@ -151,8 +151,7 @@ TEST(ObjectStore, SerializeMaterializePreservesIdAndData)
     a.space().writeValue<uint32_t>(m.addr, 0xaabbccdd);
     uint64_t id = sa.putMat(m, "img");
 
-    std::vector<uint8_t> bytes = sa.serialize(id);
-    sb.materialize(id, ObjKind::Mat, bytes, "img");
+    sb.restore(id, {ObjKind::Mat, sa.serialize(id), "img"});
     EXPECT_TRUE(sb.has(id));
     EXPECT_EQ(
         b.space().readValue<uint32_t>(sb.mat(id).addr), 0xaabbccddu);

@@ -300,8 +300,8 @@ TEST(RuntimeEdge, HasObjectSeesCheckpointHeldObjectsAcrossDeadRespawn)
 {
     // A checkpointed object must keep resolving even when the fresh
     // incarnation is stillborn (injected restore crash) and the bulk
-    // restore never ran: hasObject consults the checkpoint chains,
-    // and the lost-scan eagerly rebuilds the object from them.
+    // restore never ran: the lost-scan eagerly rebuilds the object
+    // from the agent's checkpoints and keeps it homed.
     auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
     ApiResult model = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
@@ -331,11 +331,85 @@ TEST(RuntimeEdge, HasObjectSeesCheckpointHeldObjectsAcrossDeadRespawn)
     env().kernel->setFaultInjector(nullptr);
 }
 
+/** Steps shared by the two crash-path regressions below: X loads in
+ *  the loading agent (p0), p0 is checkpointed, then cv2.rectangle
+ *  moves X to the processing agent (p1) by LDC and draws on it. */
+struct MovedAfterCheckpoint {
+    std::unique_ptr<FreePartRuntime> runtime =
+        env().makeRuntime(PartitionPlan::freePartDefault());
+    ipc::ObjectRef x{};
+    std::vector<uint8_t> drawn; //!< X's bytes after the rectangle
+
+    MovedAfterCheckpoint()
+    {
+        ApiResult img = runtime->invoke(
+            "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+        EXPECT_TRUE(img.ok) << img.error;
+        x = img.values.at(0).asRef();
+        EXPECT_EQ(runtime->homeOf(x.objectId), 0u);
+        runtime->checkpointAgent(0);
+        ApiResult rect = runtime->invoke(
+            "cv2.rectangle",
+            {ipc::Value(x), ipc::Value(uint64_t{2}), ipc::Value(uint64_t{2}),
+             ipc::Value(uint64_t{8}), ipc::Value(uint64_t{8}),
+             ipc::Value(uint64_t{255})});
+        EXPECT_TRUE(rect.ok) << rect.error;
+        EXPECT_EQ(runtime->homeOf(x.objectId), 1u);
+        drawn = runtime->storeOf(1).serialize(x.objectId);
+    }
+
+    void
+    crash(uint32_t partition)
+    {
+        env().kernel->faultProcess(
+            env().kernel->process(runtime->agentPid(partition)),
+            "induced");
+    }
+};
+
+TEST(RuntimeEdge, RestartDoesNotRollBackAnObjectMovedToALiveAgent)
+{
+    MovedAfterCheckpoint f;
+    f.crash(0);
+    ASSERT_TRUE(f.runtime->restartAgent(0));
+    // The restarted agent gets its checkpointed (older) copy back...
+    ASSERT_TRUE(f.runtime->storeOf(0).has(f.x.objectId));
+    EXPECT_NE(f.runtime->storeOf(0).serialize(f.x.objectId), f.drawn);
+    // ...but X stays with the live agent holding the newer bytes.
+    EXPECT_EQ(f.runtime->homeOf(f.x.objectId), 1u);
+    ASSERT_TRUE(f.runtime->fetchToHost(f.x));
+    EXPECT_EQ(f.runtime->hostStore().serialize(f.x.objectId), f.drawn);
+}
+
+TEST(RuntimeEdge, ObjectVouchedForOnlyByADeadAgentsChainFailsTyped)
+{
+    // p0's checkpoints still hold X, but p0 stays dead; p1, X's home,
+    // restarts without a checkpoint of it. X resolves nowhere, so
+    // using it is a typed failure, not a host panic in homeOf.
+    MovedAfterCheckpoint f;
+    f.crash(0);
+    f.crash(1);
+    ASSERT_TRUE(f.runtime->restartAgent(1));
+    EXPECT_FALSE(f.runtime->hasObject(f.x.objectId));
+    ApiResult blurred =
+        f.runtime->invoke("cv2.GaussianBlur", {ipc::Value(f.x)});
+    EXPECT_FALSE(blurred.ok);
+    EXPECT_NE(blurred.error.find("was lost in an agent crash"),
+              std::string::npos)
+        << blurred.error;
+    EXPECT_FALSE(f.runtime->fetchToHost(f.x));
+
+    // Once p0 restarts, its restore re-homes the homeless X there.
+    ASSERT_TRUE(f.runtime->restartAgent(0));
+    ASSERT_TRUE(f.runtime->hasObject(f.x.objectId));
+    EXPECT_EQ(f.runtime->homeOf(f.x.objectId), 0u);
+    EXPECT_TRUE(f.runtime->fetchToHost(f.x));
+}
+
 TEST(RuntimeEdge, EvictedCheckpointedObjectStaysGone)
 {
-    // Eviction scrubs the checkpoint generations, so hasObject's
-    // checkpoint scan must not resurrect data that was deliberately
-    // handed to another runtime.
+    // Eviction scrubs the checkpoints too, so data deliberately handed
+    // to another runtime stops resolving here.
     auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
     ApiResult model = runtime->invoke(
         "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
