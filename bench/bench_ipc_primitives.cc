@@ -1,10 +1,10 @@
 /**
  * @file
  * Real-time (wall-clock) google-benchmark of the IPC building blocks
- * behind §4.3's shared-memory ring-buffer RPC: SPSC ring push/pop at
- * several message sizes, message encode/decode, a full simulated
- * host->agent->host round trip, and the temporal-protection mprotect
- * flip.
+ * behind §4.3's shared-memory ring-buffer RPC: SPSC ring
+ * reserve/commit/pop at several message sizes, batch-of-one frame
+ * encode/decode, a full simulated host->agent->host round trip, and
+ * the temporal-protection mprotect flip.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,8 +28,10 @@ BM_RingPushPop(benchmark::State &state)
                              0xab);
     std::vector<uint8_t> out;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ring.tryPush(msg.data(), msg.size()));
+        ipc::SpscRing::Reservation res;
+        benchmark::DoNotOptimize(ring.tryReserve(msg.size(), res));
+        ring.reservationWrite(res, msg.data(), msg.size());
+        ring.commit(res);
         benchmark::DoNotOptimize(ring.tryPop(out));
     }
     state.SetBytesProcessed(
@@ -48,8 +50,8 @@ BM_MessageCodec(benchmark::State &state)
         std::vector<uint8_t>(static_cast<size_t>(state.range(0))));
     msg.values.emplace_back(ipc::ObjectRef{1, 99});
     for (auto _ : state) {
-        std::vector<uint8_t> wire = ipc::encodeMessage(msg);
-        ipc::Message back = ipc::decodeMessage(wire);
+        std::vector<uint8_t> wire = ipc::encodeBatch({msg});
+        std::vector<ipc::Message> back = ipc::decodeBatch(wire);
         benchmark::DoNotOptimize(back);
     }
     state.SetBytesProcessed(
@@ -66,15 +68,15 @@ BM_ChannelRoundTrip(benchmark::State &state)
     ipc::Channel channel(kernel, "bench", host.pid(), agent.pid());
     ipc::Message request;
     request.values.emplace_back(uint64_t{1});
+    std::vector<ipc::Message> incoming, done;
     for (auto _ : state) {
-        channel.sendRequest(request);
-        ipc::Message incoming;
-        channel.receiveRequest(incoming);
+        channel.sendRequestBatch({request}, false);
+        channel.receiveRequestBatch(incoming);
         ipc::Message response;
-        response.seq = incoming.seq;
-        channel.sendResponse(response);
-        ipc::Message done;
-        channel.receiveResponse(done);
+        response.kind = ipc::MsgKind::Response;
+        response.seq = incoming.at(0).seq;
+        channel.sendResponseBatch({response}, false);
+        channel.receiveResponseBatch(done);
         benchmark::DoNotOptimize(done);
     }
 }

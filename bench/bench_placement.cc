@@ -134,13 +134,7 @@ main(int argc, char **argv)
     det.policy = shard::PlacementPolicy::Optimized;
     bench::ZipfOutcome detA = bench::runZipfWorkload(det);
     bench::ZipfOutcome detB = bench::runZipfWorkload(det);
-    bool identical =
-        detA.stats.makespan == detB.stats.makespan &&
-        detA.ackedCalls == detB.ackedCalls &&
-        detA.stats.placementMovedBytes ==
-            detB.stats.placementMovedBytes &&
-        detA.stats.placementCut == detB.stats.placementCut &&
-        detA.stats.crossShardCalls == detB.stats.crossShardCalls;
+    bool identical = detA == detB;
     std::printf("deterministic replay (optimize + migrate loop): "
                 "%s\n", identical ? "yes" : "NO (bug)");
 

@@ -51,50 +51,6 @@ workloadConfig()
     return wconfig;
 }
 
-/** Mean service time of the op mix on an unloaded single shard —
- *  calibrates the ramp's interarrival gaps and the deadline. */
-osim::SimTime
-calibrateMeanService()
-{
-    static const char *const kOps[] = {
-        "cv2.GaussianBlur", "cv2.erode",     "cv2.dilate",
-        "cv2.flip",         "cv2.normalize", "cv2.bitwise_not"};
-    shard::ShardRouterConfig config;
-    config.shardCount = 1;
-    config.runtime.ringBytes = 2 << 20;
-    shard::ShardRouter router(
-        bench::registry(), bench::categorization(),
-        core::PartitionPlan::freePartDefault(), std::move(config),
-        [](osim::Kernel &kernel) {
-            apps::WorkloadGenerator(bench::registry(),
-                                    workloadConfig())
-                .seedInputs(kernel);
-        });
-    uint64_t token = 0;
-    ipc::ValueList load;
-    load.emplace_back(std::string("/data/test.fpim"));
-    shard::RoutedCall first =
-        router.invoke(1, "cv2.imread", std::move(load), ++token);
-    uint64_t calls = 1;
-    ipc::Value chain = first.result.values.at(0);
-    for (size_t round = 0; round < 4; ++round) {
-        for (const char *op : kOps) {
-            ipc::ValueList args;
-            args.push_back(chain);
-            shard::RoutedCall routed =
-                router.invoke(1, op, std::move(args), ++token);
-            ++calls;
-            if (routed.result.ok && !routed.result.values.empty() &&
-                routed.result.values[0].kind() ==
-                    ipc::Value::Kind::Ref)
-                chain = routed.result.values[0];
-        }
-    }
-    router.drainAll();
-    return std::max<osim::SimTime>(
-        1, router.stats().makespan / std::max<uint64_t>(1, calls));
-}
-
 enum class Mode { Autoscaled, StaticMax, ColdStart };
 
 /**
@@ -191,7 +147,9 @@ main(int argc, char **argv)
                   "ramp: SLO-driven autoscaler + warm agent pool "
                   "vs static max-size and cold-start baselines");
 
-    osim::SimTime meanService = calibrateMeanService();
+    osim::SimTime meanService = serve::calibrateMeanService(
+        bench::registry(), bench::categorization(),
+        apps::WorkloadGenerator(bench::registry(), workloadConfig()));
     std::printf("calibration: mean service %.1f us -> peak gap "
                 "%.1f us, deadline %.1f us\n\n",
                 meanService / 1e3, meanService * 2 / 7 / 1e3,
@@ -214,9 +172,9 @@ main(int argc, char **argv)
         table.addRow({name, std::to_string(o.issued),
                       std::to_string(o.acked),
                       util::fmtDouble(o.sloAttainment * 100.0, 2),
-                      util::fmtDouble(o.p50Us, 1),
-                      util::fmtDouble(o.p99Us, 1),
-                      util::fmtDouble(o.p999Us, 1),
+                      util::fmtDouble(o.latency.p50Us, 1),
+                      util::fmtDouble(o.latency.p99Us, 1),
+                      util::fmtDouble(o.latency.p999Us, 1),
                       util::fmtDouble(o.shardSeconds, 3),
                       std::to_string(o.sessionsStarted),
                       std::to_string(o.lostAcks)});
@@ -266,19 +224,7 @@ main(int argc, char **argv)
                     : 0.0);
 
     // Determinism: same seed, fresh cluster — byte-identical run.
-    bool identical =
-        replay.issued == autoRun.issued &&
-        replay.acked == autoRun.acked &&
-        replay.ackedInDeadline == autoRun.ackedInDeadline &&
-        replay.sessionsStarted == autoRun.sessionsStarted &&
-        replay.sessionsCompleted == autoRun.sessionsCompleted &&
-        replay.p99Us == autoRun.p99Us &&
-        replay.p999Us == autoRun.p999Us &&
-        replay.shardSeconds == autoRun.shardSeconds &&
-        replay.scaler.scaleUps == autoRun.scaler.scaleUps &&
-        replay.scaler.scaleDowns == autoRun.scaler.scaleDowns &&
-        replay.pool.warmCheckouts == autoRun.pool.warmCheckouts &&
-        replay.cluster.makespan == autoRun.cluster.makespan;
+    bool identical = replay == autoRun;
     std::printf("deterministic replay: %s\n",
                 identical ? "yes" : "NO (bug)");
 
@@ -291,14 +237,14 @@ main(int argc, char **argv)
                 autoRun.pool.warmCheckouts > 0 && coldUs > 0.0 &&
                 (warmUs < coldUs || autoRun.pool.coldFallbacks ==
                                         autoRun.pool.warmCheckouts) &&
-                autoRun.p99Us > 0.0 && identical;
+                autoRun.latency.p99Us > 0.0 && identical;
 
     json.metric("slo_attainment_autoscaled", autoRun.sloAttainment);
     json.metric("slo_attainment_static", staticRun.sloAttainment);
     json.metric("slo_attainment_coldstart", coldRun.sloAttainment);
-    json.metric("p50_us_autoscaled", autoRun.p50Us);
-    json.metric("p99_us_autoscaled", autoRun.p99Us);
-    json.metric("p999_us_autoscaled", autoRun.p999Us);
+    json.metric("p50_us_autoscaled", autoRun.latency.p50Us);
+    json.metric("p99_us_autoscaled", autoRun.latency.p99Us);
+    json.metric("p999_us_autoscaled", autoRun.latency.p999Us);
     json.metric("worst_tenant_p99_us", autoRun.worstTenantP99Us);
     json.metric("hottest_tenant_share", autoRun.hottestTenantShare);
     json.metric("tenants_touched", autoRun.tenantsTouched);

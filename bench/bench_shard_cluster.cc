@@ -18,6 +18,7 @@
 #include "bench/bench_common.hh"
 #include "bench/placement_workload.hh"
 #include "core/runtime.hh"
+#include "serve/tenant_workload.hh"
 #include "shard/shard_router.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -29,10 +30,6 @@ namespace {
 constexpr size_t kSessions = 64;
 constexpr size_t kOpsPerSession = 22; //!< unary chain between load/store
 constexpr uint64_t kKeyBase = 0xbeef00;
-
-const char *const kOps[] = {"cv2.GaussianBlur", "cv2.erode",
-                            "cv2.dilate",       "cv2.flip",
-                            "cv2.normalize",    "cv2.bitwise_not"};
 
 /** Routing key of a session: 64 distinct keys spread over the ring
  *  (uniform), or collapsed onto 8 hot keys (skewed 8:1). */
@@ -46,11 +43,12 @@ sessionKey(size_t session, bool skewed)
 struct ClusterOutcome {
     shard::ClusterStats stats;
     double throughput = 0.0; //!< acked calls per simulated second
-    double meanLatencyUs = 0.0; //!< mean sim latency per acked call
     uint64_t ackedCalls = 0;
     uint64_t lostAcks = 0;      //!< acked tokens not answered on resubmit
     double remapFraction = 0.0; //!< keys moved by the kill (probe set)
     uint32_t killedShard = 0;
+
+    bool operator==(const ClusterOutcome &) const = default;
 };
 
 /**
@@ -79,8 +77,9 @@ runCluster(uint32_t shard_count, bool skewed, bool kill_one,
         core::PartitionPlan::freePartDefault(), std::move(config),
         [](osim::Kernel &kernel) { fw::seedFixtureFiles(kernel); });
 
-    std::vector<ipc::Value> chain(kSessions); //!< last result ref
-    std::vector<std::pair<uint64_t, uint64_t>> acked; //!< token, key
+    serve::ClusterClient client(router,
+                                serve::ClusterClient::Loop::Closed);
+    std::vector<serve::Chain> chain(kSessions);
     ClusterOutcome out;
 
     const size_t steps = kOpsPerSession + 2; // imread ... imwrite
@@ -90,6 +89,12 @@ runCluster(uint32_t shard_count, bool skewed, bool kill_one,
     shard::HashRing ringBefore = router.ring();
 
     for (size_t step = 0; step < steps; ++step) {
+        serve::ScriptCall call{"cv2.imread", true};
+        if (step == steps - 1)
+            call = {"cv2.imwrite"};
+        else if (step > 0)
+            call = {serve::kChainOps[(step - 1) %
+                                     serve::kChainOps.size()]};
         for (size_t session = 0; session < kSessions; ++session) {
             if (kill_one && !killed && issued >= totalCalls / 2) {
                 ringBefore = router.ring();
@@ -98,32 +103,13 @@ runCluster(uint32_t shard_count, bool skewed, bool kill_one,
                 router.killShard(out.killedShard);
                 killed = true;
             }
-            uint64_t key = sessionKey(session, skewed);
             uint64_t token =
                 (static_cast<uint64_t>(session) << 32) | (step + 1);
-            ipc::ValueList args;
-            std::string api;
-            if (step == 0) {
-                api = "cv2.imread";
-                args.emplace_back(std::string("/data/test.fpim"));
-            } else if (step == steps - 1) {
-                api = "cv2.imwrite";
-                args.emplace_back(std::string("/out/s") +
-                                  std::to_string(session) + ".fpim");
-                args.push_back(chain[session]);
-            } else {
-                api = kOps[(step - 1) % (sizeof(kOps) / sizeof(*kOps))];
-                args.push_back(chain[session]);
-            }
-            shard::RoutedCall call =
-                router.invoke(key, api, std::move(args), token);
+            client.step(chain[session], sessionKey(session, skewed),
+                        call,
+                        "/out/s" + std::to_string(session) + ".fpim",
+                        {.dedupToken = token});
             ++issued;
-            if (!call.result.ok)
-                continue;
-            acked.emplace_back(token, key);
-            if (!call.result.values.empty() &&
-                call.result.values[0].kind() == ipc::Value::Kind::Ref)
-                chain[session] = call.result.values[0];
         }
     }
 
@@ -135,26 +121,15 @@ runCluster(uint32_t shard_count, bool skewed, bool kill_one,
         out.remapFraction = shard::HashRing::remappedFraction(
             ringBefore, router.ring(), probes);
 
-        // At-least-once audit: every acknowledged call must still be
-        // answered (from the dedup cache, without re-executing).
-        for (auto &[token, key] : acked) {
-            shard::RoutedCall replay = router.invoke(
-                key, "cv2.bitwise_not", {}, token);
-            if (!replay.result.ok || !replay.deduped)
-                ++out.lostAcks;
-        }
+        out.lostAcks = client.auditAcks();
     }
 
     // Settle per-shard virtual timelines before reading makespans
     // (no-op in the serialized configuration).
     router.drainAll();
     out.stats = router.stats();
-    out.ackedCalls = acked.size();
+    out.ackedCalls = client.acked();
     out.throughput = out.stats.throughputCallsPerSec();
-    if (!acked.empty())
-        out.meanLatencyUs =
-            static_cast<double>(out.stats.makespan) / 1000.0 /
-            static_cast<double>(acked.size());
     return out;
 }
 
@@ -318,12 +293,7 @@ main(int argc, char **argv)
     // Determinism: same schedule, fresh cluster, identical trace.
     ClusterOutcome a = runCluster(2, false, false);
     ClusterOutcome b = runCluster(2, false, false);
-    bool identical =
-        a.stats.makespan == b.stats.makespan &&
-        a.ackedCalls == b.ackedCalls &&
-        a.stats.migrations == b.stats.migrations &&
-        a.stats.shardTotals.ipcMessages ==
-            b.stats.shardTotals.ipcMessages;
+    bool identical = a == b;
     std::printf("deterministic replay: %s\n",
                 identical ? "yes" : "NO (bug)");
 

@@ -23,6 +23,7 @@
 
 #include "bench/bench_common.hh"
 #include "core/runtime.hh"
+#include "serve/tenant_workload.hh"
 #include "shard/shard_router.hh"
 #include "util/rng.hh"
 
@@ -52,6 +53,8 @@ struct ZipfOutcome {
     double crossRateSteady = 0.0; //!< crossShardCalls / callsOk
     double throughput = 0.0;
     uint64_t ackedCalls = 0;
+
+    bool operator==(const ZipfOutcome &) const = default;
 };
 
 /** One slot's routing key (distinct keys, spread over the ring). */
@@ -83,12 +86,6 @@ runZipfWorkload(const ZipfWorkloadConfig &wl)
         registry(), categorization(),
         core::PartitionPlan::freePartDefault(), std::move(config),
         [](osim::Kernel &kernel) { fw::seedFixtureFiles(kernel); });
-
-    const char *const unaryOps[] = {"cv2.GaussianBlur", "cv2.erode",
-                                    "cv2.dilate",       "cv2.flip",
-                                    "cv2.normalize",
-                                    "cv2.bitwise_not"};
-    constexpr size_t unaryCount = sizeof(unaryOps) / sizeof(*unaryOps);
 
     util::Rng rng(wl.seed);
     util::ZipfSampler zipf(wl.slots, wl.zipfExponent);
@@ -130,7 +127,8 @@ runZipfWorkload(const ZipfWorkloadConfig &wl)
             args.emplace_back(0.618);
             args.emplace_back(0.382);
         } else {
-            api = unaryOps[opCount[slot] % unaryCount];
+            api = serve::kChainOps[opCount[slot] %
+                                   serve::kChainOps.size()];
             args.push_back(chain[slot]);
         }
         shard::RoutedCall call =

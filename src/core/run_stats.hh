@@ -141,6 +141,8 @@ struct RunStats {
     {
         return recoveries ? recoveryTime / recoveries : 0;
     }
+
+    bool operator==(const RunStats &) const = default;
 };
 
 } // namespace freepart::core

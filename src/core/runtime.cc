@@ -1050,32 +1050,53 @@ FreePartRuntime::executeInHost(const fw::ApiDescriptor &desc,
     }
     fw::ExecContext ctx(kernel_, host, *hostStore_, hostDevices,
                         kHostPartition);
+    switch (runApi(ctx, host, desc, args, result)) {
+      case Attempt::Ok:
+        registerResultHomes(kHostPartition, result.values);
+        break;
+      case Attempt::Transient:
+        // Retryable by the caller; the host process survives.
+        ++stats_.transientFaults;
+        break;
+      case Attempt::Crashed:
+        result.agentCrashed = true;
+        break;
+      default:
+        break;
+    }
+    return result;
+}
+
+FreePartRuntime::Attempt
+FreePartRuntime::runApi(fw::ExecContext &ctx, osim::Process &proc,
+                        const fw::ApiDescriptor &desc,
+                        const ipc::ValueList &args, ApiResult &result)
+{
     try {
         result.values = desc.fn(ctx, desc, args);
         result.ok = true;
-        registerResultHomes(kHostPartition, result.values);
+        return Attempt::Ok;
     } catch (const osim::MemFault &fault) {
         ++stats_.memFaults;
-        kernel_.faultProcess(host, fault.what());
+        kernel_.faultProcess(proc, fault.what());
         result.error = fault.what();
-        result.agentCrashed = true;
     } catch (const osim::SyscallViolation &violation) {
         ++stats_.syscallDenials;
         result.error = violation.what();
-        result.agentCrashed = true;
     } catch (const osim::TransientFault &fault) {
-        // Retryable by the caller; the host process survives.
-        ++stats_.transientFaults;
         result.error = fault.what();
+        return Attempt::Transient;
     } catch (const osim::ProcessCrash &crash) {
-        if (host.alive())
-            kernel_.faultProcess(host, crash.what());
+        if (proc.alive())
+            kernel_.faultProcess(proc, crash.what());
         result.error = crash.what();
-        result.agentCrashed = true;
     } catch (const util::FatalError &error) {
+        // Application-level failure (bad input, shape mismatch): the
+        // process survives.
         result.error = error.what();
+        return Attempt::AppError;
     }
-    return result;
+    return Attempt::Crashed; // a memory or syscall fault, or a crash
 }
 
 ApiResult
@@ -1357,34 +1378,11 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
         }
         fw::ExecContext ctx(kernel_, proc, *agent.store,
                             agent.devices, partition);
-        try {
-            result.values = desc.fn(ctx, desc, incoming.values);
-            result.ok = true;
-        } catch (const osim::MemFault &fault) {
-            ++stats_.memFaults;
-            kernel_.faultProcess(proc, fault.what());
-            result.error = fault.what();
+        Attempt ran = runApi(ctx, proc, desc, incoming.values, result);
+        if (ran == Attempt::Crashed)
             coolRpcWindow();
-            return Attempt::Crashed;
-        } catch (const osim::SyscallViolation &violation) {
-            ++stats_.syscallDenials;
-            result.error = violation.what();
-            coolRpcWindow();
-            return Attempt::Crashed;
-        } catch (const osim::TransientFault &fault) {
-            result.error = fault.what();
-            return Attempt::Transient;
-        } catch (const osim::ProcessCrash &crash) {
-            if (proc.alive())
-                kernel_.faultProcess(proc, crash.what());
-            result.error = crash.what();
-            coolRpcWindow();
-            return Attempt::Crashed;
-        } catch (const util::FatalError &error) {
-            // Application-level failure (bad input, shape mismatch):
-            // the agent survives.
-            result.error = error.what();
-        }
+        if (ran == Attempt::Crashed || ran == Attempt::Transient)
+            return ran;
 
         if (result.ok) {
             agent.executedApis.insert(desc.name);

@@ -482,6 +482,13 @@ class FreePartRuntime
                                 const ipc::ValueList &args);
     ApiResult executeInHost(const fw::ApiDescriptor &desc,
                             const ipc::ValueList &args);
+    /** Run an API body in `proc` and classify what it throws: memory
+     *  and syscall faults and process crashes are Crashed (the fault
+     *  counters and `faultProcess` are applied here), a transient
+     *  fault is Transient, an application error AppError. */
+    Attempt runApi(fw::ExecContext &ctx, osim::Process &proc,
+                   const fw::ApiDescriptor &desc,
+                   const ipc::ValueList &args, ApiResult &result);
     /** Supervision loop: attempts, retries, restarts, degradation. */
     ApiResult executeOnAgent(uint32_t partition,
                              const fw::ApiDescriptor &desc,

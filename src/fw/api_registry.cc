@@ -72,8 +72,10 @@ buildFullRegistry()
 uint64_t
 argObjectId(const ipc::ValueList &args, size_t idx)
 {
+    // A missing argument is the caller's error, typed like any other
+    // bad input (the runtime answers it, no host panic).
     if (idx >= args.size())
-        util::panic("argObjectId: index %zu of %zu args", idx,
+        util::fatal("argObjectId: index %zu of %zu args", idx,
                     args.size());
     return args[idx].asRef().objectId;
 }

@@ -94,7 +94,8 @@ ApiRegistry buildFullRegistry();
 
 // ---- Argument helpers used by API bodies ----------------------------
 
-/** Extract an object id from a Ref argument at index idx. */
+/** Extract an object id from a Ref argument at index idx; a missing
+ *  argument throws util::FatalError. */
 uint64_t argObjectId(const ipc::ValueList &args, size_t idx);
 
 /** Build a Ref value for an object in the given partition. */

@@ -158,42 +158,4 @@ Channel::receiveResponseBatch(std::vector<Message> &out)
     return receiveOn(respRing, host, out);
 }
 
-void
-Channel::sendRequest(const Message &msg)
-{
-    sendOn(reqRing, {msg}, true, /*hot=*/false);
-}
-
-bool
-Channel::receiveRequest(Message &out)
-{
-    std::vector<Message> msgs;
-    if (!receiveOn(reqRing, agent, msgs))
-        return false;
-    if (msgs.size() != 1)
-        util::fatal("channel: expected single-message frame, got %zu",
-                    msgs.size());
-    out = std::move(msgs.front());
-    return true;
-}
-
-void
-Channel::sendResponse(const Message &msg)
-{
-    sendOn(respRing, {msg}, false, /*hot=*/false);
-}
-
-bool
-Channel::receiveResponse(Message &out)
-{
-    std::vector<Message> msgs;
-    if (!receiveOn(respRing, host, msgs))
-        return false;
-    if (msgs.size() != 1)
-        util::fatal("channel: expected single-message frame, got %zu",
-                    msgs.size());
-    out = std::move(msgs.front());
-    return true;
-}
-
 } // namespace freepart::ipc

@@ -14,8 +14,8 @@
  * under a single shared util::WideChecksum trailer, and pays one
  * futex wake for the whole burst — or none at all inside a hot
  * window, when the peer is still busy-polling after the previous
- * exchange (the adaptive-spin fast path). Single-message
- * send/receive wrappers are batches of one.
+ * exchange (the adaptive-spin fast path). A single message is a
+ * batch of one.
  */
 
 #ifndef FREEPART_IPC_CHANNEL_HH
@@ -83,19 +83,6 @@ class Channel
 
     /** Pop the pending response-side batch on the host side. */
     bool receiveResponseBatch(std::vector<Message> &out);
-
-    /** Send a request host->agent (cold batch of one). */
-    void sendRequest(const Message &msg);
-
-    /** Pop the pending request on the agent side; the frame must hold
-     *  exactly one message. */
-    bool receiveRequest(Message &out);
-
-    /** Send a response agent->host (cold batch of one). */
-    void sendResponse(const Message &msg);
-
-    /** Pop the pending response on the host side. */
-    bool receiveResponse(Message &out);
 
     /**
      * Re-map the channel's shm segment into a process (used after an

@@ -347,6 +347,10 @@ decodeMessageBody(const uint8_t *data, size_t len)
     Reader r(data, len);
     Message msg;
     msg.kind = static_cast<MsgKind>(r.u8());
+    if (msg.kind != MsgKind::Request && msg.kind != MsgKind::Response &&
+        msg.kind != MsgKind::Deliver)
+        util::fatal("codec: unknown message kind %d",
+                    static_cast<int>(msg.kind));
     msg.seq = r.u64();
     msg.apiId = r.u32();
     msg.status = r.u32();
@@ -362,36 +366,6 @@ decodeMessageBody(const uint8_t *data, size_t len)
     if (!r.done())
         util::fatal("codec: trailing bytes in message");
     return msg;
-}
-
-std::vector<uint8_t>
-encodeMessage(const Message &msg)
-{
-    std::vector<uint8_t> wire;
-    wire.reserve(messageBodySize(msg) + sizeof(uint64_t));
-    VectorSink sink(wire);
-    encodeMessageBodyTo(sink, msg);
-    // End-to-end integrity trailer: the receiver verifies this before
-    // acting on any field, so a message corrupted on the shared ring
-    // is rejected instead of silently mis-decoded.
-    uint64_t sum = util::wideChecksum(wire);
-    Writer w(sink);
-    w.u64(sum);
-    return wire;
-}
-
-Message
-decodeMessage(const std::vector<uint8_t> &wire)
-{
-    if (wire.size() < sizeof(uint64_t))
-        util::fatal("codec: message shorter than its checksum");
-    size_t body = wire.size() - sizeof(uint64_t);
-    uint64_t expected;
-    std::memcpy(&expected, wire.data() + body, sizeof(expected));
-    if (util::wideChecksum(wire.data(), body) != expected)
-        util::fatal("codec: checksum mismatch on %zu-byte message",
-                    wire.size());
-    return decodeMessageBody(wire.data(), body);
 }
 
 size_t

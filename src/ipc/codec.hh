@@ -7,14 +7,12 @@
  * the owning partition and a buffer identifier, matching the paper's
  * "agent process's PID and the identifier of the buffer".
  *
- * Two wire framings exist:
- *  - a standalone message: body + per-message checksum trailer
- *    (encodeMessage/decodeMessage);
- *  - a batch frame holding several bodies under ONE shared trailer
- *    ([u32 count][(u32 len, body)...][u64 wide checksum]), used by the
- *    batched ring RPC so a burst of messages pays a single checksum
- *    and a single publish. Encoding targets a ByteSink so the bytes
- *    can stream straight into ring storage (no staging vector).
+ * One wire framing exists: a batch frame holding one or more bodies
+ * under ONE shared trailer ([u32 count][(u32 len, body)...][u64 wide
+ * checksum]), so a burst of messages pays a single checksum and a
+ * single ring publish. Encoding targets a ByteSink so the bytes can
+ * stream straight into ring storage (no staging vector). Decoding
+ * rejects any message kind but Request, Response and Deliver.
  */
 
 #ifndef FREEPART_IPC_CODEC_HH
@@ -90,13 +88,10 @@ class Value
 /** A list of RPC argument/return values. */
 using ValueList = std::vector<Value>;
 
-/** RPC message kinds. */
+/** RPC message kinds (the only bytes a decoder accepts). */
 enum class MsgKind : uint8_t {
     Request = 1,   //!< host -> agent: execute API
     Response = 2,  //!< agent -> host: results
-    Fetch = 3,     //!< agent -> agent: LDC direct data fetch
-    FetchReply = 4,
-    Ack = 5,       //!< exactly-once delivery acknowledgement
     Deliver = 6,   //!< object bytes piggybacked on a request batch
                    //!< (the LDC fetch riding the same round trip)
 };
@@ -147,16 +142,9 @@ size_t messageBodySize(const Message &msg);
 /** Stream a message body (no trailer) into a sink. */
 void encodeMessageBodyTo(ByteSink &sink, const Message &msg);
 
-/** Parse a bare message body; throws on malformed input. */
+/** Parse a bare message body; throws on malformed input or an
+ *  unknown message kind. */
 Message decodeMessageBody(const uint8_t *data, size_t len);
-
-/** Serialize a standalone message (body + util::WideChecksum
- *  trailer). */
-std::vector<uint8_t> encodeMessage(const Message &msg);
-
-/** Parse standalone wire bytes; verifies the trailer, throws on
- *  malformed input. */
-Message decodeMessage(const std::vector<uint8_t> &wire);
 
 /** Exact encoded size of a batch frame for these messages. */
 size_t batchWireSize(const std::vector<Message> &msgs);

@@ -65,96 +65,19 @@ SpscRing::copyOut(uint64_t pos, uint8_t *dst, size_t len) const
 }
 
 bool
-SpscRing::tryPush(const uint8_t *payload, size_t len)
-{
-    uint64_t head = headRef().load(std::memory_order_acquire);
-    uint64_t tail = tailRef().load(std::memory_order_relaxed);
-    size_t used = static_cast<size_t>(tail - head);
-    size_t need = kRecordPrefix + len;
-    if (need > cap - used)
-        return false;
-    uint32_t len32 = static_cast<uint32_t>(len);
-    copyIn(tail, reinterpret_cast<const uint8_t *>(&len32),
-           sizeof(len32));
-    copyIn(tail + sizeof(len32), payload, len);
-    tailRef().store(tail + need, std::memory_order_release);
-    return true;
-}
-
-bool
-SpscRing::tryPushBatch(const std::vector<std::vector<uint8_t>> &batch)
-{
-    uint64_t head = headRef().load(std::memory_order_acquire);
-    uint64_t tail = tailRef().load(std::memory_order_relaxed);
-    size_t used = static_cast<size_t>(tail - head);
-    size_t need = 0;
-    for (const std::vector<uint8_t> &record : batch)
-        need += kRecordPrefix + record.size();
-    if (need > cap - used)
-        return false;
-    uint64_t pos = tail;
-    for (const std::vector<uint8_t> &record : batch) {
-        uint32_t len32 = static_cast<uint32_t>(record.size());
-        copyIn(pos, reinterpret_cast<const uint8_t *>(&len32),
-               sizeof(len32));
-        copyIn(pos + sizeof(len32), record.data(), record.size());
-        pos += kRecordPrefix + record.size();
-    }
-    // One release store publishes the whole burst: the consumer sees
-    // either none of the batch or all of it.
-    tailRef().store(pos, std::memory_order_release);
-    return true;
-}
-
-uint64_t
-SpscRing::popAt(uint64_t head, std::vector<uint8_t> &out) const
-{
-    uint32_t len32 = 0;
-    copyOut(head, reinterpret_cast<uint8_t *>(&len32), sizeof(len32));
-    out.resize(len32);
-    copyOut(head + sizeof(len32), out.data(), len32);
-    return head + sizeof(len32) + len32;
-}
-
-bool
 SpscRing::tryPop(std::vector<uint8_t> &out)
 {
     uint64_t tail = tailRef().load(std::memory_order_acquire);
     uint64_t head = headRef().load(std::memory_order_relaxed);
     if (tail == head)
         return false;
-    headRef().store(popAt(head, out), std::memory_order_release);
-    return true;
-}
-
-size_t
-SpscRing::tryPopBatch(std::vector<std::vector<uint8_t>> &out,
-                      size_t max_records)
-{
-    uint64_t tail = tailRef().load(std::memory_order_acquire);
-    uint64_t head = headRef().load(std::memory_order_relaxed);
-    size_t popped = 0;
-    while (head != tail && popped < max_records) {
-        std::vector<uint8_t> record;
-        head = popAt(head, record);
-        out.push_back(std::move(record));
-        ++popped;
-    }
-    if (popped)
-        headRef().store(head, std::memory_order_release);
-    return popped;
-}
-
-size_t
-SpscRing::peekLength() const
-{
-    uint64_t tail = tailRef().load(std::memory_order_acquire);
-    uint64_t head = headRef().load(std::memory_order_relaxed);
-    if (tail == head)
-        return 0;
     uint32_t len32 = 0;
     copyOut(head, reinterpret_cast<uint8_t *>(&len32), sizeof(len32));
-    return len32;
+    out.resize(len32);
+    copyOut(head + sizeof(len32), out.data(), len32);
+    headRef().store(head + sizeof(len32) + len32,
+                    std::memory_order_release);
+    return true;
 }
 
 bool

@@ -10,12 +10,11 @@
  * (inside osim) and over real process memory (the real-time
  * google-benchmark harness exercises it with actual std::threads).
  *
- * Two producer APIs exist:
- *  - tryPush / tryPushBatch copy fully formed records in;
- *  - tryReserve / reservationWrite / commit let an encoder stream
- *    bytes straight into ring storage (no staging buffer), publishing
- *    the record only at commit. The consumer never observes a
- *    partially written record because the tail index moves last.
+ * The producer API is tryReserve / reservationWrite / commit: an
+ * encoder streams bytes straight into ring storage (no staging
+ * buffer), and the record is published only at commit. The consumer
+ * never observes a partially written record because the tail index
+ * moves last.
  */
 
 #ifndef FREEPART_IPC_SPSC_RING_HH
@@ -86,34 +85,10 @@ class SpscRing
     bool empty() const { return size() == 0; }
 
     /**
-     * Enqueue one length-prefixed record.
-     * @return false if there is not enough free space.
-     */
-    bool tryPush(const uint8_t *data, size_t len);
-
-    /**
-     * Enqueue several records, all-or-nothing, with a single tail
-     * publish (one producer-side release store — the batched-RPC
-     * analogue of one futex wake for the whole burst).
-     * @return false if the batch does not fit; nothing is written.
-     */
-    bool tryPushBatch(const std::vector<std::vector<uint8_t>> &batch);
-
-    /**
      * Dequeue one record into out (replacing its contents).
      * @return false if the ring is empty.
      */
     bool tryPop(std::vector<uint8_t> &out);
-
-    /**
-     * Dequeue up to max_records pending records with a single head
-     * publish. Appends to out; returns the number popped.
-     */
-    size_t tryPopBatch(std::vector<std::vector<uint8_t>> &out,
-                       size_t max_records);
-
-    /** Peek the length of the next record (0 if empty). */
-    size_t peekLength() const;
 
     /**
      * Reserve space for one record of exactly len payload bytes.
@@ -140,9 +115,6 @@ class SpscRing
     std::atomic<uint64_t> &tailRef() const { return header().tail; }
     void copyIn(uint64_t pos, const uint8_t *src, size_t len);
     void copyOut(uint64_t pos, uint8_t *dst, size_t len) const;
-    /** Pop one record assuming head/tail already loaded; returns new
-     *  head position (not stored). */
-    uint64_t popAt(uint64_t head, std::vector<uint8_t> &out) const;
 
     uint8_t *base;   //!< region start (header lives here)
     uint8_t *data;   //!< data area start

@@ -85,6 +85,8 @@ struct AgentPoolStats {
         return static_cast<double>(costTotal) / 1000.0 /
                static_cast<double>(n);
     }
+
+    bool operator==(const AgentPoolStats &) const = default;
 };
 
 /** Per-shard warm agent-set inventory. */

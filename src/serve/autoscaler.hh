@@ -94,6 +94,8 @@ struct AutoscalerStats {
      *  seconds — the capacity bill a static max-size cluster is
      *  compared against. */
     double shardSeconds = 0.0;
+
+    bool operator==(const AutoscalerStats &) const = default;
 };
 
 /** The policy loop. Call observe() as arrivals advance (cheap between

@@ -1,23 +1,12 @@
 #include "serve/tenant_workload.hh"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace freepart::serve {
-
-namespace {
-
-/** Unary Mat ops standing in for processing chains (the app model's
- *  trace supplies the call structure; these supply the work). */
-const char *const kOps[] = {"cv2.GaussianBlur", "cv2.erode",
-                            "cv2.dilate",       "cv2.flip",
-                            "cv2.normalize",    "cv2.bitwise_not"};
-constexpr size_t kNumOps = sizeof(kOps) / sizeof(*kOps);
-
-} // namespace
 
 double
 percentileUs(const std::vector<double> &sorted, double p)
@@ -27,6 +16,100 @@ percentileUs(const std::vector<double> &sorted, double p)
     size_t idx = static_cast<size_t>(
         p * static_cast<double>(sorted.size() - 1) + 0.5);
     return sorted[std::min(idx, sorted.size() - 1)];
+}
+
+LatencySummary
+summarizeLatencies(std::vector<double> &samplesUs)
+{
+    std::sort(samplesUs.begin(), samplesUs.end());
+    return {percentileUs(samplesUs, 0.50), percentileUs(samplesUs, 0.99),
+            percentileUs(samplesUs, 0.999)};
+}
+
+std::vector<ScriptCall>
+sessionScript(const apps::WorkloadGenerator &generator,
+              const apps::AppModel &model)
+{
+    std::vector<ScriptCall> script;
+    size_t op = static_cast<size_t>(model.id); // de-phase op cycles
+    for (const apps::WorkloadCall &call : generator.trace(model)) {
+        if (call.startsRound)
+            script.push_back({"cv2.imread", true});
+        else
+            script.push_back({kChainOps[op++ % kChainOps.size()]});
+    }
+    script.push_back({"cv2.imwrite"});
+    return script;
+}
+
+shard::RoutedCall
+ClusterClient::step(Chain &chain, uint64_t key, const ScriptCall &call,
+                    const std::string &store_path,
+                    const shard::CallOptions &opts)
+{
+    const char *api = call.api;
+    ipc::ValueList args;
+    if (call.load || !chain.live) {
+        api = "cv2.imread";
+        args.emplace_back(std::string("/data/test.fpim"));
+    } else {
+        if (std::string_view(api) == "cv2.imwrite")
+            args.emplace_back(store_path);
+        args.push_back(chain.head);
+    }
+    shard::RoutedCall routed =
+        loop_ == Loop::Open
+            ? router_.invokeAt(key, api, std::move(args), opts)
+            : router_.invoke(key, api, std::move(args), opts.dedupToken);
+    if (!routed.result.ok) {
+        chain.live = false;
+        return routed;
+    }
+    acked_.emplace_back(opts.dedupToken, key);
+    latencyUs_.push_back(latencyUs(routed));
+    if (!routed.result.values.empty() &&
+        routed.result.values[0].kind() == ipc::Value::Kind::Ref) {
+        chain.head = routed.result.values[0];
+        chain.live = true;
+    }
+    return routed;
+}
+
+uint64_t
+ClusterClient::auditAcks()
+{
+    uint64_t lost = 0;
+    for (const auto &[token, key] : acked_) {
+        shard::RoutedCall replay =
+            router_.invoke(key, "cv2.bitwise_not", {}, token);
+        if (!replay.result.ok || !replay.deduped)
+            ++lost;
+    }
+    return lost;
+}
+
+osim::SimTime
+calibrateMeanService(const fw::ApiRegistry &registry,
+                     const analysis::Categorization &categorization,
+                     const apps::WorkloadGenerator &generator)
+{
+    shard::ShardRouterConfig config;
+    config.shardCount = 1;
+    config.runtime.ringBytes = 2 << 20;
+    shard::ShardRouter router(
+        registry, categorization, core::PartitionPlan::freePartDefault(),
+        std::move(config), [&generator](osim::Kernel &kernel) {
+            generator.seedInputs(kernel);
+        });
+    ClusterClient client(router, ClusterClient::Loop::Closed);
+    Chain chain;
+    uint64_t token = 0;
+    client.step(chain, 1, {"cv2.imread", true}, "", {.dedupToken = ++token});
+    for (size_t round = 0; round < 4; ++round)
+        for (const char *op : kChainOps)
+            client.step(chain, 1, {op}, "", {.dedupToken = ++token});
+    router.drainAll();
+    return std::max<osim::SimTime>(1, router.stats().makespan / token);
 }
 
 TenantTrafficGenerator::TenantTrafficGenerator(
@@ -39,31 +122,14 @@ TenantTrafficGenerator::TenantTrafficGenerator(
     if (config_.zipfExponent < 0.0)
         util::fatal("TenantTrafficGenerator: zipfExponent must be "
                     ">= 0");
-    const std::vector<apps::AppModel> &models = apps::appModels();
-    for (const apps::AppModel &model : models) {
-        std::vector<ScriptCall> script;
-        size_t op = static_cast<size_t>(model.id); // de-phase op cycles
-        for (const apps::WorkloadCall &call : generator.trace(model)) {
-            if (call.startsRound)
-                script.push_back({"cv2.imread", true});
-            else
-                script.push_back({kOps[op++ % kNumOps], false});
-        }
-        script.push_back({"cv2.imwrite", false});
-        scripts_.push_back(std::move(script));
-    }
+    for (const apps::AppModel &model : apps::appModels())
+        scripts_.push_back(sessionScript(generator, model));
 }
 
 uint64_t
 TenantTrafficGenerator::keyOf(uint32_t tenant) const
 {
     return kTenantKeyBase + static_cast<uint64_t>(tenant) * 131;
-}
-
-size_t
-TenantTrafficGenerator::sessionLength(uint32_t tenant) const
-{
-    return scripts_[tenant % scripts_.size()].size();
 }
 
 ServeOutcome
@@ -79,8 +145,7 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
     struct ActiveSession {
         uint32_t tenant = 0;
         size_t next = 0;
-        ipc::Value chain;
-        bool haveChain = false;
+        Chain chain;
         uint32_t leaseShard = 0;
     };
 
@@ -94,8 +159,7 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
         pool->ensureShards(router.shardCount());
 
     ServeOutcome out;
-    std::vector<double> latenciesUs;
-    std::vector<std::pair<uint64_t, uint64_t>> acked; // token, key
+    ClusterClient client(router, ClusterClient::Loop::Open);
     osim::SimTime arrival = 0;
     uint64_t token = 0;
 
@@ -141,10 +205,9 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
                                               checkout.warm);
                     tenants[t].activeIdx =
                         static_cast<int32_t>(active.size());
-                    ActiveSession fresh;
+                    ActiveSession &fresh = active.emplace_back();
                     fresh.tenant = t;
                     fresh.leaseShard = owner;
-                    active.push_back(std::move(fresh));
                     ++out.sessionsStarted;
                 } else {
                     // Admission cap full: the frontend parks the new
@@ -160,47 +223,18 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
             uint64_t key = keyOf(t);
             const std::vector<ScriptCall> &script =
                 scripts_[t % scripts_.size()];
-            const ScriptCall &call = script[session.next++];
-            ipc::ValueList args;
-            std::string api = call.api;
-            if (call.load || !session.haveChain) {
-                // Round boundary — or the chain was lost (shed call,
-                // chaos) and the app rebuilds from a fresh load.
-                api = "cv2.imread";
-                args.emplace_back(std::string("/data/test.fpim"));
-            } else if (api == "cv2.imwrite") {
-                args.emplace_back(std::string("/out/tenant") +
-                                  std::to_string(t) + ".fpim");
-                args.push_back(session.chain);
-            } else {
-                args.push_back(session.chain);
-            }
-
             shard::CallOptions opts;
             opts.dedupToken = ++token;
             opts.arrival = arrival;
-            shard::RoutedCall routed =
-                router.invokeAt(key, api, std::move(args), opts);
+            shard::RoutedCall routed = client.step(
+                session.chain, key, script[session.next++],
+                "/out/tenant" + std::to_string(t) + ".fpim", opts);
             ++out.issued;
             ++tenant.issued;
-
             if (routed.result.ok) {
-                ++out.acked;
                 if (!routed.deadlineMissed)
                     ++out.ackedInDeadline;
-                acked.emplace_back(opts.dedupToken, key);
-                double us =
-                    static_cast<double>(routed.latency) / 1000.0;
-                latenciesUs.push_back(us);
-                tenant.latenciesUs.push_back(us);
-                if (!routed.result.values.empty() &&
-                    routed.result.values[0].kind() ==
-                        ipc::Value::Kind::Ref) {
-                    session.chain = routed.result.values[0];
-                    session.haveChain = true;
-                }
-            } else {
-                session.haveChain = false;
+                tenant.latenciesUs.push_back(latencyUs(routed));
             }
 
             if (session.next >= script.size()) {
@@ -224,15 +258,10 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
     while (!active.empty())
         endSessionAt(active.size() - 1, arrival);
 
-    // At-least-once audit: every acknowledged token must still answer
-    // from the cluster dedup cache — session teardown scrubs objects,
-    // never acks.
-    for (const auto &[seq, key] : acked) {
-        shard::RoutedCall replay =
-            router.invoke(key, "cv2.bitwise_not", {}, seq);
-        if (!replay.result.ok || !replay.deduped)
-            ++out.lostAcks;
-    }
+    // At-least-once audit: session teardown scrubs objects, never
+    // acks.
+    out.acked = client.acked();
+    out.lostAcks = client.auditAcks();
 
     if (scaler)
         scaler->finish(arrival);
@@ -253,10 +282,7 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
         out.issued ? static_cast<double>(out.ackedInDeadline) /
                          static_cast<double>(out.issued)
                    : 0.0;
-    std::sort(latenciesUs.begin(), latenciesUs.end());
-    out.p50Us = percentileUs(latenciesUs, 0.50);
-    out.p99Us = percentileUs(latenciesUs, 0.99);
-    out.p999Us = percentileUs(latenciesUs, 0.999);
+    out.latency = client.latency();
 
     uint64_t hottest = 0;
     for (Tenant &tenant : tenants) {
@@ -265,12 +291,10 @@ TenantTrafficGenerator::run(shard::ShardRouter &router,
         hottest = std::max(hottest, tenant.issued);
         if (tenant.latenciesUs.size() < kTenantPercentileMinAcks)
             continue;
-        std::sort(tenant.latenciesUs.begin(),
-                  tenant.latenciesUs.end());
         ++out.tenantsInBreakdown;
         out.worstTenantP99Us =
             std::max(out.worstTenantP99Us,
-                     percentileUs(tenant.latenciesUs, 0.99));
+                     summarizeLatencies(tenant.latenciesUs).p99Us);
     }
     out.hottestTenantShare =
         out.issued ? static_cast<double>(hottest) /

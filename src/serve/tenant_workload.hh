@@ -15,13 +15,19 @@
  * issued), a per-tenant percentile breakdown, and the capacity bill
  * in shard-seconds. Every draw comes from one seeded Rng, so a run
  * replays byte-identically.
+ *
+ * The cluster client the generator and the cluster benches share
+ * (`ClusterClient`, `sessionScript`, `calibrateMeanService`) lives
+ * here too.
  */
 
 #ifndef FREEPART_SERVE_TENANT_WORKLOAD_HH
 #define FREEPART_SERVE_TENANT_WORKLOAD_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app_models.hh"
@@ -65,6 +71,100 @@ struct RampPhase {
     osim::SimTime meanInterarrival = 0;
 };
 
+/** Unary Mat ops standing in for an app's processing chain (the
+ *  app model's trace supplies the call structure). */
+inline constexpr std::array<const char *, 6> kChainOps = {
+    "cv2.GaussianBlur", "cv2.erode",     "cv2.dilate",
+    "cv2.flip",         "cv2.normalize", "cv2.bitwise_not"};
+
+/** One call of a session script. */
+struct ScriptCall {
+    const char *api = "";
+    bool load = false; //!< (re)opens the session's chain
+};
+
+/** An app model's session: cv2.imread at each round start of its
+ *  trace, chained calls cycling kChainOps (de-phased by the model
+ *  id), then one cv2.imwrite. */
+std::vector<ScriptCall> sessionScript(
+    const apps::WorkloadGenerator &generator,
+    const apps::AppModel &model);
+
+/** A session's pipeline chain: the Ref its next op consumes. */
+struct Chain {
+    ipc::Value head;
+    bool live = false;
+};
+
+/** Exact nearest-rank p50/p99/p999 of a latency sample set. */
+struct LatencySummary {
+    double p50Us = 0.0;
+    double p99Us = 0.0;
+    double p999Us = 0.0;
+
+    bool operator==(const LatencySummary &) const = default;
+};
+
+/** Sorted-vector percentile (nearest-rank on the index line). */
+double percentileUs(const std::vector<double> &sorted, double p);
+
+/** Sort `samplesUs` in place and summarize it. */
+LatencySummary summarizeLatencies(std::vector<double> &samplesUs);
+
+inline double
+latencyUs(const shard::RoutedCall &routed)
+{
+    return static_cast<double>(routed.latency) / 1000.0;
+}
+
+/**
+ * The client side of a cluster run. A step issues one scripted call
+ * on a session's chain: a load, or any call once the chain was lost
+ * (§4.4.2: the app rebuilds from a fresh load), is cv2.imread of the
+ * fixture; cv2.imwrite takes `store_path` then the chain; any other
+ * op takes the chain. A failed call drops the chain, an acked Ref
+ * result advances it. Acked (token, key) pairs and latencies are kept
+ * for the audit and the summary.
+ */
+class ClusterClient
+{
+  public:
+    /** Open: steps arrive at `opts.arrival` (`invokeAt`). Closed:
+     *  steps carry only `opts.dedupToken` (`invoke`). */
+    enum class Loop { Open, Closed };
+
+    ClusterClient(shard::ShardRouter &router, Loop loop)
+        : router_(router), loop_(loop)
+    {
+    }
+
+    shard::RoutedCall step(Chain &chain, uint64_t key,
+                           const ScriptCall &call,
+                           const std::string &store_path,
+                           const shard::CallOptions &opts);
+
+    /** At-least-once audit: resubmit every acked (token, key) and
+     *  count the answers that are not `deduped`. */
+    uint64_t auditAcks();
+
+    uint64_t acked() const { return acked_.size(); }
+
+    LatencySummary latency() { return summarizeLatencies(latencyUs_); }
+
+  private:
+    shard::ShardRouter &router_;
+    Loop loop_;
+    std::vector<std::pair<uint64_t, uint64_t>> acked_; //!< token, key
+    std::vector<double> latencyUs_;
+};
+
+/** Mean service time of one load plus four rounds of kChainOps on an
+ *  unloaded single shard seeded by `generator` (closed-loop). */
+osim::SimTime calibrateMeanService(
+    const fw::ApiRegistry &registry,
+    const analysis::Categorization &categorization,
+    const apps::WorkloadGenerator &generator);
+
 /** What one run produced. */
 struct ServeOutcome {
     uint64_t issued = 0;
@@ -76,9 +176,7 @@ struct ServeOutcome {
     uint64_t tenantsTouched = 0;
 
     double sloAttainment = 0.0; //!< ackedInDeadline / issued
-    double p50Us = 0.0;
-    double p99Us = 0.0;
-    double p999Us = 0.0;
+    LatencySummary latency;     //!< per-call, over acked calls
 
     /** Worst per-tenant p99 among tenants with enough samples. */
     double worstTenantP99Us = 0.0;
@@ -95,10 +193,9 @@ struct ServeOutcome {
     shard::ClusterStats cluster;
     AutoscalerStats scaler; //!< zeroed without an autoscaler
     AgentPoolStats pool;    //!< zeroed without a pool
-};
 
-/** Sorted-vector percentile (nearest-rank on the index line). */
-double percentileUs(const std::vector<double> &sorted, double p);
+    bool operator==(const ServeOutcome &) const = default;
+};
 
 class TenantTrafficGenerator
 {
@@ -117,16 +214,7 @@ class TenantTrafficGenerator
                      const std::vector<RampPhase> &phases,
                      Autoscaler *scaler, WarmAgentPool *pool);
 
-    /** Calls in one session of tenant `t` (its app model's script). */
-    size_t sessionLength(uint32_t tenant) const;
-
   private:
-    /** One concrete call of an app script. */
-    struct ScriptCall {
-        std::string api;
-        bool load = false;
-    };
-
     uint64_t keyOf(uint32_t tenant) const;
 
     /** Per-model scripts, built once from the workload traces. */

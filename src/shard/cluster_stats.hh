@@ -128,6 +128,8 @@ struct ClusterStats {
                       static_cast<double>(live);
         return static_cast<double>(max) / mean;
     }
+
+    bool operator==(const ClusterStats &) const = default;
 };
 
 } // namespace freepart::shard

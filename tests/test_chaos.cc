@@ -494,11 +494,12 @@ TEST(ChaosRouter, SameSeedReplaysByteIdentically)
                                stats.callsFailed, stats.shedCalls,
                                stats.hedgedCalls, stats.chaosStalls,
                                stats.chaosSlowCalls,
-                               stats.messagesDropped, stats.makespan);
+                               stats.messagesDropped, stats.makespan,
+                               stats);
     };
     auto a = run(99);
     auto b = run(99);
-    EXPECT_EQ(a, b);
+    EXPECT_TRUE(a == b); // ... down to every cluster and shard counter
     // And the chaos actually did something.
     EXPECT_GT(std::get<1>(a), 0u);
 }

@@ -2,9 +2,9 @@
  * @file
  * Hot-path regression tests for the batched zero-copy RPC transport
  * and the dirty-epoch checkpoint machinery: ring wraparound under
- * batched and reserve/commit producers, codec edge cases (empty
- * payloads, slot-exact records, batch-of-one equivalence, corrupted
- * batch trailers), the word-wide integrity checksum (split
+ * the reserve/commit producer, codec edge cases (empty payloads,
+ * slot-exact records, batch-of-one wire size, corrupted batch
+ * trailers), the word-wide integrity checksum (split
  * invariance, bit-flip and injected-corruption detection) next to the
  * pinned FNV-1a digest, incremental-checkpoint byte savings and
  * restore fidelity, and the bounded LRU dedup cache.
@@ -28,7 +28,7 @@
 namespace freepart {
 namespace {
 
-// ---- Ring wraparound under the batched producers ---------------------
+// ---- Ring wraparound under the reserve/commit producer --------------
 
 std::vector<uint8_t>
 patternRecord(size_t len, uint8_t seed)
@@ -37,43 +37,6 @@ patternRecord(size_t len, uint8_t seed)
     for (size_t i = 0; i < len; ++i)
         rec[i] = static_cast<uint8_t>(seed + i * 7);
     return rec;
-}
-
-TEST(RingWraparound, BatchedPushPreservesFifoAcrossManyWraps)
-{
-    // Capacity far smaller than the total traffic: every few batches
-    // the free-running indices cross the wrap boundary at a different
-    // offset, exercising the split memcpy in copyIn/copyOut.
-    std::vector<uint8_t> region(ipc::SpscRing::kHeaderBytes + 256);
-    ipc::SpscRing ring =
-        ipc::SpscRing::create(region.data(), region.size());
-
-    uint8_t produced = 0, consumed = 0;
-    std::vector<std::vector<uint8_t>> out;
-    for (int round = 0; round < 500; ++round) {
-        std::vector<std::vector<uint8_t>> batch;
-        for (size_t len : {1u + (round % 40u), 17u, 0u})
-            batch.push_back(patternRecord(len, produced++));
-        if (!ring.tryPushBatch(batch)) {
-            // Drain everything, then the batch must fit.
-            out.clear();
-            while (ring.tryPopBatch(out, 16) > 0) {
-            }
-            for (const auto &rec : out) {
-                std::vector<uint8_t> want =
-                    patternRecord(rec.size(), consumed++);
-                ASSERT_EQ(rec, want);
-            }
-            ASSERT_TRUE(ring.tryPushBatch(batch));
-        }
-    }
-    out.clear();
-    while (ring.tryPopBatch(out, 16) > 0) {
-    }
-    for (const auto &rec : out)
-        ASSERT_EQ(rec, patternRecord(rec.size(), consumed++));
-    EXPECT_EQ(consumed, produced);
-    EXPECT_TRUE(ring.empty());
 }
 
 TEST(RingWraparound, ReserveCommitStreamsAcrossWrapBoundary)
@@ -158,9 +121,12 @@ TEST(CodecEdge, MaxSizeRecordExactlyFillsRingSlot)
     ipc::SpscRing ring =
         ipc::SpscRing::create(region.data(), region.size());
     ASSERT_EQ(ring.capacity(), cap);
-    ASSERT_TRUE(ring.tryPush(wire.data(), wire.size()));
+    ipc::SpscRing::Reservation res;
+    ASSERT_TRUE(ring.tryReserve(wire.size(), res));
+    ring.reservationWrite(res, wire.data(), wire.size());
+    ring.commit(res);
     EXPECT_EQ(ring.size(), cap);
-    EXPECT_FALSE(ring.tryPush(nullptr, 0)); // prefix no longer fits
+    EXPECT_FALSE(ring.tryReserve(0, res)); // prefix no longer fits
 
     std::vector<uint8_t> out;
     ASSERT_TRUE(ring.tryPop(out));
@@ -171,32 +137,20 @@ TEST(CodecEdge, MaxSizeRecordExactlyFillsRingSlot)
     // One byte more than slot-exact never fits an empty ring.
     std::vector<ipc::Message> over = {makeRequest(
         8, {ipc::Value(std::vector<uint8_t>(1001, 0x5a))})};
-    std::vector<uint8_t> bigger = ipc::encodeBatch(over);
-    EXPECT_FALSE(ring.tryPush(bigger.data(), bigger.size()));
+    EXPECT_FALSE(ring.tryReserve(ipc::batchWireSize(over), res));
 }
 
-TEST(CodecEdge, BatchOfOneMatchesStandaloneMessage)
+TEST(CodecEdge, BatchOfOneWireSizeIsBodyPlusFraming)
 {
     ipc::Message msg = makeRequest(
         42, {ipc::Value(uint64_t{9}), ipc::Value(std::string("x")),
              ipc::Value(ipc::ObjectRef{2, 77})});
-    ipc::Message lone = ipc::decodeMessage(ipc::encodeMessage(msg));
-    std::vector<ipc::Message> batched =
-        ipc::decodeBatch(ipc::encodeBatch({msg}));
-    ASSERT_EQ(batched.size(), 1u);
-    const ipc::Message &b = batched[0];
-    EXPECT_EQ(b.kind, lone.kind);
-    EXPECT_EQ(b.seq, lone.seq);
-    EXPECT_EQ(b.apiId, lone.apiId);
-    ASSERT_EQ(b.values.size(), lone.values.size());
-    EXPECT_EQ(b.values[0].asU64(), lone.values[0].asU64());
-    EXPECT_EQ(b.values[1].asStr(), lone.values[1].asStr());
-    EXPECT_EQ(b.values[2].asRef(), lone.values[2].asRef());
-    // Identical bodies: a batch of one only adds the count word and
-    // swaps the per-message trailer for the shared one.
+    // A batch of one is the body plus the count word, its length
+    // prefix and the shared trailer.
     EXPECT_EQ(ipc::batchWireSize({msg}),
               sizeof(uint32_t) + sizeof(uint32_t) +
                   ipc::messageBodySize(msg) + sizeof(uint64_t));
+    EXPECT_EQ(ipc::encodeBatch({msg}).size(), ipc::batchWireSize({msg}));
 }
 
 TEST(CodecEdge, CorruptedBatchTrailerRejectsTheWholeFrame)
@@ -229,7 +183,7 @@ TEST(CodecEdge, CorruptFaultSurfacesAsTypedChannelLoss)
                          agent.pid());
 
     ipc::Message request = makeRequest(1, {ipc::Value(uint64_t{5})});
-    channel.sendRequest(request);
+    channel.sendRequestBatch({request}, false);
 
     osim::FaultSpec spec;
     spec.point = osim::FaultPoint::RingTransfer;
@@ -240,15 +194,16 @@ TEST(CodecEdge, CorruptFaultSurfacesAsTypedChannelLoss)
     // The corrupted frame is not delivered as garbage — the shared
     // trailer rejects it and the receive reports "nothing arrived",
     // typed as a corruption loss for the at-least-once layer.
-    ipc::Message received;
-    EXPECT_FALSE(channel.receiveRequest(received));
+    std::vector<ipc::Message> received;
+    EXPECT_FALSE(channel.receiveRequestBatch(received));
     EXPECT_EQ(channel.stats().corrupted, 1u);
     EXPECT_EQ(channel.stats().dropped, 0u);
 
     // A clean retry of the same frame goes through.
-    channel.sendRequest(request);
-    EXPECT_TRUE(channel.receiveRequest(received));
-    EXPECT_EQ(received.seq, 1u);
+    channel.sendRequestBatch({request}, false);
+    ASSERT_TRUE(channel.receiveRequestBatch(received));
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(received[0].seq, 1u);
 }
 
 // ---- Integrity checksum ----------------------------------------------

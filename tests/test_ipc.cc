@@ -1,28 +1,53 @@
 /**
  * @file
  * Unit tests for the IPC layer: the SPSC ring (including wrap-around
- * and a real two-thread stress run), the value codec, and the
+ * and a real two-thread stress run), the value codec over batch-of-one
+ * frames (and its rejection of unknown message kinds), and the
  * host<->agent channel over simulated shared memory.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "ipc/channel.hh"
 #include "ipc/codec.hh"
 #include "ipc/spsc_ring.hh"
+#include "util/checksum.hh"
+#include "util/logging.hh"
 
 namespace freepart::ipc {
 namespace {
+
+/** Enqueue one record through the ring's reserve/write/commit path. */
+bool
+push(SpscRing &ring, const std::vector<uint8_t> &record)
+{
+    SpscRing::Reservation res;
+    if (!ring.tryReserve(record.size(), res))
+        return false;
+    ring.reservationWrite(res, record.data(), record.size());
+    ring.commit(res);
+    return true;
+}
+
+/** Encode and decode one message as a batch of one. */
+Message
+roundTrip(const Message &msg)
+{
+    std::vector<Message> back = decodeBatch(encodeBatch({msg}));
+    EXPECT_EQ(back.size(), 1u);
+    return back.at(0);
+}
 
 TEST(SpscRing, PushPopRoundTrip)
 {
     std::vector<uint8_t> region(4096);
     SpscRing ring = SpscRing::create(region.data(), region.size());
     std::vector<uint8_t> msg = {1, 2, 3, 4, 5};
-    EXPECT_TRUE(ring.tryPush(msg.data(), msg.size()));
-    EXPECT_EQ(ring.peekLength(), 5u);
+    EXPECT_TRUE(push(ring, msg));
+    EXPECT_EQ(ring.size(), SpscRing::kRecordPrefix + 5);
     std::vector<uint8_t> out;
     EXPECT_TRUE(ring.tryPop(out));
     EXPECT_EQ(out, msg);
@@ -37,8 +62,9 @@ TEST(SpscRing, ZeroLengthRecordRoundTrips)
     // hand it to memcpy. Enough rounds to wrap the ring several times.
     const std::vector<uint8_t> empty, one = {42};
     for (int round = 0; round < 40; ++round) {
-        ASSERT_TRUE(ring.tryPush(empty.data(), empty.size()));
-        ASSERT_TRUE(ring.tryPushBatch({empty, one, empty}));
+        for (const std::vector<uint8_t> &record :
+             {empty, empty, one, empty})
+            ASSERT_TRUE(push(ring, record));
         std::vector<uint8_t> out = {1, 2, 3};
         for (const std::vector<uint8_t> &want : {empty, empty, one, empty}) {
             ASSERT_TRUE(ring.tryPop(out));
@@ -54,7 +80,7 @@ TEST(SpscRing, PopOnEmptyFails)
     SpscRing ring = SpscRing::create(region.data(), region.size());
     std::vector<uint8_t> out;
     EXPECT_FALSE(ring.tryPop(out));
-    EXPECT_EQ(ring.peekLength(), 0u);
+    EXPECT_TRUE(ring.empty());
 }
 
 TEST(SpscRing, RejectsOversizedMessage)
@@ -62,7 +88,7 @@ TEST(SpscRing, RejectsOversizedMessage)
     std::vector<uint8_t> region(256);
     SpscRing ring = SpscRing::create(region.data(), region.size());
     std::vector<uint8_t> big(1000);
-    EXPECT_FALSE(ring.tryPush(big.data(), big.size()));
+    EXPECT_FALSE(push(ring, big));
 }
 
 TEST(SpscRing, FillsAndDrains)
@@ -71,7 +97,7 @@ TEST(SpscRing, FillsAndDrains)
     SpscRing ring = SpscRing::create(region.data(), region.size());
     std::vector<uint8_t> msg(20, 0xab);
     int pushed = 0;
-    while (ring.tryPush(msg.data(), msg.size()))
+    while (push(ring, msg))
         ++pushed;
     EXPECT_GT(pushed, 3);
     std::vector<uint8_t> out;
@@ -93,7 +119,7 @@ TEST(SpscRing, WrapsAroundBoundary)
         std::vector<uint8_t> msg(24);
         for (size_t j = 0; j < msg.size(); ++j)
             msg[j] = static_cast<uint8_t>(i + j);
-        ASSERT_TRUE(ring.tryPush(msg.data(), msg.size()));
+        ASSERT_TRUE(push(ring, msg));
         std::vector<uint8_t> out;
         ASSERT_TRUE(ring.tryPop(out));
         ASSERT_EQ(out, msg);
@@ -105,7 +131,7 @@ TEST(SpscRing, AttachSeesExistingData)
     std::vector<uint8_t> region(4096);
     SpscRing producer = SpscRing::create(region.data(), region.size());
     std::vector<uint8_t> msg = {9, 8, 7};
-    producer.tryPush(msg.data(), msg.size());
+    ASSERT_TRUE(push(producer, msg));
     SpscRing consumer = SpscRing::attach(region.data(), region.size());
     std::vector<uint8_t> out;
     EXPECT_TRUE(consumer.tryPop(out));
@@ -133,8 +159,9 @@ TEST(SpscRing, TwoThreadStress)
     });
 
     for (int i = 0; i < kCount;) {
-        if (producer.tryPush(reinterpret_cast<uint8_t *>(&i),
-                             sizeof(int)))
+        std::vector<uint8_t> record(sizeof(int));
+        std::memcpy(record.data(), &i, sizeof(int));
+        if (push(producer, record))
             ++i;
     }
     consumer_thread.join();
@@ -150,7 +177,7 @@ TEST(Codec, ScalarRoundTrip)
     msg.values.emplace_back(int64_t{-9});
     msg.values.emplace_back(3.25);
     msg.values.emplace_back(std::string("hello"));
-    Message back = decodeMessage(encodeMessage(msg));
+    Message back = roundTrip(msg);
     EXPECT_EQ(back.kind, MsgKind::Request);
     EXPECT_EQ(back.seq, msg.seq);
     EXPECT_EQ(back.apiId, 42u);
@@ -167,7 +194,7 @@ TEST(Codec, BlobAndRefRoundTrip)
     msg.values.emplace_back(std::vector<uint8_t>{1, 2, 3, 255});
     msg.values.emplace_back(ObjectRef{3, 0xdeadbeefull});
     msg.values.emplace_back(); // None
-    Message back = decodeMessage(encodeMessage(msg));
+    Message back = roundTrip(msg);
     ASSERT_EQ(back.values.size(), 3u);
     EXPECT_EQ(back.values[0].asBlob(),
               (std::vector<uint8_t>{1, 2, 3, 255}));
@@ -178,7 +205,7 @@ TEST(Codec, BlobAndRefRoundTrip)
 TEST(Codec, EmptyMessage)
 {
     Message msg;
-    Message back = decodeMessage(encodeMessage(msg));
+    Message back = roundTrip(msg);
     EXPECT_TRUE(back.values.empty());
 }
 
@@ -186,9 +213,44 @@ TEST(Codec, TruncatedInputThrows)
 {
     Message msg;
     msg.values.emplace_back(std::string("payload"));
-    std::vector<uint8_t> wire = encodeMessage(msg);
+    std::vector<uint8_t> wire = encodeBatch({msg});
     wire.resize(wire.size() - 3);
-    EXPECT_ANY_THROW(decodeMessage(wire));
+    EXPECT_ANY_THROW(decodeBatch(wire));
+}
+
+TEST(Codec, UnknownMessageKindIsRejected)
+{
+    // Only Request, Response and Deliver exist on the wire. A frame
+    // whose kind byte is anything else is rejected even when its
+    // trailer is valid (an agent controls every byte it sends).
+    Message msg;
+    msg.values.emplace_back(uint64_t{1});
+    for (uint8_t kind : {0, 3, 4, 5, 7, 200}) {
+        std::vector<uint8_t> wire = encodeBatch({msg});
+        wire[2 * sizeof(uint32_t)] = kind; // count, length, then kind
+        size_t body = wire.size() - sizeof(uint64_t);
+        uint64_t sum = util::wideChecksum(wire.data(), body);
+        std::memcpy(wire.data() + body, &sum, sizeof(sum));
+        EXPECT_THROW(decodeBatch(wire), util::FatalError)
+            << "kind " << int(kind);
+    }
+    for (MsgKind kind :
+         {MsgKind::Request, MsgKind::Response, MsgKind::Deliver}) {
+        msg.kind = kind;
+        EXPECT_EQ(roundTrip(msg).kind, kind);
+    }
+
+    // Through the channel the frame counts as corrupt, never as a
+    // delivered message.
+    osim::Kernel kernel;
+    osim::Process &host = kernel.spawn("host");
+    osim::Process &agent = kernel.spawn("agent");
+    Channel channel(kernel, "ch:kind", host.pid(), agent.pid());
+    msg.kind = static_cast<MsgKind>(200);
+    channel.sendResponseBatch({msg}, false);
+    std::vector<Message> got;
+    EXPECT_FALSE(channel.receiveResponseBatch(got));
+    EXPECT_EQ(channel.stats().corrupted, 1u);
 }
 
 TEST(Codec, WrongKindAccessPanics)
@@ -222,22 +284,24 @@ TEST(Channel, RequestResponseRoundTrip)
     request.seq = 1;
     request.apiId = 5;
     request.values.emplace_back(std::string("arg"));
-    channel.sendRequest(request);
+    channel.sendRequestBatch({request}, false);
 
-    Message received;
-    ASSERT_TRUE(channel.receiveRequest(received));
-    EXPECT_EQ(received.apiId, 5u);
-    EXPECT_EQ(received.values[0].asStr(), "arg");
+    std::vector<Message> received;
+    ASSERT_TRUE(channel.receiveRequestBatch(received));
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(received[0].apiId, 5u);
+    EXPECT_EQ(received[0].values[0].asStr(), "arg");
 
     Message response;
     response.kind = MsgKind::Response;
     response.seq = 1;
     response.values.emplace_back(uint64_t{99});
-    channel.sendResponse(response);
+    channel.sendResponseBatch({response}, false);
 
-    Message got;
-    ASSERT_TRUE(channel.receiveResponse(got));
-    EXPECT_EQ(got.values[0].asU64(), 99u);
+    std::vector<Message> got;
+    ASSERT_TRUE(channel.receiveResponseBatch(got));
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].values[0].asU64(), 99u);
 
     EXPECT_EQ(channel.stats().requests, 1u);
     EXPECT_EQ(channel.stats().responses, 1u);
@@ -251,8 +315,7 @@ TEST(Channel, ChargesSimulatedTime)
     osim::Process &agent = kernel.spawn("agent");
     Channel channel(kernel, "ch:t", host.pid(), agent.pid());
     osim::SimTime before = kernel.now();
-    Message msg;
-    channel.sendRequest(msg);
+    channel.sendRequestBatch({Message()}, false);
     EXPECT_GT(kernel.now(), before);
 }
 
@@ -262,9 +325,9 @@ TEST(Channel, ReceiveOnEmptyChannelFails)
     osim::Process &host = kernel.spawn("host");
     osim::Process &agent = kernel.spawn("agent");
     Channel channel(kernel, "ch:e", host.pid(), agent.pid());
-    Message msg;
-    EXPECT_FALSE(channel.receiveRequest(msg));
-    EXPECT_FALSE(channel.receiveResponse(msg));
+    std::vector<Message> msgs;
+    EXPECT_FALSE(channel.receiveRequestBatch(msgs));
+    EXPECT_FALSE(channel.receiveResponseBatch(msgs));
 }
 
 } // namespace

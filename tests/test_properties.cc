@@ -213,8 +213,12 @@ TEST_P(RingSweep, FifoContentIntegrity)
     for (int step = 0; step < 500; ++step) {
         if (step % 3 != 2) {
             std::vector<uint8_t> msg = make_msg(pushed);
-            if (ring.tryPush(msg.data(), msg.size()))
+            ipc::SpscRing::Reservation res;
+            if (ring.tryReserve(msg.size(), res)) {
+                ring.reservationWrite(res, msg.data(), msg.size());
+                ring.commit(res);
                 ++pushed;
+            }
         } else if (ring.tryPop(out)) {
             ASSERT_EQ(out, make_msg(popped));
             ++popped;

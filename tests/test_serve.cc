@@ -6,12 +6,15 @@
  * scale-up, blip hysteresis, cooldown, panic bypass, idle scale-down,
  * revive-before-grow), shard retirement semantics (evacuation, dedup
  * retention for ended sessions vs pruning for genuinely lost
- * objects), and the tenant traffic generator (determinism, session
- * accounting, zero acked calls lost).
+ * objects), the shared cluster client (chained-call step, result
+ * adoption, at-least-once audit, service calibration), and the tenant
+ * traffic generator (determinism, session accounting, zero acked
+ * calls lost).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -504,6 +507,134 @@ TEST(ShardRetire, QueueDepthReadsBusyHorizon)
     EXPECT_EQ(stats.sessionStartCost, 1'000'000u);
 }
 
+// ---- ClusterClient ---------------------------------------------------
+
+TEST(ClusterClient, LoadOrLostChainIssuesImread)
+{
+    auto router = env().makeRouter(1);
+    ClusterClient client(*router, ClusterClient::Loop::Closed);
+    Chain chain;
+
+    // No chain yet: a chained op rebuilds from a fresh load.
+    RoutedCall first =
+        client.step(chain, 1, {"cv2.flip"}, "", {.dedupToken = 1});
+    ASSERT_TRUE(first.result.ok);
+    ASSERT_TRUE(chain.live);
+    EXPECT_EQ(chain.head.kind(), ipc::Value::Kind::Ref);
+    uint64_t loaded = chain.head.asRef().objectId;
+
+    // A chained op consumes the chain and adopts its result.
+    client.step(chain, 1, {"cv2.flip"}, "", {.dedupToken = 2});
+    uint64_t flipped = chain.head.asRef().objectId;
+    EXPECT_NE(flipped, loaded);
+
+    // A load reopens the chain even while it is live.
+    RoutedCall reload =
+        client.step(chain, 1, {"cv2.imread", true}, "", {.dedupToken = 3});
+    ASSERT_TRUE(reload.result.ok);
+    EXPECT_NE(chain.head.asRef().objectId, flipped);
+    EXPECT_EQ(client.acked(), 3u);
+}
+
+TEST(ClusterClient, ImwriteStoresTheChainAtThePathAndKeepsIt)
+{
+    auto router = env().makeRouter(1);
+    ClusterClient client(*router, ClusterClient::Loop::Closed);
+    Chain chain;
+    client.step(chain, 1, {"cv2.imread", true}, "", {.dedupToken = 1});
+    ASSERT_TRUE(chain.live);
+    ipc::Value head = chain.head;
+
+    // imwrite(path, chain): the path first, then the frame.
+    RoutedCall stored = client.step(chain, 1, {"cv2.imwrite"},
+                                    "/out/client.fpim", {.dedupToken = 2});
+    ASSERT_TRUE(stored.result.ok) << stored.result.error;
+    ASSERT_FALSE(stored.result.values.empty());
+    EXPECT_NE(stored.result.values[0].kind(), ipc::Value::Kind::Ref);
+    // A non-Ref result keeps the chain.
+    EXPECT_TRUE(chain.live);
+    EXPECT_EQ(chain.head.asRef(), head.asRef());
+
+    // The frame landed at that path.
+    RoutedCall reread = router->invoke(
+        1, "cv2.imread", {ipc::Value(std::string("/out/client.fpim"))},
+        3);
+    EXPECT_TRUE(reread.result.ok) << reread.result.error;
+}
+
+TEST(ClusterClient, FailedCallDropsTheChain)
+{
+    ShardRouterConfig config;
+    config.shardCount = 2;
+    config.replicateObjects = false;
+    auto router = env().makeRouter(std::move(config));
+    uint64_t k0 = keyOwnedBy(*router, 0);
+    uint64_t k1 = keyOwnedBy(*router, 1);
+    ClusterClient client(*router, ClusterClient::Loop::Closed);
+    Chain chain;
+    client.step(chain, k0, {"cv2.imread", true}, "", {.dedupToken = 1});
+    ASSERT_TRUE(chain.live);
+
+    // The chain's only copy dies with shard 0: the next op fails.
+    router->killShard(0);
+    RoutedCall lost =
+        client.step(chain, k1, {"cv2.flip"}, "", {.dedupToken = 2});
+    EXPECT_FALSE(lost.result.ok);
+    EXPECT_EQ(lost.errorKind, shard::RouteError::ObjectLost);
+    EXPECT_FALSE(chain.live);
+    EXPECT_EQ(client.acked(), 1u);
+
+    // The session rebuilds from a fresh load.
+    RoutedCall rebuilt =
+        client.step(chain, k1, {"cv2.flip"}, "", {.dedupToken = 3});
+    EXPECT_TRUE(rebuilt.result.ok);
+    EXPECT_TRUE(chain.live);
+    EXPECT_EQ(client.acked(), 2u);
+}
+
+TEST(ClusterClient, AuditCountsAckedTokensTheClusterForgot)
+{
+    // A one-entry dedup cache forgets every token but the latest.
+    ShardRouterConfig config;
+    config.shardCount = 1;
+    config.dedupEntries = 1;
+    auto router = env().makeRouter(std::move(config));
+    ClusterClient client(*router, ClusterClient::Loop::Closed);
+    Chain chain;
+    client.step(chain, 1, {"cv2.imread", true}, "", {.dedupToken = 1});
+    EXPECT_EQ(client.auditAcks(), 0u); // acked and still answered
+
+    client.step(chain, 1, {"cv2.flip"}, "", {.dedupToken = 2});
+    // Token 1 is unknown to the cluster now; token 2 answers deduped.
+    EXPECT_EQ(client.auditAcks(), 1u);
+}
+
+TEST(ClusterClient, CalibrationIsDeterministic)
+{
+    apps::WorkloadGenerator::Config wconfig;
+    wconfig.imageRows = 32;
+    wconfig.imageCols = 32;
+    apps::WorkloadGenerator generator(env().registry, wconfig);
+    osim::SimTime a =
+        calibrateMeanService(env().registry, env().cats, generator);
+    osim::SimTime b =
+        calibrateMeanService(env().registry, env().cats, generator);
+    EXPECT_GT(a, 1u);
+    EXPECT_EQ(a, b);
+}
+
+TEST(ClusterClient, LatencySummaryIsExactNearestRank)
+{
+    std::vector<double> samples;
+    for (int i = 1000; i >= 1; --i)
+        samples.push_back(static_cast<double>(i));
+    LatencySummary summary = summarizeLatencies(samples);
+    EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end()));
+    EXPECT_DOUBLE_EQ(summary.p50Us, 501.0);
+    EXPECT_DOUBLE_EQ(summary.p99Us, 990.0);
+    EXPECT_DOUBLE_EQ(summary.p999Us, 999.0);
+}
+
 // ---- TenantTrafficGenerator -----------------------------------------
 
 TEST(TenantTraffic, DeterministicRunWithZeroLostAcks)
@@ -548,19 +679,20 @@ TEST(TenantTraffic, DeterministicRunWithZeroLostAcks)
     EXPECT_GT(a.tenantsTouched, 1u);
     EXPECT_LE(a.pool.leasesPeak, tconfig.maxConcurrentSessions);
     EXPECT_EQ(a.pool.coldFallbacks, 0u);
-    EXPECT_GT(a.p50Us, 0.0);
-    EXPECT_GE(a.p99Us, a.p50Us);
-    EXPECT_GE(a.p999Us, a.p99Us);
+    EXPECT_GT(a.latency.p50Us, 0.0);
+    EXPECT_GE(a.latency.p99Us, a.latency.p50Us);
+    EXPECT_GE(a.latency.p999Us, a.latency.p99Us);
 
     // Byte-identical replay.
     EXPECT_EQ(b.issued, a.issued);
     EXPECT_EQ(b.acked, a.acked);
     EXPECT_EQ(b.sessionsStarted, a.sessionsStarted);
     EXPECT_EQ(b.sessionsCompleted, a.sessionsCompleted);
-    EXPECT_EQ(b.p50Us, a.p50Us);
-    EXPECT_EQ(b.p99Us, a.p99Us);
+    EXPECT_EQ(b.latency.p50Us, a.latency.p50Us);
+    EXPECT_EQ(b.latency.p99Us, a.latency.p99Us);
     EXPECT_EQ(b.cluster.makespan, a.cluster.makespan);
     EXPECT_EQ(b.pool.warmCheckouts, a.pool.warmCheckouts);
+    EXPECT_TRUE(b == a); // the whole outcome, every counter
 }
 
 TEST(TenantTraffic, ZipfSkewsTrafficTowardHotTenants)
