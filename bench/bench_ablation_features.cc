@@ -177,12 +177,6 @@ main(int argc, char **argv)
         variants.push_back(
             {"cold (foreground) restart", "hot path", config});
     }
-    {
-        core::RuntimeConfig config;
-        config.checkpointFullEvery = 1;
-        variants.push_back(
-            {"always-full checkpoints", "hot path", config});
-    }
 
     util::TextTable table({"Variant", "drops", "corruption",
                            "exfiltration", "DoS", "recovers",

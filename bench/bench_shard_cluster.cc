@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "bench/placement_workload.hh"
 #include "core/runtime.hh"
 #include "serve/tenant_workload.hh"
 #include "shard/shard_router.hh"
@@ -235,45 +234,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     skewOpt.stats.placementEpochBytesPeak));
 
-    // ---- Zipf-skewed placement comparison (hash vs optimized) --------
-    // Community-structured Zipf traffic (shared workload driver, see
-    // placement_workload.hh): slot popularity follows a Zipf law and
-    // every third op blends with a same-community partner, so hash
-    // placement pays a cross-shard migration for most blends while
-    // the optimizer co-places communities.
-    util::TextTable zipfTable({"shards", "policy", "imbalance*",
-                               "cross rate*", "calls/s", "epochs",
-                               "moved KiB", "deferrals"});
-    struct ZipfRun {
-        uint32_t shards;
-        shard::PlacementPolicy policy;
-        bench::ZipfOutcome out;
-    };
-    std::vector<ZipfRun> zipfRuns;
-    for (uint32_t shards : {4u, 8u}) {
-        for (auto policy : {shard::PlacementPolicy::Hash,
-                            shard::PlacementPolicy::Optimized}) {
-            bench::ZipfWorkloadConfig wl;
-            wl.shards = shards;
-            wl.policy = policy;
-            bench::ZipfOutcome run = bench::runZipfWorkload(wl);
-            zipfTable.addRow(
-                {std::to_string(shards),
-                 policy == shard::PlacementPolicy::Hash ? "hash"
-                                                        : "optimized",
-                 util::fmtDouble(run.imbalanceSteady, 2),
-                 util::fmtDouble(run.crossRateSteady, 3),
-                 util::fmtDouble(run.throughput, 0),
-                 std::to_string(run.stats.repartitions),
-                 std::to_string(run.stats.placementMovedBytes / 1024),
-                 std::to_string(run.stats.placementDeferrals)});
-            zipfRuns.push_back({shards, policy, std::move(run)});
-        }
-    }
-    std::printf("\nZipf-skewed placement (exponent 1.0, 48 keys, "
-                "community blends; * = steady-state second half):\n%s",
-                zipfTable.render().c_str());
-
     // ---- Kill-one-shard recovery drill -------------------------------
     ClusterOutcome kill = runCluster(4, false, true);
     std::printf("\nkill-one-of-four: shard %u killed mid-run; %llu/%llu"
@@ -297,31 +257,11 @@ main(int argc, char **argv)
     std::printf("deterministic replay: %s\n",
                 identical ? "yes" : "NO (bug)");
 
-    auto zipfOf = [&](uint32_t shards, shard::PlacementPolicy policy)
-        -> const bench::ZipfOutcome & {
-        for (const auto &run : zipfRuns)
-            if (run.shards == shards && run.policy == policy)
-                return run.out;
-        return zipfRuns.front().out; // unreachable
-    };
-    const bench::ZipfOutcome &zh4 =
-        zipfOf(4, shard::PlacementPolicy::Hash);
-    const bench::ZipfOutcome &zo4 =
-        zipfOf(4, shard::PlacementPolicy::Optimized);
-    const bench::ZipfOutcome &zh8 =
-        zipfOf(8, shard::PlacementPolicy::Hash);
-    const bench::ZipfOutcome &zo8 =
-        zipfOf(8, shard::PlacementPolicy::Optimized);
-    bool budgetOk =
-        skewOpt.stats.placementEpochBytesPeak <= (4u << 20) &&
-        zo4.stats.placementEpochBytesPeak <= (4u << 20) &&
-        zo8.stats.placementEpochBytesPeak <= (4u << 20);
+    bool budgetOk = skewOpt.stats.placementEpochBytesPeak <= (4u << 20);
 
     bool pass = speedup4 >= 2.5 && kill.lostAcks == 0 &&
                 kill.remapFraction <= 0.35 && identical &&
-                skewOpt.stats.imbalance() <= 1.2 &&
-                zo4.crossRateSteady < zh4.crossRateSteady &&
-                zo8.crossRateSteady < zh8.crossRateSteady && budgetOk;
+                skewOpt.stats.imbalance() <= 1.2 && budgetOk;
 
     json.metric("speedup_uniform_4shards", speedup4);
     json.metric("speedup_uniform_8shards", speedup8);
@@ -349,16 +289,6 @@ main(int argc, char **argv)
                 skew.stats.proxiedBytes);
     json.metric("migrated_bytes_skewed_4shards",
                 skew.stats.migratedBytes);
-    json.metric("imbalance_zipf_hash_4shards", zh4.imbalanceSteady);
-    json.metric("imbalance_zipf_opt_4shards", zo4.imbalanceSteady);
-    json.metric("imbalance_zipf_hash_8shards", zh8.imbalanceSteady);
-    json.metric("imbalance_zipf_opt_8shards", zo8.imbalanceSteady);
-    json.metric("cross_rate_zipf_hash_4shards", zh4.crossRateSteady);
-    json.metric("cross_rate_zipf_opt_4shards", zo4.crossRateSteady);
-    json.metric("cross_rate_zipf_hash_8shards", zh8.crossRateSteady);
-    json.metric("cross_rate_zipf_opt_8shards", zo8.crossRateSteady);
-    json.metric("throughput_zipf_hash_4shards", zh4.throughput);
-    json.metric("throughput_zipf_opt_4shards", zo4.throughput);
     json.metric("placement_budget_respected", budgetOk ? 1 : 0);
     json.metric("acceptance_pass", pass ? 1 : 0);
     json.flush();

@@ -7,8 +7,9 @@ Usage:
     scripts/bench_summary.py --markdown [--out BENCH_freepart.json]
 
 With --markdown, no benches run: the checked-in summary is rendered
-as the README's "Performance results" table (paste the output there
-after regenerating the baseline).
+as the README's "Performance results" table, with the lint row taken
+from LINT_baseline.json (paste the output there after regenerating
+the baseline; CI fails when the README's table differs from it).
 
 Each bench binary accepts `--json <path>` and writes a flat
 {"bench": ..., "metrics": {...}} object (bench_ipc_primitives emits
@@ -87,7 +88,11 @@ def run_bench(build_dir, bench):
     return metrics
 
 
-# (headline label, bench key, metric key, format, paper reference)
+LINT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "LINT_baseline.json")
+
+# (headline label, bench key, metric key, format, paper reference
+#  [, metric shown as "(vs ...)" next to it, in the same format])
 MARKDOWN_ROWS = [
     ("Runtime overhead vs no isolation", "table9_overhead",
      "freepart_overhead_pct", "{:.2f}%", "5.7% (Table 9)"),
@@ -109,9 +114,11 @@ MARKDOWN_ROWS = [
      "throughput_uniform_4shards", "{:,.0f} calls/s",
      "n/a (this substrate)"),
     ("Zipf imbalance, optimized placement (vs hash)", "placement",
-     "imbalance_zipf_opt_4shards", "{:.2f}", "n/a (this substrate)"),
+     "imbalance_zipf_opt_4shards", "{:.2f}", "n/a (this substrate)",
+     "imbalance_zipf_hash_4shards"),
     ("Zipf cross-shard rate, optimized (vs hash)", "placement",
-     "cross_rate_zipf_opt_4shards", "{:.3f}", "n/a (this substrate)"),
+     "cross_rate_zipf_opt_4shards", "{:.3f}", "n/a (this substrate)",
+     "cross_rate_zipf_hash_4shards"),
     ("Mean MTTR under fault injection", "fault_recovery",
      "mean_mttr_us", "{:,.0f} us", "n/a (this substrate)"),
     ("Cluster availability under 10% chaos", "chaos_cluster",
@@ -140,14 +147,21 @@ def render_markdown(path):
         "| Metric | Measured | Paper |",
         "|---|---|---|",
     ]
-    for label, bench, metric, fmt, paper in MARKDOWN_ROWS:
-        metrics = summary.get(bench)
-        if metrics is None or metric not in metrics:
-            print(f"warning: {bench}.{metric} missing from {path}",
+    for label, bench, metric, fmt, paper, *versus in MARKDOWN_ROWS:
+        metrics = summary.get(bench, {})
+        missing = [key for key in [metric, *versus] if key not in metrics]
+        if missing:
+            print(f"warning: {bench}.{missing[0]} missing from {path}",
                   file=sys.stderr)
             continue
-        lines.append(
-            f"| {label} | {fmt.format(metrics[metric])} | {paper} |")
+        value = fmt.format(metrics[metric])
+        for key in versus:
+            value += f" (vs {fmt.format(metrics[key])})"
+        lines.append(f"| {label} | {value} | {paper} |")
+    with open(LINT_BASELINE) as handle:
+        accepted = len(json.load(handle)["accepted"])
+    lines.append("| Lint: accepted partition-boundary findings (new ones "
+                 f"fail CI) | {accepted} | n/a (this substrate) |")
     print("\n".join(lines))
 
 

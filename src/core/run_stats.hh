@@ -44,9 +44,7 @@ struct RunStats {
     uint64_t hostFallbackCalls = 0; //!< quarantined calls run in host
     uint64_t statefulFastFails = 0; //!< quarantined stateful calls failed
     uint64_t checkpointsTaken = 0;      //!< checkpoint generations saved
-    uint64_t fullCheckpoints = 0;       //!< full-store generations
-    uint64_t incrementalCheckpoints = 0; //!< dirty-epoch generations
-    uint64_t checkpointBytesSaved = 0;  //!< serialized checkpoint bytes
+    uint64_t checkpointBytesSaved = 0;  //!< newly serialized bytes
     uint64_t checkpointBytesRestored = 0; //!< bytes restored on respawn
     uint64_t checkpointFallbacks = 0;   //!< corrupt gens skipped at restore
     uint64_t standbyPromotions = 0;     //!< restarts served by a warm standby
@@ -62,7 +60,7 @@ struct RunStats {
     uint64_t inFlightStalls = 0;   //!< dispatches stalled on queue depth
     uint64_t inFlightPeak = 0;     //!< deepest per-partition queue seen
     uint64_t checkpointSourcedRestores = 0; //!< objects lazily rebuilt
-                                            //!< from checkpoint chains
+                                            //!< from checkpoints
 
     // Speculative execution past protection flips
     // (RuntimeConfig::speculativeFlips, DESIGN.md §15).

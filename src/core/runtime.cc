@@ -83,9 +83,6 @@ FreePartRuntime::FreePartRuntime(osim::Kernel &kernel,
     // Reject configurations whose only possible behavior is a latent
     // div-by-zero, a stall, or silent data loss — a clear message at
     // construction beats a wrong simulation result later.
-    if (config.checkpointFullEvery == 0)
-        util::fatal("RuntimeConfig: checkpointFullEvery must be >= 1 "
-                    "(1 = every checkpoint full)");
     if (config.ringBytes < 4096)
         util::fatal("RuntimeConfig: ringBytes %zu is below the 4 KiB "
                     "minimum ring capacity",
@@ -114,7 +111,6 @@ FreePartRuntime::setupAgents()
         agent.pid = proc.pid();
         agent.store = std::make_unique<fw::ObjectStore>(
             kernel_, agent.pid, &idCounter);
-        agent.checkpoints = CheckpointStore(config.checkpointFullEvery);
         agent.channel = std::make_unique<ipc::Channel>(
             kernel_, "ch:" + plan_.partitionName(p), hostPid_,
             agent.pid, config.ringBytes);
@@ -1513,8 +1509,6 @@ FreePartRuntime::checkpointAgent(uint32_t partition)
     if (!written.taken)
         return; // skipped; old checkpoints AND the watermark remain
     stats_.checkpointBytesSaved += written.bytesSaved;
-    ++(written.full ? stats_.fullCheckpoints
-                    : stats_.incrementalCheckpoints);
     ++stats_.checkpointsTaken;
 }
 
@@ -1556,7 +1550,6 @@ FreePartRuntime::restartAgent(uint32_t partition)
     agent.channel->remapInto(agent.pid);
     agent.executedApis.clear();
     agent.callsSinceCheckpoint = 0;
-    agent.checkpoints.requireFull();
     if (config.restrictSyscalls)
         installPolicy(agent);
     osim::Process &proc = kernel_.process(agent.pid);
@@ -1571,7 +1564,7 @@ FreePartRuntime::restartAgent(uint32_t partition)
     }
     if (up) {
         // Restore from the newest restorable checkpoint; every newer
-        // candidate with a corrupt link is skipped (one fallback
+        // generation with a corrupt entry is skipped (one fallback
         // each). Values newer than the chosen checkpoint are
         // intentionally NOT restored (§6 "Restoring States of Crashed
         // Process"). An object that moved on to a store still holding

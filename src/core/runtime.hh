@@ -96,11 +96,6 @@ struct RuntimeConfig {
     bool enforceMemoryProtection = true; //!< temporal mprotect
     bool restrictSyscalls = true;   //!< install seccomp policies
     bool lockAfterInit = true;      //!< drop init-only syscalls + lock
-    /** Every Nth checkpoint is a full-store snapshot; the ones in
-     *  between are dirty-epoch incrementals that save only objects
-     *  mutated since the last checkpoint. 1 = always full (the
-     *  pre-incremental behavior, used as the ablation baseline). */
-    uint32_t checkpointFullEvery = 4;
     size_t ringBytes = 8 << 20;     //!< per-direction ring capacity
     /**
      * Pipeline-parallel execution: agents run on per-process virtual

@@ -221,28 +221,13 @@ decodeModelFile(ExecContext &ctx, const ApiDescriptor &desc,
                 const std::vector<uint8_t> &bytes,
                 const std::string &label)
 {
-    if (bytes.size() < sizeof(uint32_t))
-        util::fatal("model file truncated");
-    uint32_t rank = 0;
-    std::memcpy(&rank, bytes.data(), sizeof(uint32_t));
-    if (rank > 8)
-        util::fatal("model file: implausible rank %u", rank);
-    std::vector<uint32_t> shape(rank);
-    std::memcpy(shape.data(), bytes.data() + sizeof(uint32_t),
-                rank * sizeof(uint32_t));
-    size_t elems = 1;
-    for (uint32_t d : shape)
-        elems *= d;
-    size_t body = sizeof(uint32_t) * (1 + rank) +
-                  (rank ? elems : 0) * sizeof(float);
-    if (bytes.size() < body)
-        util::fatal("model file: truncated body");
-    std::vector<uint8_t> tensor_bytes(
-        bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(body));
+    TensorDesc header = parseTensorHeader(bytes, "model file");
+    size_t body = sizeof(uint32_t) * (1 + header.shape.size()) +
+                  header.byteLen();
     std::vector<uint8_t> trailer(
         bytes.begin() + static_cast<ptrdiff_t>(body), bytes.end());
     maybeTriggerExploit(ctx, desc.cves, trailer);
-    TensorDesc t = tensorFromBytes(ctx.space(), tensor_bytes, label);
+    TensorDesc t = tensorFromBytes(ctx.space(), bytes, label);
     ctx.traceOp(StorageKind::Mem, StorageKind::File);
     ctx.chargeCompute(t.elements());
     return t;

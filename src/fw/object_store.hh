@@ -163,14 +163,14 @@ class ObjectStore
         byAddr.clear();
     }
 
-    // ---- Dirty-epoch tracking (incremental checkpoints) -----------
+    // ---- Dirty-epoch tracking (checkpoint sharing) ----------------
 
     /**
      * Current write epoch: a counter bumped on every observed
      * mutating access to this process's memory. An object whose
      * dirtyEpoch is <= a checkpoint's watermark epoch has not changed
-     * since that checkpoint and can be skipped by an incremental
-     * snapshot.
+     * since that checkpoint and can share its bytes in the next
+     * one.
      */
     uint64_t writeEpoch() const { return writeEpoch_; }
 

@@ -21,30 +21,43 @@ tensorToBytes(const osim::AddressSpace &space, const TensorDesc &desc)
 }
 
 TensorDesc
+parseTensorHeader(const std::vector<uint8_t> &bytes, const char *what)
+{
+    if (bytes.size() < sizeof(uint32_t))
+        util::fatal("%s: truncated header", what);
+    uint32_t rank = 0;
+    std::memcpy(&rank, bytes.data(), sizeof(uint32_t));
+    if (rank > 8)
+        util::fatal("%s: implausible rank %u", what, rank);
+    size_t header = sizeof(uint32_t) * (1 + rank);
+    if (bytes.size() < header)
+        util::fatal("%s: truncated shape", what);
+    TensorDesc desc;
+    desc.shape.resize(rank);
+    size_t len = sizeof(float);
+    for (uint32_t i = 0; i < rank; ++i) {
+        std::memcpy(&desc.shape[i],
+                    bytes.data() + sizeof(uint32_t) * (1 + i),
+                    sizeof(uint32_t));
+        if (__builtin_mul_overflow(len, desc.shape[i], &len))
+            util::fatal("%s: element count overflows", what);
+    }
+    if (bytes.size() - header < desc.byteLen())
+        util::fatal("%s: truncated data (%zu < %zu)", what,
+                    bytes.size(), header + desc.byteLen());
+    return desc;
+}
+
+TensorDesc
 tensorFromBytes(osim::AddressSpace &space,
                 const std::vector<uint8_t> &bytes,
                 const std::string &label)
 {
-    if (bytes.size() < sizeof(uint32_t))
-        util::fatal("tensorFromBytes: truncated header");
-    uint32_t rank = 0;
-    std::memcpy(&rank, bytes.data(), sizeof(uint32_t));
-    if (rank > 8)
-        util::fatal("tensorFromBytes: implausible rank %u", rank);
-    if (bytes.size() < sizeof(uint32_t) * (1 + rank))
-        util::fatal("tensorFromBytes: truncated shape");
-    TensorDesc desc;
-    desc.shape.resize(rank);
-    std::memcpy(desc.shape.data(), bytes.data() + sizeof(uint32_t),
-                rank * sizeof(uint32_t));
-    size_t expect = sizeof(uint32_t) * (1 + rank) + desc.byteLen();
-    if (bytes.size() < expect)
-        util::fatal("tensorFromBytes: truncated data (%zu < %zu)",
-                    bytes.size(), expect);
+    TensorDesc desc = parseTensorHeader(bytes, "tensorFromBytes");
     desc.addr = space.alloc(desc.byteLen() ? desc.byteLen() : 1,
                             osim::PermRW, label);
     space.write(desc.addr,
-                bytes.data() + sizeof(uint32_t) * (1 + rank),
+                bytes.data() + sizeof(uint32_t) * (1 + desc.shape.size()),
                 desc.byteLen());
     return desc;
 }

@@ -42,6 +42,12 @@ struct TensorDesc {
 std::vector<uint8_t> tensorToBytes(const osim::AddressSpace &space,
                                    const TensorDesc &desc);
 
+/** Shape (addr unset) of serialized tensor bytes, after checking the
+ *  rank is at most 8, the byte count does not overflow and every dim
+ *  and element is inside `bytes`; else util::FatalError naming `what`. */
+TensorDesc parseTensorHeader(const std::vector<uint8_t> &bytes,
+                             const char *what);
+
 /** Materialize serialized bytes as a new tensor allocation. */
 TensorDesc tensorFromBytes(osim::AddressSpace &space,
                            const std::vector<uint8_t> &bytes,

@@ -191,6 +191,8 @@ AddressSpace::read(Addr addr, void *dst, size_t len) const
     if (!m || addr + len > m->base + m->length)
         throw MemFault(ownerPid, addr, false, "read outside mapping");
     checkPages(addr, len, PermRead, false);
+    if (len == 0)
+        return;
     std::memcpy(dst, m->backing->data() + m->backingOff +
                          (addr - m->base),
                 len);
@@ -203,6 +205,8 @@ AddressSpace::write(Addr addr, const void *src, size_t len)
     if (!m || addr + len > m->base + m->length)
         throw MemFault(ownerPid, addr, true, "write outside mapping");
     checkPages(addr, len, PermWrite, true);
+    if (len == 0)
+        return;
     std::memcpy(m->backing->data() + m->backingOff + (addr - m->base),
                 src, len);
     notifyWrite(addr, len);

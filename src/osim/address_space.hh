@@ -89,8 +89,8 @@ using Backing = std::shared_ptr<BackingBytes>;
 /**
  * Callback fired after every successful mutating access (write() or a
  * writable checkedSpan()). This is the simulated analogue of the
- * soft-dirty / write-protect tracking the dirty-epoch incremental
- * checkpoints need: the ObjectStore registers one to stamp the
+ * soft-dirty / write-protect tracking the dirty-epoch checkpoints
+ * need: the ObjectStore registers one to stamp the
  * touched object with the current write epoch.
  */
 using WriteObserver = std::function<void(Addr addr, size_t len)>;

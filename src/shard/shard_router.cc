@@ -40,8 +40,6 @@ accumulate(core::RunStats &into, const core::RunStats &s)
     into.hostFallbackCalls += s.hostFallbackCalls;
     into.statefulFastFails += s.statefulFastFails;
     into.checkpointsTaken += s.checkpointsTaken;
-    into.fullCheckpoints += s.fullCheckpoints;
-    into.incrementalCheckpoints += s.incrementalCheckpoints;
     into.checkpointBytesSaved += s.checkpointBytesSaved;
     into.checkpointBytesRestored += s.checkpointBytesRestored;
     into.checkpointFallbacks += s.checkpointFallbacks;

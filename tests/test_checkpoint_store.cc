@@ -1,16 +1,22 @@
 /**
  * @file
  * CheckpointStore on its own, over a bare object store with no
- * runtime: the full/incremental cadence, retention, write-time
- * verdicts and the chain selection that lookups and restores share,
- * erasure, deletions, and skipped writes.
+ * runtime: sharing of unchanged objects' copies, retention, write-time
+ * verdicts and the generation selection that lookups and restores
+ * share, erasure, deletions, and skipped writes; then restore
+ * identity on the 23 Table 6 app replays.
  */
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "apps/app_models.hh"
+#include "apps/workload.hh"
 #include "core/checkpoint_store.hh"
+#include "core/runtime.hh"
 
 namespace freepart::core {
 namespace {
@@ -59,83 +65,72 @@ fillOf(const fw::ObjectSnapshot *snap)
     return snap ? snap->bytes.at(0) : -1;
 }
 
-TEST(CheckpointStore, FullGenerationEveryNthWrite)
+TEST(CheckpointStore, CleanObjectsShareThePreviousCopy)
 {
     StoreEnv env;
     uint64_t dirty = env.put(1);
-    env.put(2); // never touched again
-    CheckpointStore cps(3);
-    std::vector<bool> fulls;
-    for (int i = 0; i < 7; ++i) {
+    uint64_t clean = env.put(2); // never touched again
+    CheckpointStore cps;
+    EXPECT_EQ(cps.write(env.store).bytesSaved, 2 * kObjBytes);
+    const fw::ObjectSnapshot *clean_copy = cps.lookup(clean);
+    ASSERT_NE(clean_copy, nullptr);
+    for (int i = 0; i < 5; ++i) {
         env.set(dirty, static_cast<uint8_t>(10 + i));
         CheckpointWrite w = cps.write(env.store);
         ASSERT_TRUE(w.taken);
-        fulls.push_back(w.full);
-        // A full saves both objects; an incremental only the dirty one.
-        EXPECT_EQ(w.bytesSaved, (w.full ? 2 : 1) * kObjBytes) << i;
+        // Only the dirty object is serialized again; every generation
+        // still holds both, the clean one as the very same copy.
+        EXPECT_EQ(w.bytesSaved, kObjBytes) << i;
+        EXPECT_EQ(cps.lookup(clean), clean_copy) << i;
+        EXPECT_EQ(fillOf(cps.lookup(dirty)), 10 + i) << i;
+        EXPECT_EQ(cps.restoreSet().objects.size(), 2u) << i;
     }
-    EXPECT_EQ(fulls, (std::vector<bool>{true, false, false, true, false,
-                                        false, true}));
-    EXPECT_EQ(fillOf(cps.lookup(dirty)), 16);
-
-    CheckpointStore always(1);
-    for (int i = 0; i < 4; ++i) {
-        CheckpointWrite w = always.write(env.store);
-        EXPECT_TRUE(w.full) << i;
-        EXPECT_EQ(w.bytesSaved, 2 * kObjBytes);
-    }
+    // Nothing dirty: the generation is all shared copies.
+    EXPECT_EQ(cps.write(env.store).bytesSaved, 0u);
+    EXPECT_EQ(fillOf(cps.lookup(dirty)), 14);
 }
 
-TEST(CheckpointStore, WriteAfterRestoreIsForcedFull)
+TEST(CheckpointStore, RestoredObjectsAreReSerialized)
 {
     StoreEnv env;
     env.put(1);
-    CheckpointStore cps(4);
-    EXPECT_TRUE(cps.write(env.store).full);
-    EXPECT_FALSE(cps.write(env.store).full);
-    cps.requireFull();
-    EXPECT_TRUE(cps.write(env.store).full);
-    // The cadence restarts from the forced full generation.
-    EXPECT_FALSE(cps.write(env.store).full);
-    EXPECT_FALSE(cps.write(env.store).full);
-    EXPECT_FALSE(cps.write(env.store).full);
-    EXPECT_TRUE(cps.write(env.store).full);
+    env.put(2);
+    CheckpointStore cps;
+    cps.write(env.store);
+    CheckpointRestore restore = cps.restoreSet();
+    // A restart rebuilds the store from the checkpoint: every object
+    // moves to a fresh buffer, so none may share its old copy.
+    std::vector<std::pair<uint64_t, fw::ObjectSnapshot>> copies;
+    for (const auto &[id, snap] : restore.objects)
+        copies.emplace_back(id, *snap);
+    env.store.clear();
+    for (const auto &[id, snap] : copies)
+        env.store.restore(id, snap);
+    const fw::ObjectSnapshot *before = cps.lookup(copies[0].first);
+    EXPECT_EQ(cps.write(env.store).bytesSaved, 2 * kObjBytes);
+    EXPECT_NE(cps.lookup(copies[0].first), before);
+    EXPECT_EQ(fillOf(cps.lookup(copies[0].first)), 1);
 }
 
-TEST(CheckpointStore, RetentionKeepsWholeChainsBackToTheLastKeptFull)
+TEST(CheckpointStore, RetentionKeepsTheNewestGenerations)
 {
     StoreEnv env;
     uint64_t id = env.put(1);
-    for (uint32_t every : {1u, 2u, 3u}) {
-        CheckpointStore cps(every);
-        std::vector<bool> fulls; // oldest first
-        for (int i = 0; i < 12; ++i) {
-            env.set(id, static_cast<uint8_t>(i));
-            fulls.push_back(cps.write(env.store).full);
-            size_t kept = cps.generations();
-            ASSERT_GE(fulls.size(), kept);
-            std::vector<bool> retained(fulls.end() - kept, fulls.end());
-            // The oldest retained generation is a full base: no
-            // incremental is orphaned from the generation it extends.
-            EXPECT_TRUE(retained.front()) << every << "/" << i;
-            size_t full_count = static_cast<size_t>(
-                std::count(retained.begin(), retained.end(), true));
-            EXPECT_LE(full_count, kCheckpointGenerations);
-            // Nothing newer than the kept fulls' chains is dropped.
-            if (std::count(fulls.begin(), fulls.end(), true) >=
-                static_cast<long>(kCheckpointGenerations)) {
-                EXPECT_EQ(full_count, kCheckpointGenerations);
-            }
-        }
-        EXPECT_EQ(fillOf(cps.lookup(id)), 11);
+    CheckpointStore cps;
+    for (int i = 0; i < 6; ++i) {
+        env.set(id, static_cast<uint8_t>(i));
+        cps.write(env.store);
+        EXPECT_EQ(cps.generations(),
+                  std::min<size_t>(i + 1, kCheckpointGenerations));
     }
+    EXPECT_EQ(fillOf(cps.lookup(id)), 5);
 }
 
-TEST(CheckpointStore, ChainSelectionSkipsACorruptTop)
+TEST(CheckpointStore, RestoreSkipsACorruptNewestGeneration)
 {
     StoreEnv env;
     uint64_t id = env.put(1);
-    CheckpointStore cps(4);
+    CheckpointStore cps;
     cps.write(env.store);
     env.set(id, 2);
     env.corruptWrite(cps);
@@ -149,34 +144,34 @@ TEST(CheckpointStore, ChainSelectionSkipsACorruptTop)
     EXPECT_EQ(restore.objects[0].second, cps.lookup(id));
 }
 
-TEST(CheckpointStore, ChainSelectionSkipsEveryCandidateAboveACorruptLink)
+TEST(CheckpointStore, ACorruptEntryIsReSerializedByTheNextWrite)
 {
     StoreEnv env;
     uint64_t id = env.put(1);
-    CheckpointStore cps(4);
-    cps.write(env.store); // full, intact
-    env.set(id, 2);
-    env.corruptWrite(cps); // incremental, corrupt
+    env.put(2);
+    CheckpointStore cps;
+    cps.write(env.store);
     env.set(id, 3);
-    cps.write(env.store); // incremental, intact but chained to it
+    EXPECT_EQ(env.corruptWrite(cps).bytesSaved, kObjBytes);
+    ASSERT_EQ(cps.restoreSet().skipped, 1u);
 
-    EXPECT_EQ(fillOf(cps.lookup(id)), 1);
+    // The object did not change since, but its only new copy failed
+    // verification: it is written again, and that generation restores.
+    EXPECT_EQ(cps.write(env.store).bytesSaved, kObjBytes);
     CheckpointRestore restore = cps.restoreSet();
-    EXPECT_EQ(restore.skipped, 2u);
-    ASSERT_EQ(restore.objects.size(), 1u);
-    EXPECT_EQ(fillOf(restore.objects[0].second), 1);
+    EXPECT_EQ(restore.skipped, 0u);
+    EXPECT_EQ(restore.objects.size(), 2u);
+    EXPECT_EQ(fillOf(cps.lookup(id)), 3);
 }
 
-TEST(CheckpointStore, ACorruptBaseLeavesNothingRestorable)
+TEST(CheckpointStore, NoIntactGenerationLeavesNothingRestorable)
 {
     StoreEnv env;
     uint64_t id = env.put(1);
-    CheckpointStore cps(4);
-    env.corruptWrite(cps); // the only full base
+    CheckpointStore cps;
+    env.corruptWrite(cps);
     env.set(id, 2);
-    cps.write(env.store);
-    env.set(id, 3);
-    cps.write(env.store);
+    env.corruptWrite(cps);
 
     EXPECT_EQ(cps.lookup(id), nullptr);
     CheckpointRestore restore = cps.restoreSet();
@@ -184,15 +179,15 @@ TEST(CheckpointStore, ACorruptBaseLeavesNothingRestorable)
     EXPECT_TRUE(restore.objects.empty());
 }
 
-TEST(CheckpointStore, ErasingTheOnlyCorruptEntryRestoresTheChain)
+TEST(CheckpointStore, ErasingTheOnlyCorruptEntryRestoresTheGeneration)
 {
     StoreEnv env;
     uint64_t kept = env.put(1);
     uint64_t bad = env.put(2);
-    CheckpointStore cps(4);
+    CheckpointStore cps;
     cps.write(env.store);
     env.set(bad, 3);
-    env.corruptWrite(cps); // incremental holding only `bad`, corrupt
+    env.corruptWrite(cps); // `kept` shared, `bad` newly written, corrupt
     ASSERT_EQ(cps.restoreSet().skipped, 1u);
 
     cps.erase(bad);
@@ -209,13 +204,13 @@ TEST(CheckpointStore, ADeletedObjectNeverResurrects)
     StoreEnv env;
     uint64_t kept = env.put(1);
     uint64_t gone = env.put(2);
-    CheckpointStore cps(4);
-    cps.write(env.store); // full: captures both
+    CheckpointStore cps;
+    cps.write(env.store); // captures both
     env.store.erase(gone);
-    cps.write(env.store); // incremental: `gone` is no longer live
+    cps.write(env.store); // `gone` is no longer live
 
-    // The full base below still holds a copy, but the chain's top
-    // decides what exists.
+    // The older generation still holds a copy, but the restorable
+    // one decides what exists.
     EXPECT_EQ(cps.lookup(gone), nullptr);
     CheckpointRestore restore = cps.restoreSet();
     ASSERT_EQ(restore.objects.size(), 1u);
@@ -227,7 +222,7 @@ TEST(CheckpointStore, SkippedWriteKeepsTheWatermark)
     StoreEnv env;
     uint64_t dirty = env.put(1);
     env.put(2);
-    CheckpointStore cps(4);
+    CheckpointStore cps;
     cps.write(env.store);
     env.set(dirty, 5);
     for (osim::FaultAction fault :
@@ -242,10 +237,83 @@ TEST(CheckpointStore, SkippedWriteKeepsTheWatermark)
     // The skipped delta lands in the next generation.
     CheckpointWrite next = cps.write(env.store);
     EXPECT_TRUE(next.taken);
-    EXPECT_FALSE(next.full);
     EXPECT_EQ(next.bytesSaved, kObjBytes);
     EXPECT_EQ(fillOf(cps.lookup(dirty)), 5);
 }
+
+/** (Table 6 app index, pipelined): the app replayed on small frames,
+ *  synchronously or through invokeAsync with pipelining and flip
+ *  speculation. */
+class RestoreIdentity
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>>
+{};
+
+TEST_P(RestoreIdentity, RestartRestoresEveryObjectByteForByte)
+{
+    static const fw::ApiRegistry registry = fw::buildFullRegistry();
+    static const analysis::Categorization cats =
+        analysis::HybridCategorizer(registry).categorizeAll();
+    apps::WorkloadGenerator::Config wconfig;
+    wconfig.imageRows = 64;
+    wconfig.imageCols = 64;
+    wconfig.tensorDim = 16;
+    apps::WorkloadGenerator generator(registry, wconfig);
+    osim::Kernel kernel;
+    generator.seedInputs(kernel);
+    auto [app, pipelined] = GetParam();
+    RuntimeConfig config;
+    config.pipelineParallel = pipelined;
+    config.speculativeFlips = pipelined;
+    FreePartRuntime runtime(kernel, registry, cats,
+                            PartitionPlan::freePartDefault(), config);
+    const apps::AppModel &model = apps::appModels().at(app);
+    auto replay = [&] {
+        if (pipelined) {
+            generator.runAsync(runtime, model);
+            runtime.drainAll();
+        } else {
+            generator.run(runtime, model);
+        }
+    };
+    // Replay twice with a checkpoint of every agent in between, so
+    // even an app too short for a periodic checkpoint has generations
+    // whose unchanged objects the final one below shares. A mutation
+    // that skipped the dirty mark would then restore stale bytes.
+    replay();
+    for (uint32_t p = 0; p < runtime.plan().partitionCount(); ++p)
+        runtime.checkpointAgent(p);
+    replay();
+
+    size_t compared = 0;
+    for (uint32_t p = 0; p < runtime.plan().partitionCount(); ++p) {
+        ASSERT_TRUE(runtime.agentAlive(p)) << p;
+        runtime.checkpointAgent(p);
+        std::map<uint64_t, std::vector<uint8_t>> live;
+        for (uint64_t id : runtime.storeOf(p).ids())
+            live.emplace(id, runtime.storeOf(p).serialize(id));
+        kernel.faultProcess(kernel.process(runtime.agentPid(p)),
+                            "induced");
+        ASSERT_TRUE(runtime.restartAgent(p)) << p;
+        EXPECT_EQ(runtime.storeOf(p).count(), live.size()) << p;
+        for (const auto &[id, bytes] : live) {
+            ASSERT_TRUE(runtime.storeOf(p).has(id)) << p << "/" << id;
+            EXPECT_EQ(runtime.storeOf(p).serialize(id), bytes)
+                << p << "/" << id;
+            ++compared;
+        }
+    }
+    EXPECT_GT(compared, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableSixApps, RestoreIdentity,
+    ::testing::Combine(
+        ::testing::Range<size_t>(0, apps::appModels().size()),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>> &info) {
+        return std::string(std::get<1>(info.param) ? "async" : "sync") +
+               "_app" + std::to_string(std::get<0>(info.param) + 1);
+    });
 
 } // namespace
 } // namespace freepart::core

@@ -157,6 +157,22 @@ TEST(ObjectStore, SerializeMaterializePreservesIdAndData)
         b.space().readValue<uint32_t>(sb.mat(id).addr), 0xaabbccddu);
 }
 
+TEST(ObjectStore, ZeroByteObjectSnapshotRoundTrip)
+{
+    // An empty object's snapshot has no byte buffer at all: neither
+    // serialize() nor restore() may hand its null data() to memcpy.
+    osim::Kernel kernel;
+    osim::Process &proc = kernel.spawn("p");
+    uint64_t counter = 0;
+    ObjectStore store(kernel, proc.pid(), &counter);
+    uint64_t id = store.putBytes(proc.space().alloc(1), 0, "empty");
+    ObjectSnapshot snap = store.snapshot(id);
+    EXPECT_TRUE(snap.bytes.empty());
+    store.restore(id, snap);
+    EXPECT_EQ(store.get(id).byteLen, 0u);
+    EXPECT_TRUE(store.serialize(id).empty());
+}
+
 TEST(ObjectStore, WrongKindAccessPanics)
 {
     osim::Kernel kernel;

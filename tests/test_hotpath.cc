@@ -6,7 +6,7 @@
  * slot-exact records, batch-of-one wire size, corrupted batch
  * trailers), the word-wide integrity checksum (split
  * invariance, bit-flip and injected-corruption detection) next to the
- * pinned FNV-1a digest, incremental-checkpoint byte savings and
+ * pinned FNV-1a digest, shared-checkpoint byte savings and
  * restore fidelity, and the bounded LRU dedup cache.
  */
 
@@ -304,7 +304,7 @@ TEST(Fnv1a64, KnownAnswersPinPlacementKeysAndDigests)
     EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ull);
 }
 
-// ---- Dirty-epoch incremental checkpoints -----------------------------
+// ---- Dirty-epoch checkpoint sharing ----------------------------------
 
 struct HotPathEnv {
     HotPathEnv() : registry(fw::buildFullRegistry())
@@ -358,45 +358,45 @@ trainRounds(core::FreePartRuntime &runtime, int rounds)
     return weights;
 }
 
-TEST(DirtyEpoch, IncrementalCheckpointsSaveFewerBytes)
+TEST(DirtyEpoch, CheckpointsSerializeOnlyDirtyObjects)
 {
-    // Each runtime borrows env().kernel, so the first one must be
-    // fully measured and destroyed before the second is built.
-    core::RunStats full_stats;
-    {
-        core::RuntimeConfig full;
-        full.checkpointFullEvery = 1; // every generation is full
-        auto full_rt = env().makeRuntime(full);
-        trainRounds(*full_rt, 8);
-        full_stats = full_rt->stats();
-    }
-    EXPECT_EQ(full_stats.incrementalCheckpoints, 0u);
-    EXPECT_GT(full_stats.fullCheckpoints, 0u);
+    auto runtime = env().makeRuntime();
+    ipc::ObjectRef weights = trainRounds(*runtime, 8);
+    uint32_t p = runtime->homeOf(weights.objectId);
+    fw::ObjectStore &store = runtime->storeOf(p);
+    ASSERT_GT(store.count(), 1u);
+    size_t weights_bytes = store.serialize(weights.objectId).size();
+    size_t store_bytes = 0;
+    for (uint64_t id : store.ids())
+        store_bytes += store.serialize(id).size();
 
-    core::RuntimeConfig inc;
-    inc.checkpointFullEvery = 4; // dirty-epoch deltas in between
-    auto inc_rt = env().makeRuntime(inc);
-    trainRounds(*inc_rt, 8);
-    const core::RunStats &inc_stats = inc_rt->stats();
-    EXPECT_GT(inc_stats.incrementalCheckpoints, 0u);
-    EXPECT_GT(inc_stats.fullCheckpoints, 0u);
+    // Nothing changed since the last round's checkpoint: the next
+    // generation shares every copy and serializes nothing.
+    uint64_t saved = runtime->stats().checkpointBytesSaved;
+    uint64_t taken = runtime->stats().checkpointsTaken;
+    runtime->checkpointAgent(p);
+    EXPECT_EQ(runtime->stats().checkpointsTaken, taken + 1);
+    EXPECT_EQ(runtime->stats().checkpointBytesSaved, saved);
 
-    // Same workload, same generations taken — the dirty-epoch deltas
-    // must be strictly cheaper than always serializing the store.
-    EXPECT_EQ(inc_stats.checkpointsTaken, full_stats.checkpointsTaken);
-    EXPECT_LT(inc_stats.checkpointBytesSaved,
-              full_stats.checkpointBytesSaved);
+    // Overwriting the weights in place dirties them alone: they are
+    // re-serialized, the clean objects beside them are not.
+    osim::AddressSpace &space =
+        env().kernel->process(runtime->agentPid(p)).space();
+    const fw::StoredObject &obj = store.get(weights.objectId);
+    std::vector<uint8_t> data(obj.byteLen, 0x5a);
+    space.write(obj.addr, data.data(), data.size());
+    runtime->checkpointAgent(p);
+    uint64_t round = runtime->stats().checkpointBytesSaved - saved;
+    EXPECT_EQ(round, weights_bytes);
+    EXPECT_LT(round, store_bytes);
 }
 
-TEST(DirtyEpoch, IncrementalRestoreMatchesPreCrashState)
+TEST(DirtyEpoch, SharedRestoreMatchesPreCrashState)
 {
-    core::RuntimeConfig config;
-    config.checkpointFullEvery = 4;
-    auto runtime = env().makeRuntime(config);
-    // 5 training rounds: the last generation before the crash is an
-    // incremental one sitting on top of a full base.
+    auto runtime = env().makeRuntime();
+    // 5 training rounds: the last generation before the crash shares
+    // the clean objects' copies with the ones before it.
     ipc::ObjectRef weights = trainRounds(*runtime, 5);
-    ASSERT_GT(runtime->stats().incrementalCheckpoints, 0u);
 
     uint32_t p = runtime->homeOf(weights.objectId);
     runtime->fetchToHost(weights);

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "fw/api_registry.hh"
 #include "fw/invoker.hh"
 #include "osim/kernel.hh"
+#include "util/logging.hh"
 
 namespace freepart::fw {
 namespace {
@@ -237,6 +239,45 @@ TEST_F(DnnFixture, ModelSaveLoadRoundTrip)
     auto values = tensorRead(
         proc.space(), store.tensor(out.at(0).asRef().objectId));
     EXPECT_EQ(values, (std::vector<float>{1.5f, -2.f, 0.f, 42.f}));
+}
+
+/** Model file bytes made of the given 32-bit words. */
+std::vector<uint8_t>
+modelFile(const std::vector<uint32_t> &words)
+{
+    std::vector<uint8_t> bytes(words.size() * sizeof(uint32_t));
+    std::memcpy(bytes.data(), words.data(), bytes.size());
+    return bytes;
+}
+
+TEST_F(DnnFixture, ModelFileShorterThanItsShapeIsRejected)
+{
+    // Rank 8 promises 32 shape bytes; the file ends after the rank.
+    kernel.vfs().putFile("/models/short.fpt", modelFile({8}));
+    const ApiDescriptor &load = reg.require("torch.load");
+    try {
+        load.fn(ctx, load, {ipc::Value(std::string("/models/short.fpt"))});
+        FAIL() << "a truncated shape loaded";
+    } catch (const util::FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("truncated shape"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST_F(DnnFixture, ModelFileWhoseSizeOverflowsIsRejected)
+{
+    // 2^22 * 2^21 * 2^21 elements wrap a 64-bit size to 0, which
+    // would load as an empty tensor that a later kernel trips over.
+    std::vector<uint8_t> bytes =
+        modelFile({3, 1u << 22, 1u << 21, 1u << 21});
+    kernel.vfs().putFile("/models/wrap.fpt", bytes);
+    const ApiDescriptor &load = reg.require("torch.load");
+    EXPECT_THROW(
+        load.fn(ctx, load, {ipc::Value(std::string("/models/wrap.fpt"))}),
+        util::FatalError);
+    // The wire decoder shares the header parse.
+    EXPECT_THROW(tensorFromBytes(proc.space(), bytes), util::FatalError);
 }
 
 TEST_F(DnnFixture, Conv2dRejectsMismatchedChannels)

@@ -574,7 +574,7 @@ TEST(CheckpointVerdict, LookupAndRestoreSkipTheSameCorruptGeneration)
     EXPECT_FALSE(lookup_corrupt);
     EXPECT_EQ(f.runtime->stats().checkpointFallbacks, 0u);
 
-    // The bulk restore skips the corrupt chain once and restores
+    // The bulk restore skips the corrupt generation once and restores
     // exactly the ids the lookup vouched for.
     ASSERT_TRUE(f.runtime->restartAgent(f.partition));
     EXPECT_EQ(f.runtime->stats().checkpointFallbacks, 1u);
@@ -584,7 +584,7 @@ TEST(CheckpointVerdict, LookupAndRestoreSkipTheSameCorruptGeneration)
     EXPECT_EQ(f.runtime->hasObject(f.corrupt), lookup_corrupt);
 }
 
-TEST(CheckpointVerdict, EvictingTheOnlyCorruptEntryRestoresTheChain)
+TEST(CheckpointVerdict, EvictingTheOnlyCorruptEntryRestoresTheGeneration)
 {
     CorruptGenFixture f;
     f.runtime->evictObject(f.corrupt);
@@ -638,9 +638,11 @@ TEST(CheckpointVerdict, SquashScrubbingACorruptEntryKeepsTheCount)
     // explicit checkpoint: the cadence cuts the next generation inside
     // the speculative call below, the agent's kCheckpointInterval-th.
     ipc::ValueList chain = frame;
+    std::vector<uint64_t> blurs;
     for (uint32_t i = 1; i < kCheckpointInterval; ++i) {
         chain = call("cv2.GaussianBlur", chain);
         ASSERT_EQ(chain.size(), 1u);
+        blurs.push_back(chain[0].asRef().objectId);
     }
     uint64_t chain_id = chain[0].asRef().objectId;
     uint32_t p = runtime.homeOf(chain_id);
@@ -664,17 +666,18 @@ TEST(CheckpointVerdict, SquashScrubbingACorruptEntryKeepsTheCount)
     ASSERT_EQ(drawn.size(), 2u);
     runtime.drainAll();
     ASSERT_EQ(runtime.stats().speculationRollbacks, 1u);
-    // Capture the re-issued call's copy in a generation of its own.
-    runtime.checkpointAgent(p);
 
     // The squash scrubbed the corrupt minted copy; evicting the
-    // chain removes the generation's other corrupt entry. Only a
+    // chain removes the generation's other corrupt entry. No write
+    // follows, so the restart reads that very generation: only a
     // count kept in step with both erasures leaves it restorable.
     runtime.evictObject(chain_id);
     kernel.faultProcess(kernel.process(runtime.agentPid(p)), "induced");
     ASSERT_TRUE(runtime.restartAgent(p));
     EXPECT_EQ(runtime.stats().checkpointFallbacks, 0u);
-    EXPECT_TRUE(runtime.storeOf(p).has(drawn[1].asRef().objectId));
+    for (size_t i = 0; i + 1 < blurs.size(); ++i)
+        EXPECT_TRUE(runtime.storeOf(p).has(blurs[i])) << i;
+    EXPECT_FALSE(runtime.storeOf(p).has(chain_id));
 }
 
 TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
@@ -685,12 +688,6 @@ TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
 
     RuntimeConfig ok;
     EXPECT_NO_THROW(build(ok));
-
-    RuntimeConfig fullEvery;
-    fullEvery.checkpointFullEvery = 0;
-    EXPECT_THROW(build(fullEvery), util::FatalError);
-    fullEvery.checkpointFullEvery = 1; // always-full is legal
-    EXPECT_NO_THROW(build(fullEvery));
 
     RuntimeConfig ring;
     ring.ringBytes = 0;
