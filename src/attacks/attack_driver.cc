@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "fw/image_format.hh"
+#include "util/checksum.hh"
 #include "util/logging.hh"
 
 namespace freepart::attacks {
@@ -222,7 +223,7 @@ AttackDriver::launch(const AttackSpec &spec)
             .space()
             .read(spec.targetAddr, before.data(), spec.targetLen);
         secret_checksum =
-            osim::fnv1a(before.data(), before.size());
+            util::fnv1a64(before.data(), before.size());
     }
     size_t sends_before = kernel.network().sends().size();
     size_t denied_before =

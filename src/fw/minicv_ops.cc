@@ -130,13 +130,35 @@ minmax3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
  * interior (9, and 6 on the top and bottom rows) are compile-time
  * constants here, so that division compiles to a multiply.
  */
+template <typename Sum>
 void
-divideRow(const uint32_t *sum, uint8_t *dst, size_t n, uint32_t count)
+divideRow(const Sum *sum, uint8_t *dst, size_t n, uint32_t count)
 {
     withConstant<9, 6>(count, [&](auto div) {
         for (size_t i = 0; i < n; ++i)
             dst[i] = static_cast<uint8_t>(sum[i] / div);
     });
+}
+
+/**
+ * True when std::lround(v) lies in [0, n). A NaN, an infinity or any
+ * finite v beyond that range is outside.
+ */
+inline bool
+inFrame(double v, uint32_t n)
+{
+    return v > -0.5 && v < n - 0.5;
+}
+
+/**
+ * std::lround(v) for a v that inFrame() accepted: v - t is exact, and
+ * a half rounds away from zero. Inline, unlike the libcall.
+ */
+inline uint32_t
+roundInFrame(double v)
+{
+    const uint32_t t = static_cast<uint32_t>(v);
+    return t + (v - t >= 0.5);
 }
 
 } // namespace
@@ -157,9 +179,16 @@ gaussianBlur3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
         });
 }
 
+namespace {
+
+/**
+ * boxBlur with window sums held in Sum, which must hold
+ * (2*(k/2)+1)^2 * 255.
+ */
+template <typename Sum>
 void
-boxBlur(const uint8_t *src, uint8_t *dst, uint32_t rows,
-        uint32_t cols, uint32_t ch, uint32_t k)
+boxBlurSums(const uint8_t *src, uint8_t *dst, uint32_t rows,
+            uint32_t cols, uint32_t ch, uint32_t k)
 {
     const size_t row = static_cast<size_t>(cols) * ch;
     if (rows == 0 || row == 0)
@@ -173,7 +202,7 @@ boxBlur(const uint8_t *src, uint8_t *dst, uint32_t rows,
     };
     // colSum holds, per column and channel, the sum over the window's
     // rows; it slides down one row per output row.
-    std::vector<uint32_t> colSum(row, 0), winSum(row);
+    std::vector<Sum> colSum(row, 0), winSum(row);
     for (uint32_t r = 0; r <= lastIn(0, rows); ++r)
         for (size_t i = 0; i < row; ++i)
             colSum[i] += src[r * row + i];
@@ -219,6 +248,19 @@ boxBlur(const uint8_t *src, uint8_t *dst, uint32_t rows,
             for (size_t i = 0; i < row; ++i)
                 colSum[i] -= src[(r - half) * row + i];
     }
+}
+
+} // namespace
+
+void
+boxBlur(const uint8_t *src, uint8_t *dst, uint32_t rows,
+        uint32_t cols, uint32_t ch, uint32_t k)
+{
+    // Up to a 15x15 window the sums fit 16 bits, twice the lanes.
+    if (k / 2 <= 7)
+        boxBlurSums<uint16_t>(src, dst, rows, cols, ch, k);
+    else
+        boxBlurSums<uint32_t>(src, dst, rows, cols, ch, k);
 }
 
 void
@@ -273,7 +315,11 @@ sobelMagnitude(const uint8_t *gray, uint8_t *dst, uint32_t rows,
                uint32_t cols)
 {
     // The one-pixel border stays 0; only the interior is computed.
+    // gx^2 + gy^2 is an exact integer, so the double root of the
+    // per-pixel loop is sqrtClampU8 of it. The squares are summed in
+    // one (vectorizable) pass over the row and rooted in a second.
     std::fill_n(dst, static_cast<size_t>(rows) * cols, 0);
+    std::vector<uint32_t> sq(cols);
     for (uint32_t r = 1; r + 1 < rows; ++r) {
         const uint8_t *up = gray + static_cast<size_t>(r - 1) * cols;
         const uint8_t *mid = up + cols;
@@ -284,10 +330,10 @@ sobelMagnitude(const uint8_t *gray, uint8_t *dst, uint32_t rows,
                      up[c + 1] + 2 * mid[c + 1] + down[c + 1];
             int gy = -up[c - 1] - 2 * up[c] - up[c + 1] + down[c - 1] +
                      2 * down[c] + down[c + 1];
-            double mag = std::sqrt(static_cast<double>(gx) * gx +
-                                   static_cast<double>(gy) * gy);
-            d[c] = clampU8(mag);
+            sq[c] = static_cast<uint32_t>(gx * gx + gy * gy);
         }
+        for (uint32_t c = 1; c + 1 < cols; ++c)
+            d[c] = sqrtClampU8(sq[c]);
     }
 }
 
@@ -352,27 +398,44 @@ resizeBilinear(const uint8_t *src, uint32_t rows, uint32_t cols,
     double cscale = dcols > 1
                         ? static_cast<double>(cols - 1) / (dcols - 1)
                         : 0.0;
-    for (uint32_t r = 0; r < drows; ++r) {
-        double fr = r * rscale;
-        uint32_t r0 = static_cast<uint32_t>(fr);
-        uint32_t r1 = std::min(r0 + 1, rows - 1);
-        double wr = fr - r0;
-        for (uint32_t c = 0; c < dcols; ++c) {
-            double fc = c * cscale;
-            uint32_t c0 = static_cast<uint32_t>(fc);
-            uint32_t c1 = std::min(c0 + 1, cols - 1);
-            double wc = fc - c0;
-            for (uint32_t k = 0; k < ch; ++k) {
-                double v =
-                    (1 - wr) * (1 - wc) *
-                        src[idx(r0, c0, k, cols, ch)] +
-                    (1 - wr) * wc * src[idx(r0, c1, k, cols, ch)] +
-                    wr * (1 - wc) * src[idx(r1, c0, k, cols, ch)] +
-                    wr * wc * src[idx(r1, c1, k, cols, ch)];
-                dst[idx(r, c, k, dcols, ch)] = clampU8(v);
+    // Per output column: the two source columns' byte offsets and the
+    // weight wc; per output row the same for rows. The four pixel
+    // weights are formed once per pixel, with the products the
+    // per-channel expression had, and shared by its channels.
+    struct Tap {
+        size_t c0, c1;
+        double wc;
+    };
+    std::vector<Tap> taps(dcols);
+    for (uint32_t c = 0; c < dcols; ++c) {
+        double fc = c * cscale;
+        uint32_t c0 = static_cast<uint32_t>(fc);
+        uint32_t c1 = std::min(c0 + 1, cols - 1);
+        taps[c] = {static_cast<size_t>(c0) * ch,
+                   static_cast<size_t>(c1) * ch, fc - c0};
+    }
+    const size_t srow = static_cast<size_t>(cols) * ch;
+    withConstant<1, 3>(ch, [&](auto nch) {
+        uint8_t *d = dst;
+        for (uint32_t r = 0; r < drows; ++r) {
+            double fr = r * rscale;
+            uint32_t r0 = static_cast<uint32_t>(fr);
+            uint32_t r1 = std::min(r0 + 1, rows - 1);
+            double wr = fr - r0;
+            const uint8_t *s0 = src + r0 * srow;
+            const uint8_t *s1 = src + r1 * srow;
+            for (const Tap &t : taps) {
+                const double w00 = (1 - wr) * (1 - t.wc);
+                const double w01 = (1 - wr) * t.wc;
+                const double w10 = wr * (1 - t.wc);
+                const double w11 = wr * t.wc;
+                for (uint32_t k = 0; k < nch; ++k)
+                    d[k] = clampU8(w00 * s0[t.c0 + k] + w01 * s0[t.c1 + k] +
+                                   w10 * s1[t.c0 + k] + w11 * s1[t.c1 + k]);
+                d += nch;
             }
         }
-    }
+    });
 }
 
 void
@@ -439,27 +502,40 @@ warpPerspective(const uint8_t *src, uint8_t *dst, uint32_t rows,
         (h[1] * h[6] - h[0] * h[7]) / det,
         (h[0] * h[4] - h[1] * h[3]) / det,
     };
-    for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            double x = static_cast<double>(c);
-            double y = static_cast<double>(r);
-            double w = inv[6] * x + inv[7] * y + inv[8];
-            double sx = (inv[0] * x + inv[1] * y + inv[2]) / w;
-            double sy = (inv[3] * x + inv[4] * y + inv[5]) / w;
-            int sc = static_cast<int>(std::lround(sx));
-            int sr = static_cast<int>(std::lround(sy));
-            for (uint32_t k = 0; k < ch; ++k) {
-                uint8_t v = 0;
-                if (sr >= 0 && sc >= 0 &&
-                    sr < static_cast<int>(rows) &&
-                    sc < static_cast<int>(cols))
-                    v = src[idx(static_cast<uint32_t>(sr),
-                                static_cast<uint32_t>(sc), k, cols,
-                                ch)];
-                dst[idx(r, c, k, cols, ch)] = v;
+    // The x products come from per-column tables and the y products
+    // are per row; the sums and divisions keep the per-pixel
+    // expression's order.
+    std::vector<double> ax(cols), bx(cols), cx(cols), sx(cols), sy(cols);
+    for (uint32_t c = 0; c < cols; ++c) {
+        const double x = static_cast<double>(c);
+        ax[c] = inv[0] * x;
+        bx[c] = inv[3] * x;
+        cx[c] = inv[6] * x;
+    }
+    const size_t row = static_cast<size_t>(cols) * ch;
+    withConstant<1, 3>(ch, [&](auto nch) {
+        for (uint32_t r = 0; r < rows; ++r) {
+            const double y = static_cast<double>(r);
+            const double ay = inv[1] * y, by = inv[4] * y,
+                         cy = inv[7] * y;
+            for (uint32_t c = 0; c < cols; ++c) {
+                const double w = cx[c] + cy + inv[8];
+                sx[c] = (ax[c] + ay + inv[2]) / w;
+                sy[c] = (bx[c] + by + inv[5]) / w;
+            }
+            uint8_t *d = dst + r * row;
+            for (uint32_t c = 0; c < cols; ++c, d += nch) {
+                const uint8_t *from = nullptr;
+                if (inFrame(sx[c], cols) && inFrame(sy[c], rows))
+                    from = src + (static_cast<size_t>(roundInFrame(sy[c])) *
+                                      cols +
+                                  roundInFrame(sx[c])) *
+                                     nch;
+                for (uint32_t k = 0; k < nch; ++k)
+                    d[k] = from ? from[k] : 0;
             }
         }
-    }
+    });
 }
 
 void
@@ -565,40 +641,58 @@ connectedComponents(const uint8_t *bin, uint32_t rows, uint32_t cols,
 {
     if (bboxes)
         bboxes->clear();
-    const size_t n = static_cast<size_t>(rows) * cols;
-    // Pass 1: give each foreground pixel its left or upper
-    // neighbour's provisional label, minting a new one where it has
-    // neither, and union the two where it has both. Labels are minted
-    // in raster order and a union always keeps the smaller root, so
-    // parent[l] <= l and each component's root is the label minted at
-    // its first raster pixel.
-    std::vector<uint32_t> label(n);
+    // Label runs, not pixels: a run is a row's maximal stretch
+    // [begin, end) of foreground. A run takes the label of the first
+    // run it touches in the row above, minting a new one where it
+    // touches none, and unions that label with every other run it
+    // touches. Labels are minted in raster order and a union always
+    // keeps the smaller root, so parent[l] <= l and each component's
+    // root is the label minted at its first raster pixel.
+    struct Run {
+        uint32_t row, begin, end, label;
+    };
+    std::vector<Run> runs;
     std::vector<uint32_t> parent;
     auto find = [&](uint32_t l) {
         while (parent[l] != l)
             l = parent[l] = parent[parent[l]];
         return l;
     };
+    size_t above = 0, aboveEnd = 0; // the previous row's runs
     for (uint32_t r = 0; r < rows; ++r) {
-        const size_t base = static_cast<size_t>(r) * cols;
-        for (uint32_t c = 0; c < cols; ++c) {
-            const size_t i = base + c;
-            if (!bin[i])
-                continue;
-            const bool left = c > 0 && bin[i - 1];
-            const bool upper = r > 0 && bin[i - cols];
-            if (!left && !upper) {
-                label[i] = static_cast<uint32_t>(parent.size());
-                parent.push_back(label[i]);
-                continue;
-            }
-            label[i] = left ? label[i - 1] : label[i - cols];
-            if (left && upper) {
-                uint32_t a = find(label[i - 1]), b = find(label[i - cols]);
+        const uint8_t *line = bin + static_cast<size_t>(r) * cols;
+        const size_t rowStart = runs.size();
+        for (uint32_t c = 0; c < cols;) {
+            while (c < cols && !line[c])
+                ++c;
+            if (c == cols)
+                break;
+            const uint32_t begin = c;
+            while (c < cols && line[c])
+                ++c;
+            // Runs above that end before this one begins touch no
+            // later run of this row either.
+            while (above < aboveEnd && runs[above].end <= begin)
+                ++above;
+            uint32_t label = UINT32_MAX;
+            for (size_t k = above; k < aboveEnd && runs[k].begin < c;
+                 ++k) {
+                if (label == UINT32_MAX) {
+                    label = runs[k].label;
+                    continue;
+                }
+                uint32_t a = find(label), b = find(runs[k].label);
                 if (a != b)
                     parent[std::max(a, b)] = std::min(a, b);
             }
+            if (label == UINT32_MAX) {
+                label = static_cast<uint32_t>(parent.size());
+                parent.push_back(label);
+            }
+            runs.push_back({r, begin, c, label});
         }
+        above = rowStart;
+        aboveEnd = runs.size();
     }
     // Number the roots in increasing order (the order of their first
     // raster pixels, as a raster-scan flood fill would) and map every
@@ -611,18 +705,13 @@ connectedComponents(const uint8_t *bin, uint32_t rows, uint32_t cols,
     }
     if (!bboxes)
         return count;
-    // Pass 2: grow each component's {rmin, cmin, rmax, cmax} over its
-    // pixels, then turn the far corner into a height and width.
+    // Grow each component's {rmin, cmin, rmax, cmax} over its runs,
+    // then turn the far corner into a height and width.
     bboxes->assign(count, {UINT32_MAX, UINT32_MAX, 0, 0});
-    for (uint32_t r = 0; r < rows; ++r) {
-        const size_t base = static_cast<size_t>(r) * cols;
-        for (uint32_t c = 0; c < cols; ++c) {
-            if (!bin[base + c])
-                continue;
-            Box &b = (*bboxes)[parent[label[base + c]]];
-            b = {std::min(b[0], r), std::min(b[1], c), std::max(b[2], r),
-                 std::max(b[3], c)};
-        }
+    for (const Run &run : runs) {
+        Box &b = (*bboxes)[parent[run.label]];
+        b = {std::min(b[0], run.row), std::min(b[1], run.begin),
+             std::max(b[2], run.row), std::max(b[3], run.end - 1)};
     }
     for (Box &b : *bboxes)
         b = {b[0], b[1], b[2] - b[0], b[3] - b[1]};
@@ -638,19 +727,28 @@ templateMatchBest(const uint8_t *img, uint32_t rows, uint32_t cols,
     best_c = 0;
     if (trows > rows || tcols > cols)
         return UINT64_MAX;
+    // One template row's SSD, summed in 32 bits over runs short
+    // enough (65536 * 255^2 < 2^32) to be exact, so the loop vectorizes.
+    auto rowSsd = [](const uint8_t *a, const uint8_t *b, uint32_t n) {
+        uint64_t total = 0;
+        for (uint32_t i = 0; i < n;) {
+            const uint32_t end = n - i > 65536 ? i + 65536 : n;
+            uint32_t part = 0;
+            for (; i < end; ++i) {
+                const int d = a[i] - b[i];
+                part += static_cast<uint32_t>(d * d);
+            }
+            total += part;
+        }
+        return total;
+    };
     uint64_t best = UINT64_MAX;
     for (uint32_t r = 0; r + trows <= rows; ++r) {
         for (uint32_t c = 0; c + tcols <= cols; ++c) {
             uint64_t ssd = 0;
-            for (uint32_t tr = 0; tr < trows && ssd < best; ++tr) {
-                for (uint32_t tc = 0; tc < tcols; ++tc) {
-                    int d = static_cast<int>(
-                                img[idx(r + tr, c + tc, 0, cols, 1)]) -
-                            static_cast<int>(
-                                tmpl[idx(tr, tc, 0, tcols, 1)]);
-                    ssd += static_cast<uint64_t>(d * d);
-                }
-            }
+            for (uint32_t tr = 0; tr < trows && ssd < best; ++tr)
+                ssd += rowSsd(img + idx(r + tr, c, 0, cols, 1),
+                              tmpl + idx(tr, 0, 0, tcols, 1), tcols);
             if (ssd < best) {
                 best = ssd;
                 best_r = r;
@@ -684,8 +782,14 @@ void
 addWeighted(const uint8_t *a, const uint8_t *b, uint8_t *dst,
             size_t n, double alpha, double beta)
 {
+    // alpha * a[i] and beta * b[i] take 256 values each.
+    double ta[256], tb[256];
+    for (int v = 0; v < 256; ++v) {
+        ta[v] = alpha * v;
+        tb[v] = beta * v;
+    }
     for (size_t i = 0; i < n; ++i)
-        dst[i] = clampU8(alpha * a[i] + beta * b[i]);
+        dst[i] = clampU8(ta[a[i]] + tb[b[i]]);
 }
 
 void
@@ -737,11 +841,42 @@ void
 convFilter3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
               uint32_t cols, uint32_t ch, const float k[9])
 {
-    // Each tap is a float product added to a double in dr-major order,
-    // exactly as the direct window computes it.
     const size_t row = static_cast<size_t>(cols) * ch;
     if (rows == 0 || row == 0)
         return;
+    // Integer taps whose magnitudes sum to at most 128 make every
+    // float product k * v, and every partial double sum, an integer
+    // below 2^15 in magnitude: exact, and the same number in int16.
+    bool integral = true;
+    float weight = 0;
+    for (int t = 0; t < 9; ++t) {
+        integral = integral && std::trunc(k[t]) == k[t];
+        weight += std::abs(k[t]);
+    }
+    if (integral && weight <= 128.f) {
+        std::array<int16_t, 9> ki;
+        for (int t = 0; t < 9; ++t)
+            ki[t] = static_cast<int16_t>(k[t]);
+        forEachRowClamped(
+            src, rows, row,
+            [&, ki](uint32_t r, const uint8_t *up, const uint8_t *mid,
+                    const uint8_t *down) {
+                uint8_t *d = dst + r * row;
+                forEachColumnClamped(row, ch, [&](size_t i, size_t l,
+                                                  size_t rt) {
+                    const auto sum = static_cast<int16_t>(
+                        ki[0] * up[l] + ki[1] * up[i] + ki[2] * up[rt] +
+                        ki[3] * mid[l] + ki[4] * mid[i] + ki[5] * mid[rt] +
+                        ki[6] * down[l] + ki[7] * down[i] +
+                        ki[8] * down[rt]);
+                    d[i] = static_cast<uint8_t>(
+                        std::clamp<int16_t>(sum, 0, 255));
+                });
+            });
+        return;
+    }
+    // Otherwise each tap is a float product added to a double in
+    // dr-major order, exactly as the direct window computes it.
     forEachRowClamped(
         src, rows, row,
         [&](uint32_t r, const uint8_t *up, const uint8_t *mid,

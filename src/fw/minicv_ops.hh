@@ -11,6 +11,7 @@
 #define FREEPART_FW_MINICV_OPS_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,6 +54,19 @@ void morphClose(const uint8_t *src, uint8_t *dst, uint32_t rows,
 void toGray(const uint8_t *src, uint8_t *dst, uint32_t rows,
             uint32_t cols, uint32_t ch_in);
 
+/**
+ * min(255, floor(sqrt(s))). For every s up to 2 * 1020^2, the largest
+ * Sobel gx^2 + gy^2, this equals clamping std::sqrt(double(s)) to u8:
+ * below 255^2 the float root of s is never rounded across an integer.
+ */
+inline uint8_t
+sqrtClampU8(uint32_t s)
+{
+    return s >= 255u * 255u
+               ? 255
+               : static_cast<uint8_t>(std::sqrt(static_cast<float>(s)));
+}
+
 /** Sobel gradient magnitude of a grayscale image (clamped to u8). */
 void sobelMagnitude(const uint8_t *gray, uint8_t *dst, uint32_t rows,
                     uint32_t cols);
@@ -84,7 +98,9 @@ void threshold(const uint8_t *src, uint8_t *dst, size_t n,
 
 /**
  * Perspective warp by 3x3 homography H (row-major), inverse-mapping
- * with nearest sampling; out-of-range pixels become 0.
+ * with nearest sampling (std::lround). A pixel whose source coordinate
+ * is not finite or rounds outside the frame becomes 0, as does the
+ * whole frame when H is singular.
  */
 void warpPerspective(const uint8_t *src, uint8_t *dst, uint32_t rows,
                      uint32_t cols, uint32_t ch, const double h[9]);

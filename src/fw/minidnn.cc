@@ -42,26 +42,27 @@ conv2d(const std::vector<float> &in, const std::vector<uint32_t> &ishp,
     uint32_t oh = h - k + 1, ow = wd - k + 1;
     oshp = {o, oh, ow};
     std::vector<float> out(static_cast<size_t>(o) * oh * ow, 0.f);
+    // Output columns over a row of accumulators, one kernel row at a
+    // time: each output still adds its products in ic -> kr -> kc
+    // order, as a per-pixel loop would, so the float sums are the same.
     for (uint32_t oc = 0; oc < o; ++oc)
-        for (uint32_t r = 0; r < oh; ++r)
-            for (uint32_t cc = 0; cc < ow; ++cc) {
-                float acc = 0.f;
-                for (uint32_t ic = 0; ic < c; ++ic)
-                    for (uint32_t kr = 0; kr < k; ++kr)
+        for (uint32_t r = 0; r < oh; ++r) {
+            float *acc = &out[(static_cast<size_t>(oc) * oh + r) * ow];
+            for (uint32_t ic = 0; ic < c; ++ic)
+                for (uint32_t kr = 0; kr < k; ++kr) {
+                    const float *row =
+                        &in[(static_cast<size_t>(ic) * h + r + kr) * wd];
+                    const float *taps =
+                        &w[((static_cast<size_t>(oc) * c + ic) * k + kr) *
+                           k];
+                    for (uint32_t cc = 0; cc < ow; ++cc) {
+                        float sum = acc[cc];
                         for (uint32_t kc = 0; kc < k; ++kc)
-                            acc += in[(static_cast<size_t>(ic) * h +
-                                       r + kr) *
-                                          wd +
-                                      cc + kc] *
-                                   w[((static_cast<size_t>(oc) * c +
-                                       ic) *
-                                          k +
-                                      kr) *
-                                         k +
-                                     kc];
-                out[(static_cast<size_t>(oc) * oh + r) * ow + cc] =
-                    acc;
-            }
+                            sum += row[cc + kc] * taps[kc];
+                        acc[cc] = sum;
+                    }
+                }
+        }
     return out;
 }
 

@@ -1,17 +1,8 @@
 #include "osim/devices.hh"
 
-namespace freepart::osim {
+#include "util/checksum.hh"
 
-uint64_t
-fnv1a(const uint8_t *data, size_t len)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < len; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+namespace freepart::osim {
 
 std::vector<uint8_t>
 CameraDevice::captureFrame()
@@ -34,7 +25,7 @@ void
 DisplayDevice::show(Pid pid, const std::string &window, uint32_t w,
                     uint32_t h, const uint8_t *pixels, size_t len)
 {
-    shows.push_back({pid, window, w, h, fnv1a(pixels, len)});
+    shows.push_back({pid, window, w, h, util::wideChecksum(pixels, len)});
     for (const auto &n : names)
         if (n == window)
             return;
@@ -49,7 +40,7 @@ NetworkDevice::send(Pid pid, const std::string &dest,
     ev.pid = pid;
     ev.dest = dest;
     ev.length = len;
-    ev.checksum = fnv1a(data, len);
+    ev.checksum = util::fnv1a64(data, len);
     size_t head = len < 64 ? len : 64;
     ev.head.assign(data, data + head);
     sent.push_back(std::move(ev));

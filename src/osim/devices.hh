@@ -53,7 +53,7 @@ struct ShowEvent {
     std::string window;      //!< window name
     uint32_t width;
     uint32_t height;
-    uint64_t checksum;       //!< FNV-1a over the displayed pixels
+    uint64_t checksum;       //!< util::wideChecksum of the pixels
 };
 
 /** Simulated display / GUI subsystem. */
@@ -95,7 +95,7 @@ struct NetSendEvent {
     Pid pid;                     //!< sending process
     std::string dest;            //!< connected destination
     size_t length;               //!< payload length
-    uint64_t checksum;           //!< FNV-1a over the payload
+    uint64_t checksum;           //!< util::fnv1a64 of the payload
     std::vector<uint8_t> head;   //!< first bytes (attack forensics)
 };
 
@@ -116,9 +116,6 @@ class NetworkDevice
   private:
     std::vector<NetSendEvent> sent;
 };
-
-/** FNV-1a 64-bit hash, used for device-side content checksums. */
-uint64_t fnv1a(const uint8_t *data, size_t len);
 
 } // namespace freepart::osim
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "osim/kernel.hh"
+#include "util/checksum.hh"
 #include "util/logging.hh"
 
 namespace freepart::osim {
@@ -325,9 +326,9 @@ TEST(Devices, KeyQueueFifo)
 TEST(Devices, Fnv1aMatchesKnownVector)
 {
     // FNV-1a 64 of empty input is the offset basis.
-    EXPECT_EQ(fnv1a(nullptr, 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(util::fnv1a64(nullptr, 0), 0xcbf29ce484222325ull);
     const uint8_t a[] = {'a'};
-    EXPECT_EQ(fnv1a(a, 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(util::fnv1a64(a, 1), 0xaf63dc4c8601ec8cull);
 }
 
 // ---- Per-process virtual timelines ----------------------------------

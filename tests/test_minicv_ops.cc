@@ -60,6 +60,17 @@ TEST(BoxBlur, MeanOfUniformRegionsUnchanged)
         EXPECT_EQ(v, 77);
 }
 
+TEST(BoxBlur, LargeWindowsOfBrightPixelsKeepTheirMean)
+{
+    // 15x15 windows of 255 are the most 16-bit sums hold; wider ones
+    // need 32 bits.
+    std::vector<uint8_t> src(40 * 40, 255), dst(src.size());
+    for (uint32_t k : {15u, 16u, 17u, 31u}) {
+        boxBlur(src.data(), dst.data(), 40, 40, 1, k);
+        EXPECT_EQ(dst, src) << "k=" << k;
+    }
+}
+
 TEST(ErodeDilate, OrderingHolds)
 {
     // For any image: erode <= original <= dilate, pointwise.
@@ -417,6 +428,161 @@ connectedComponents(const std::vector<uint8_t> &bin, uint32_t rows,
     return next;
 }
 
+/** Bilinear resize, four weights formed per channel. */
+std::vector<uint8_t>
+resizeBilinear(const std::vector<uint8_t> &src, uint32_t rows,
+               uint32_t cols, uint32_t ch, uint32_t drows, uint32_t dcols)
+{
+    std::vector<uint8_t> dst(static_cast<size_t>(drows) * dcols * ch);
+    double rscale = drows > 1
+                        ? static_cast<double>(rows - 1) / (drows - 1)
+                        : 0.0;
+    double cscale = dcols > 1
+                        ? static_cast<double>(cols - 1) / (dcols - 1)
+                        : 0.0;
+    for (uint32_t r = 0; r < drows; ++r) {
+        double fr = r * rscale;
+        uint32_t r0 = static_cast<uint32_t>(fr);
+        uint32_t r1 = std::min(r0 + 1, rows - 1);
+        double wr = fr - r0;
+        for (uint32_t c = 0; c < dcols; ++c) {
+            double fc = c * cscale;
+            uint32_t c0 = static_cast<uint32_t>(fc);
+            uint32_t c1 = std::min(c0 + 1, cols - 1);
+            double wc = fc - c0;
+            for (uint32_t k = 0; k < ch; ++k) {
+                double v = (1 - wr) * (1 - wc) * src[at(r0, c0, k, cols, ch)] +
+                           (1 - wr) * wc * src[at(r0, c1, k, cols, ch)] +
+                           wr * (1 - wc) * src[at(r1, c0, k, cols, ch)] +
+                           wr * wc * src[at(r1, c1, k, cols, ch)];
+                dst[at(r, c, k, dcols, ch)] = clampU8(v);
+            }
+        }
+    }
+    return dst;
+}
+
+/** std::lround(v) when it is a pixel index below n, else false: a
+ *  non-finite or out-of-int-range coordinate is outside the frame. */
+bool
+sourceIndex(double v, uint32_t n, uint32_t &out)
+{
+    if (!std::isfinite(v) || std::abs(v) >= 2147483648.0)
+        return false;
+    const long q = std::lround(v);
+    if (q < 0 || q >= static_cast<long>(n))
+        return false;
+    out = static_cast<uint32_t>(q);
+    return true;
+}
+
+/** Inverse-mapped nearest-sample warp, one homography per pixel. */
+std::vector<uint8_t>
+warpPerspective(const std::vector<uint8_t> &src, uint32_t rows,
+                uint32_t cols, uint32_t ch, const double h[9])
+{
+    std::vector<uint8_t> dst(src.size(), 0);
+    double det = h[0] * (h[4] * h[8] - h[5] * h[7]) -
+                 h[1] * (h[3] * h[8] - h[5] * h[6]) +
+                 h[2] * (h[3] * h[7] - h[4] * h[6]);
+    if (std::abs(det) < 1e-12)
+        return dst;
+    double inv[9] = {
+        (h[4] * h[8] - h[5] * h[7]) / det,
+        (h[2] * h[7] - h[1] * h[8]) / det,
+        (h[1] * h[5] - h[2] * h[4]) / det,
+        (h[5] * h[6] - h[3] * h[8]) / det,
+        (h[0] * h[8] - h[2] * h[6]) / det,
+        (h[2] * h[3] - h[0] * h[5]) / det,
+        (h[3] * h[7] - h[4] * h[6]) / det,
+        (h[1] * h[6] - h[0] * h[7]) / det,
+        (h[0] * h[4] - h[1] * h[3]) / det,
+    };
+    for (uint32_t r = 0; r < rows; ++r)
+        for (uint32_t c = 0; c < cols; ++c) {
+            double x = static_cast<double>(c);
+            double y = static_cast<double>(r);
+            double w = inv[6] * x + inv[7] * y + inv[8];
+            double sx = (inv[0] * x + inv[1] * y + inv[2]) / w;
+            double sy = (inv[3] * x + inv[4] * y + inv[5]) / w;
+            uint32_t sc, sr;
+            if (!sourceIndex(sx, cols, sc) || !sourceIndex(sy, rows, sr))
+                continue;
+            for (uint32_t k = 0; k < ch; ++k)
+                dst[at(r, c, k, cols, ch)] = src[at(sr, sc, k, cols, ch)];
+        }
+    return dst;
+}
+
+std::vector<uint8_t>
+addWeighted(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b,
+            double alpha, double beta)
+{
+    std::vector<uint8_t> dst(a.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        dst[i] = clampU8(alpha * a[i] + beta * b[i]);
+    return dst;
+}
+
+/** Sobel, double threshold, then one 8-neighbour promotion pass. */
+std::vector<uint8_t>
+cannyEdges(const std::vector<uint8_t> &gray, uint32_t rows, uint32_t cols,
+           uint8_t lo, uint8_t hi)
+{
+    std::vector<uint8_t> mag = sobelMagnitude(gray, rows, cols);
+    std::vector<uint8_t> dst(mag.size());
+    for (size_t i = 0; i < mag.size(); ++i)
+        dst[i] = mag[i] >= hi ? 255 : (mag[i] >= lo ? 128 : 0);
+    for (uint32_t r = 1; r + 1 < rows; ++r)
+        for (uint32_t c = 1; c + 1 < cols; ++c) {
+            size_t i = at(r, c, 0, cols, 1);
+            if (dst[i] != 128)
+                continue;
+            bool promoted = false;
+            for (int dr = -1; dr <= 1; ++dr)
+                for (int dc = -1; dc <= 1; ++dc)
+                    promoted = promoted ||
+                               dst[at(r + static_cast<uint32_t>(dr),
+                                      c + static_cast<uint32_t>(dc), 0,
+                                      cols, 1)] == 255;
+            dst[i] = promoted ? 255 : 0;
+        }
+    for (uint8_t &v : dst)
+        if (v == 128)
+            v = 0;
+    return dst;
+}
+
+/** Full SSD at every placement; the first strict minimum wins. */
+uint64_t
+templateMatchBest(const std::vector<uint8_t> &img, uint32_t rows,
+                  uint32_t cols, const std::vector<uint8_t> &tmpl,
+                  uint32_t trows, uint32_t tcols, uint32_t &best_r,
+                  uint32_t &best_c)
+{
+    best_r = 0;
+    best_c = 0;
+    if (trows > rows || tcols > cols)
+        return UINT64_MAX;
+    uint64_t best = UINT64_MAX;
+    for (uint32_t r = 0; r + trows <= rows; ++r)
+        for (uint32_t c = 0; c + tcols <= cols; ++c) {
+            uint64_t ssd = 0;
+            for (uint32_t tr = 0; tr < trows; ++tr)
+                for (uint32_t tc = 0; tc < tcols; ++tc) {
+                    int d = img[at(r + tr, c + tc, 0, cols, 1)] -
+                            tmpl[at(tr, tc, 0, tcols, 1)];
+                    ssd += static_cast<uint64_t>(d * d);
+                }
+            if (ssd < best) {
+                best = ssd;
+                best_r = r;
+                best_c = c;
+            }
+        }
+    return best;
+}
+
 } // namespace ref
 
 enum class Pattern { Random, LowContrast, Binary };
@@ -538,11 +704,19 @@ TEST(KernelIdentity, ConvFilterMatchesReference)
 {
     const float sharpen[9] = {0, -1, 0, -1, 5, -1, 0, -1, 0};
     const float identity[9] = {0, 0, 0, 0, 1, 0, 0, 0, 0};
+    const float laplacian[9] = {1, 1, 1, 1, -8, 1, 1, 1, 1};
+    const float sobel[9] = {-1, 0, 1, -2, 0, 2, -1, -0.f, 1};
+    // Integer taps whose magnitudes sum to 128, the most an int16
+    // sum holds, and to 129, which overflows it on bright pixels.
+    const float heavy[9] = {0, 0, 0, 0, 126, 0, 0, 0, 2};
+    const float heavier[9] = {0, 0, 0, 0, 127, 0, 0, 0, 2};
+    const float huge[9] = {0, 0, 0, 0, 70000, 0, 0, 0, -69999};
     // Non-integer taps, so each float product rounds.
     const float uneven[9] = {0.11f, -0.13f, 0.07f, 0.21f, 0.35f,
                              0.17f, 0.09f,  0.1f,  -0.03f};
     forEachFrame(false, 0xc0f1, [&](const Shape &s, const auto &src) {
-        for (const float *k : {sharpen, identity, uneven}) {
+        for (const float *k : {sharpen, identity, laplacian, sobel, heavy,
+                               heavier, huge, uneven}) {
             std::vector<uint8_t> out(src.size());
             convFilter3x3(src.data(), out.data(), s.rows, s.cols, s.ch,
                           k);
@@ -590,6 +764,130 @@ TEST(KernelIdentity, ConnectedComponentsMatchFloodFill)
                 << "threshold " << int(t);
         }
     });
+}
+
+TEST(KernelIdentity, ResizeBilinearMatchesReference)
+{
+    forEachFrame(false, 0x7e51, [](const Shape &s, const auto &src) {
+        const uint32_t hr = std::max(1u, s.rows / 2);
+        const uint32_t hc = std::max(1u, s.cols / 2);
+        const std::pair<uint32_t, uint32_t> targets[] = {
+            {1, 1},
+            {hr, hc},
+            {s.rows, s.cols},
+            {s.rows * 2, s.cols * 2},
+            {s.rows * 3, s.cols * 3},
+            {1, s.cols * 2},
+            {s.rows * 2, 1}};
+        for (auto [dr, dc] : targets) {
+            std::vector<uint8_t> out(static_cast<size_t>(dr) * dc * s.ch);
+            resizeBilinear(src.data(), s.rows, s.cols, s.ch, out.data(),
+                           dr, dc);
+            EXPECT_EQ(out, ref::resizeBilinear(src, s.rows, s.cols, s.ch,
+                                               dr, dc))
+                << "to " << dr << "x" << dc;
+        }
+    });
+}
+
+TEST(KernelIdentity, WarpPerspectiveMatchesReference)
+{
+    const double homographies[][9] = {
+        {1, 0, 0, 0, 1, 0, 0, 0, 1},                   // identity
+        {0.8, -0.3, 2.5, 0.25, 0.9, -1.5, 0, 0, 1},    // affine
+        {10, -10, -2, 0, 10, 4, 0, 0, 1},              // tenths: near ties
+        {1.1, 0.2, -1, -0.1, 0.95, 2, 0.01, -0.02, 1}, // projective
+        {2, 0, 1, 0, 2, -1, 0, 0, 1},                  // half-pixel ties
+        {1, 0, 0, 0, 1, 0, 0.5, 0, -0.5},              // w = 0 on column 2
+        {1, 0, -4294967296.0, 0, 1, 3e9, 0, 0, 1},     // beyond int
+        {1, 2, 3, 2, 4, 6, 1, 1, 1},                   // singular
+    };
+    forEachFrame(false, 0x3a7b, [&](const Shape &s, const auto &src) {
+        for (const auto &h : homographies) {
+            std::vector<uint8_t> out(src.size(), 7);
+            warpPerspective(src.data(), out.data(), s.rows, s.cols, s.ch,
+                            h);
+            EXPECT_EQ(out,
+                      ref::warpPerspective(src, s.rows, s.cols, s.ch, h))
+                << "H = {" << h[0] << ", " << h[1] << ", " << h[2]
+                << ", ...}";
+        }
+    });
+}
+
+TEST(KernelIdentity, AddWeightedMatchesReference)
+{
+    const std::pair<double, double> weights[] = {
+        {0.5, 0.5}, {0.3, 0.7}, {0.1, 0.2}, {1.7, -0.6},
+        {-1, 2},    {0, 1},     {1 / 3.0, 2 / 3.0}};
+    forEachFrame(false, 0xadd5, [&](const Shape &, const auto &a) {
+        std::vector<uint8_t> b(a.rbegin(), a.rend());
+        for (auto [alpha, beta] : weights) {
+            std::vector<uint8_t> out(a.size());
+            addWeighted(a.data(), b.data(), out.data(), a.size(), alpha,
+                        beta);
+            EXPECT_EQ(out, ref::addWeighted(a, b, alpha, beta))
+                << "alpha " << alpha << " beta " << beta;
+        }
+    });
+}
+
+TEST(KernelIdentity, CannyMatchesReference)
+{
+    const std::pair<uint8_t, uint8_t> thresholds[] = {
+        {50, 150}, {0, 255}, {128, 128}, {10, 40}};
+    forEachFrame(true, 0xca11, [&](const Shape &s, const auto &src) {
+        for (auto [lo, hi] : thresholds) {
+            std::vector<uint8_t> out(src.size(), 7);
+            cannyEdges(src.data(), out.data(), s.rows, s.cols, lo, hi);
+            EXPECT_EQ(out, ref::cannyEdges(src, s.rows, s.cols, lo, hi))
+                << "thresholds " << int(lo) << "/" << int(hi);
+        }
+    });
+}
+
+TEST(KernelIdentity, TemplateMatchMatchesReference)
+{
+    util::Rng rng(0x7e3a);
+    forEachFrame(true, 0x7e3b, [&](const Shape &s, const auto &img) {
+        const std::pair<uint32_t, uint32_t> sizes[] = {
+            {1, 1}, {2, 3}, {3, 2}, {4, 4}, {s.rows, s.cols}};
+        for (auto [tr, tc] : sizes) {
+            if (tr == 0 || tr > s.rows || tc > s.cols)
+                continue;
+            // A patch cut from the image (an exact hit) and a noisy one.
+            std::vector<uint8_t> cut(static_cast<size_t>(tr) * tc);
+            const uint32_t r0 = s.rows - tr, c0 = (s.cols - tc) / 2;
+            for (uint32_t r = 0; r < tr; ++r)
+                for (uint32_t c = 0; c < tc; ++c)
+                    cut[r * tc + c] = img[(r0 + r) * s.cols + c0 + c];
+            for (const auto &tmpl :
+                 {cut, makeFrame(cut.size(), Pattern::Random, rng)}) {
+                uint32_t br = 9, bc = 9, wr = 9, wc = 9;
+                EXPECT_EQ(templateMatchBest(img.data(), s.rows, s.cols,
+                                            tmpl.data(), tr, tc, br, bc),
+                          ref::templateMatchBest(img, s.rows, s.cols,
+                                                 tmpl, tr, tc, wr, wc))
+                    << "template " << tr << "x" << tc;
+                EXPECT_EQ(br, wr);
+                EXPECT_EQ(bc, wc);
+            }
+        }
+    });
+}
+
+TEST(KernelIdentity, SqrtClampMatchesDoubleRootForEverySobelSum)
+{
+    // Every gx^2 + gy^2 a Sobel pixel can produce, |g| <= 4 * 255.
+    uint32_t root = 0;
+    for (uint32_t s = 0; s <= 2 * 1020 * 1020; ++s) {
+        while ((root + 1) * (root + 1) <= s)
+            ++root;
+        const uint8_t want = ref::clampU8(std::sqrt(static_cast<double>(s)));
+        if (sqrtClampU8(s) != want || want != std::min(root, 255u))
+            FAIL() << "s = " << s << ": isqrt " << root << ", double "
+                   << int(want) << ", kernel " << int(sqrtClampU8(s));
+    }
 }
 
 TEST(Morphology, OpenThenCloseIdempotentOnBinaryBlob)
@@ -724,6 +1022,24 @@ TEST(Warp, TranslationShiftsContent)
     warpPerspective(src.data(), dst.data(), 8, 8, 1, h);
     EXPECT_EQ(dst[2 * 8 + 5], 200);
     EXPECT_EQ(dst[2 * 8 + 2], 0);
+}
+
+TEST(WarpPerspective, DegenerateCoordinatesAreOutside)
+{
+    // w = x - 2 under this H, so column 2 maps to a source coordinate
+    // of inf or NaN: outside, not pixel (0, 0).
+    std::vector<uint8_t> src(8 * 8, 0), dst(8 * 8, 7);
+    src[0] = 200;
+    const double pole[9] = {1, 0, 0, 0, 1, 0, 0.5, 0, -0.5};
+    warpPerspective(src.data(), dst.data(), 8, 8, 1, pole);
+    for (uint32_t r = 0; r < 8; ++r)
+        EXPECT_EQ(dst[r * 8 + 2], 0) << "row " << r;
+    // A shift by -2^32 columns leaves every source coordinate beyond
+    // int range: the frame goes black rather than wrapping home.
+    auto frame = gradient(8, 8);
+    const double far[9] = {1, 0, -4294967296.0, 0, 1, 0, 0, 0, 1};
+    warpPerspective(frame.data(), dst.data(), 8, 8, 1, far);
+    EXPECT_EQ(dst, std::vector<uint8_t>(8 * 8, 0));
 }
 
 TEST(Warp, SingularMatrixYieldsBlack)

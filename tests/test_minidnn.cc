@@ -16,9 +16,40 @@
 #include "fw/invoker.hh"
 #include "osim/kernel.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace freepart::fw {
 namespace {
+
+namespace ref {
+
+/** The per-output conv2d loop: {C,H,W} * {O,C,K,K}, valid padding. */
+std::vector<float>
+conv2d(const std::vector<float> &in, uint32_t c, uint32_t h, uint32_t wd,
+       const std::vector<float> &w, uint32_t o, uint32_t k)
+{
+    uint32_t oh = h - k + 1, ow = wd - k + 1;
+    std::vector<float> out(static_cast<size_t>(o) * oh * ow);
+    for (uint32_t oc = 0; oc < o; ++oc)
+        for (uint32_t r = 0; r < oh; ++r)
+            for (uint32_t cc = 0; cc < ow; ++cc) {
+                float acc = 0.f;
+                for (uint32_t ic = 0; ic < c; ++ic)
+                    for (uint32_t kr = 0; kr < k; ++kr)
+                        for (uint32_t kc = 0; kc < k; ++kc)
+                            acc += in[(static_cast<size_t>(ic) * h + r +
+                                       kr) * wd +
+                                      cc + kc] *
+                                   w[((static_cast<size_t>(oc) * c + ic) *
+                                          k +
+                                      kr) * k +
+                                     kc];
+                out[(static_cast<size_t>(oc) * oh + r) * ow + cc] = acc;
+            }
+    return out;
+}
+
+} // namespace ref
 
 class DnnFixture : public ::testing::Test
 {
@@ -110,6 +141,48 @@ TEST_F(DnnFixture, Conv2dMultiChannelAccumulates)
     auto out = runToTensor("torch.nn.Conv2d", {in, w});
     for (float v : out)
         EXPECT_FLOAT_EQ(v, 32.f);
+}
+
+TEST_F(DnnFixture, Conv2dBitIdenticalToPerOutputLoop)
+{
+    // Non-dyadic values, so every product and partial sum rounds.
+    util::Rng rng(0xc0d2);
+    auto values = [&](size_t n) {
+        std::vector<float> v(n);
+        for (float &x : v)
+            x = static_cast<float>(rng.range(-1000, 1000)) / 37.f;
+        return v;
+    };
+    struct Case {
+        uint32_t c, h, w, o, k;
+    };
+    std::vector<Case> cases;
+    for (uint32_t c = 1; c <= 4; ++c)
+        for (uint32_t k = 1; k <= 5; ++k)
+            for (auto [h, w] : {std::pair{k, k}, {k, 9u}, {7u, k + 2},
+                                {9u, 13u}})
+                if (k <= h && k <= w)
+                    cases.push_back({c, h, w, 1 + (k + c) % 3, k});
+    cases.push_back({3, 1, 17, 2, 1}); // 1xN
+    cases.push_back({2, 17, 1, 2, 1}); // Nx1
+    cases.push_back({3, 33, 33, 4, 3}); // the workload's tensor shape
+    for (const Case &t : cases) {
+        SCOPED_TRACE(testing::Message() << "C" << t.c << " " << t.h << "x"
+                                        << t.w << " O" << t.o << " K"
+                                        << t.k);
+        std::vector<float> in = values(size_t(t.c) * t.h * t.w);
+        std::vector<float> w = values(size_t(t.o) * t.c * t.k * t.k);
+        std::vector<float> out =
+            runToTensor("tf.nn.conv2d",
+                        {tensor({t.c, t.h, t.w}, in),
+                         tensor({t.o, t.c, t.k, t.k}, w)});
+        std::vector<float> want =
+            ref::conv2d(in, t.c, t.h, t.w, w, t.o, t.k);
+        ASSERT_EQ(out.size(), want.size());
+        EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0);
+    }
 }
 
 TEST_F(DnnFixture, MaxPoolTakesWindowMaximum)
