@@ -4,7 +4,8 @@
  * behind §4.3's shared-memory ring-buffer RPC: SPSC ring
  * reserve/commit/pop at several message sizes, batch-of-one frame
  * encode/decode, a full simulated host->agent->host round trip, and
- * the temporal-protection mprotect flip.
+ * the temporal-protection mprotect flip, plus two osim costs paid on
+ * every replay: building a runtime and checking a frame-sized span.
  */
 
 #include <benchmark/benchmark.h>
@@ -120,6 +121,31 @@ BM_TemporalProtectFlip(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_TemporalProtectFlip)->Arg(4096)->Arg(1 << 20);
+
+void
+BM_RuntimeConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        osim::Kernel kernel;
+        core::FreePartRuntime runtime(
+            kernel, bench::registry(), bench::categorization(),
+            core::PartitionPlan::freePartDefault());
+        benchmark::DoNotOptimize(runtime);
+    }
+}
+BENCHMARK(BM_RuntimeConstruct)->Unit(benchmark::kMicrosecond);
+
+void
+BM_CheckedSpan(benchmark::State &state)
+{
+    // 48 pages: one 256x256 RGB frame.
+    constexpr size_t kLen = 256 * 256 * 3;
+    osim::AddressSpace space(1);
+    osim::Addr addr = space.alloc(kLen);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(space.checkedSpan(addr, kLen, true));
+}
+BENCHMARK(BM_CheckedSpan);
 
 } // namespace
 

@@ -1,5 +1,6 @@
 #include "fw/invoker.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "fw/image_format.hh"
@@ -11,6 +12,27 @@ namespace {
 
 using ipc::Value;
 using ipc::ValueList;
+
+/**
+ * Set out[j] = ((start + j) % 23) * 0.125f - 1.f for j < n: one period,
+ * then copies of what is already set, a whole number of periods each
+ * but the last.
+ */
+void
+fillPeriodic(float *out, size_t n, uint64_t start)
+{
+    constexpr size_t kPeriod = 23;
+    size_t done = std::min(n, kPeriod);
+    for (size_t j = 0; j < done; ++j)
+        out[j] = static_cast<float>((start % kPeriod + j) % kPeriod) *
+                     0.125f -
+                 1.f;
+    while (done < n) {
+        size_t chunk = std::min(done, n - done);
+        std::memcpy(out + done, out, chunk * sizeof(float));
+        done += chunk;
+    }
+}
 
 } // namespace
 
@@ -73,10 +95,13 @@ Invoker::makeTensorArg(std::vector<uint32_t> shape, uint64_t seed)
     t.shape = std::move(shape);
     t.addr = space.alloc(t.byteLen() ? t.byteLen() : 1, osim::PermRW,
                          "fixture-tensor");
+    // Element i is ((i + seed) % 23) * 0.125f - 1.f, with i + seed
+    // taken mod 2^64. 2^64 is not a multiple of 23, so the period
+    // restarts at residue 0 where i + seed wraps.
     std::vector<float> values(t.elements());
-    for (size_t i = 0; i < values.size(); ++i)
-        values[i] =
-            static_cast<float>(((i + seed) % 23)) * 0.125f - 1.f;
+    size_t wrap = std::min<uint64_t>(values.size(), 0 - seed);
+    fillPeriodic(values.data(), wrap, seed);
+    fillPeriodic(values.data() + wrap, values.size() - wrap, 0);
     tensorWrite(space, t, values);
     return refValue(partition, store.putTensor(t, "fixture-tensor"));
 }

@@ -27,13 +27,58 @@ using osim::Syscall;
 
 // ---- Tensor compute kernels -----------------------------------------
 
+/**
+ * The conv2d loop nest, over a row of output accumulators, one kernel
+ * row (ic, kr) at a time: each output still adds its products in
+ * ic -> kr -> kc order, as a per-pixel loop would, so the float sums
+ * are the same. K = 3 fixes the kernel width, so its taps sit in
+ * locals and the size_t-indexed column loop vectorizes; K = 0 is the
+ * generic body for the run-time width k.
+ */
+template <uint32_t K>
+void
+conv2dRows(const float *in, uint32_t c, uint32_t h, uint32_t wd,
+           const float *w, uint32_t o, uint32_t k, float *out)
+{
+    static_assert(K == 0 || K == 3);
+    const size_t oh = h - k + 1, ow = wd - k + 1;
+    for (size_t oc = 0; oc < o; ++oc)
+        for (size_t r = 0; r < oh; ++r) {
+            float *acc = out + (oc * oh + r) * ow;
+            for (size_t ic = 0; ic < c; ++ic)
+                for (size_t kr = 0; kr < k; ++kr) {
+                    const float *row = in + (ic * h + r + kr) * wd;
+                    const float *taps = w + ((oc * c + ic) * k + kr) * k;
+                    if constexpr (K == 3) {
+                        const float t0 = taps[0], t1 = taps[1],
+                                    t2 = taps[2];
+                        for (size_t cc = 0; cc < ow; ++cc) {
+                            float sum = acc[cc];
+                            sum += row[cc] * t0;
+                            sum += row[cc + 1] * t1;
+                            sum += row[cc + 2] * t2;
+                            acc[cc] = sum;
+                        }
+                    } else {
+                        for (size_t cc = 0; cc < ow; ++cc) {
+                            float sum = acc[cc];
+                            for (uint32_t kc = 0; kc < k; ++kc)
+                                sum += row[cc + kc] * taps[kc];
+                            acc[cc] = sum;
+                        }
+                    }
+                }
+        }
+}
+
 /** conv2d: input {C,H,W}, weight {O,C,K,K} -> output {O,H-K+1,W-K+1}. */
 std::vector<float>
 conv2d(const std::vector<float> &in, const std::vector<uint32_t> &ishp,
        const std::vector<float> &w, const std::vector<uint32_t> &wshp,
        std::vector<uint32_t> &oshp)
 {
-    if (ishp.size() != 3 || wshp.size() != 4 || ishp[0] != wshp[1])
+    if (ishp.size() != 3 || wshp.size() != 4 || ishp[0] != wshp[1] ||
+        wshp[2] != wshp[3])
         util::fatal("conv2d: bad shapes");
     uint32_t c = ishp[0], h = ishp[1], wd = ishp[2];
     uint32_t o = wshp[0], k = wshp[2];
@@ -42,27 +87,10 @@ conv2d(const std::vector<float> &in, const std::vector<uint32_t> &ishp,
     uint32_t oh = h - k + 1, ow = wd - k + 1;
     oshp = {o, oh, ow};
     std::vector<float> out(static_cast<size_t>(o) * oh * ow, 0.f);
-    // Output columns over a row of accumulators, one kernel row at a
-    // time: each output still adds its products in ic -> kr -> kc
-    // order, as a per-pixel loop would, so the float sums are the same.
-    for (uint32_t oc = 0; oc < o; ++oc)
-        for (uint32_t r = 0; r < oh; ++r) {
-            float *acc = &out[(static_cast<size_t>(oc) * oh + r) * ow];
-            for (uint32_t ic = 0; ic < c; ++ic)
-                for (uint32_t kr = 0; kr < k; ++kr) {
-                    const float *row =
-                        &in[(static_cast<size_t>(ic) * h + r + kr) * wd];
-                    const float *taps =
-                        &w[((static_cast<size_t>(oc) * c + ic) * k + kr) *
-                           k];
-                    for (uint32_t cc = 0; cc < ow; ++cc) {
-                        float sum = acc[cc];
-                        for (uint32_t kc = 0; kc < k; ++kc)
-                            sum += row[cc + kc] * taps[kc];
-                        acc[cc] = sum;
-                    }
-                }
-        }
+    if (k == 3)
+        conv2dRows<3>(in.data(), c, h, wd, w.data(), o, k, out.data());
+    else
+        conv2dRows<0>(in.data(), c, h, wd, w.data(), o, k, out.data());
     return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -56,20 +57,10 @@ AddressSpace::alloc(size_t size, Perms perms, const std::string &label)
         size = 1;
     size_t rounded = (size + kPageSize - 1) & ~(kPageSize - 1);
     Mapping m;
-    m.base = nextAddr;
     m.length = rounded;
     m.backing = std::make_shared<BackingBytes>(rounded);
-    m.backingOff = 0;
-    m.shared = false;
     m.label = label;
-    for (uint64_t p = pageIndex(m.base);
-         p < pageIndex(m.base) + rounded / kPageSize; ++p)
-        pagePerms[p] = perms;
-    nextAddr += rounded + kPageSize;  // guard page between mappings
-    totalMapped += rounded;
-    Addr base = m.base;
-    mappings.emplace(base, std::move(m));
-    return base;
+    return insert(std::move(m), perms);
 }
 
 Addr
@@ -83,17 +74,20 @@ AddressSpace::mapShared(Backing backing, Perms perms,
     if (backing->size() < rounded)
         backing->resize(rounded, 0);
     Mapping m;
-    m.base = nextAddr;
     m.length = rounded;
     m.backing = std::move(backing);
-    m.backingOff = 0;
     m.shared = true;
     m.label = label;
-    for (uint64_t p = pageIndex(m.base);
-         p < pageIndex(m.base) + rounded / kPageSize; ++p)
-        pagePerms[p] = perms;
-    nextAddr += rounded + kPageSize;
-    totalMapped += rounded;
+    return insert(std::move(m), perms);
+}
+
+Addr
+AddressSpace::insert(Mapping m, Perms perms)
+{
+    m.base = nextAddr;
+    m.perms.assign(m.length / kPageSize, perms);
+    nextAddr += m.length + kPageSize;  // guard page between mappings
+    totalMapped += m.length;
     Addr base = m.base;
     mappings.emplace(base, std::move(m));
     return base;
@@ -106,9 +100,6 @@ AddressSpace::unmap(Addr base)
     if (it == mappings.end())
         util::panic("unmap: no mapping at base 0x%llx",
                     static_cast<unsigned long long>(base));
-    for (uint64_t p = pageIndex(base);
-         p < pageIndex(base) + it->second.length / kPageSize; ++p)
-        pagePerms.erase(p);
     totalMapped -= it->second.length;
     mappings.erase(it);
 }
@@ -118,24 +109,27 @@ AddressSpace::protect(Addr addr, size_t len, Perms perms)
 {
     if (len == 0)
         return;
-    uint64_t first = pageIndex(addr);
-    uint64_t last = pageIndex(addr + len - 1);
-    for (uint64_t p = first; p <= last; ++p) {
-        auto it = pagePerms.find(p);
-        if (it == pagePerms.end())
-            throw MemFault(ownerPid, p * kPageSize, false,
-                           "mprotect of unmapped page");
-        it->second = perms;
-    }
+    Mapping *m = findMappingMutable(addr);
+    if (!m)
+        throw MemFault(ownerPid, pageBase(addr), false,
+                       "mprotect of unmapped page");
+    bool past_end = len > m->base + m->length - addr;
+    size_t end = past_end ? m->perms.size()
+                          : pageIndex(addr + len - 1 - m->base) + 1;
+    std::fill(m->perms.begin() + pageIndex(addr - m->base),
+              m->perms.begin() + end, perms);
+    if (past_end)  // the guard page after the mapping
+        throw MemFault(ownerPid, m->base + m->length, false,
+                       "mprotect of unmapped page");
 }
 
 Perms
 AddressSpace::permsAt(Addr addr) const
 {
-    auto it = pagePerms.find(pageIndex(addr));
-    if (it == pagePerms.end())
+    const Mapping *m = findMapping(addr);
+    if (!m)
         return PermNone;
-    return static_cast<Perms>(it->second);
+    return static_cast<Perms>(m->perms[pageIndex(addr - m->base)]);
 }
 
 const Mapping *
@@ -161,81 +155,67 @@ bool
 AddressSpace::isMapped(Addr addr, size_t len) const
 {
     const Mapping *m = findMapping(addr);
-    return m && addr + len <= m->base + m->length;
+    return m && len <= m->base + m->length - addr;
 }
 
-void
-AddressSpace::checkPages(Addr addr, size_t len, Perms need,
-                         bool is_write) const
+uint8_t *
+AddressSpace::checkedBytes(Addr addr, size_t len, bool is_write,
+                           const char *outside) const
 {
-    if (len == 0)
-        return;
-    uint64_t first = pageIndex(addr);
-    uint64_t last = pageIndex(addr + len - 1);
-    for (uint64_t p = first; p <= last; ++p) {
-        auto it = pagePerms.find(p);
-        if (it == pagePerms.end())
-            throw MemFault(ownerPid, p * kPageSize, is_write,
-                           "unmapped page");
-        if ((it->second & need) != need)
-            throw MemFault(ownerPid, p * kPageSize, is_write,
-                           is_write ? "page not writable"
-                                    : "page not readable");
+    const Mapping *m = findMapping(addr);
+    // Compared with the room left in the mapping, so addr + len
+    // cannot wrap.
+    if (!m || len > m->base + m->length - addr)
+        throw MemFault(ownerPid, addr, is_write, outside);
+    if (len > 0) {
+        Perms need = is_write ? PermWrite : PermRead;
+        size_t last = pageIndex(addr + len - 1 - m->base);
+        for (size_t p = pageIndex(addr - m->base); p <= last; ++p)
+            if ((m->perms[p] & need) != need)
+                throw MemFault(ownerPid, m->base + p * kPageSize,
+                               is_write,
+                               is_write ? "page not writable"
+                                        : "page not readable");
     }
+    return m->backing->data() + m->backingOff + (addr - m->base);
 }
 
 void
 AddressSpace::read(Addr addr, void *dst, size_t len) const
 {
-    const Mapping *m = findMapping(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, false, "read outside mapping");
-    checkPages(addr, len, PermRead, false);
-    if (len == 0)
-        return;
-    std::memcpy(dst, m->backing->data() + m->backingOff +
-                         (addr - m->base),
-                len);
+    const uint8_t *src =
+        checkedBytes(addr, len, false, "read outside mapping");
+    if (len > 0)
+        std::memcpy(dst, src, len);
 }
 
 void
 AddressSpace::write(Addr addr, const void *src, size_t len)
 {
-    Mapping *m = findMappingMutable(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, true, "write outside mapping");
-    checkPages(addr, len, PermWrite, true);
+    uint8_t *dst = checkedBytes(addr, len, true, "write outside mapping");
     if (len == 0)
         return;
-    std::memcpy(m->backing->data() + m->backingOff + (addr - m->base),
-                src, len);
+    std::memcpy(dst, src, len);
     notifyWrite(addr, len);
 }
 
 uint8_t *
 AddressSpace::checkedSpan(Addr addr, size_t len, bool for_write)
 {
-    Mapping *m = findMappingMutable(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, for_write,
-                       "span outside mapping");
-    checkPages(addr, len, for_write ? PermWrite : PermRead, for_write);
+    uint8_t *span =
+        checkedBytes(addr, len, for_write, "span outside mapping");
     // A writable span hands out raw bytes, so the actual stores are
     // invisible; conservatively treat the whole span as dirtied (the
     // same over-approximation a page-granular soft-dirty bit makes).
     if (for_write)
         notifyWrite(addr, len);
-    return m->backing->data() + m->backingOff + (addr - m->base);
+    return span;
 }
 
 const uint8_t *
 AddressSpace::checkedSpan(Addr addr, size_t len) const
 {
-    const Mapping *m = findMapping(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, false, "span outside mapping");
-    checkPages(addr, len, PermRead, false);
-    return m->backing->data() + m->backingOff + (addr - m->base);
+    return checkedBytes(addr, len, false, "span outside mapping");
 }
 
 } // namespace freepart::osim

@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -103,6 +102,7 @@ struct Mapping {
     size_t backingOff = 0;        //!< offset of base within backing
     bool shared = false;          //!< true if backed by a shm segment
     std::string label;            //!< debug label ("Mat#3", "shm:ch0")
+    std::vector<uint8_t> perms;   //!< Perms of each page, in order
 };
 
 /**
@@ -145,7 +145,10 @@ class AddressSpace
 
     /**
      * Change page permissions for [addr, addr+len). Rounds outward to
-     * page boundaries. All touched pages must be mapped.
+     * page boundaries. All touched pages must be mapped: the pages
+     * before the first unmapped one change, then MemFault is thrown
+     * at that page's base (for a range that runs past its mapping,
+     * the guard page after it).
      */
     void protect(Addr addr, size_t len, Perms perms);
 
@@ -217,8 +220,15 @@ class AddressSpace
 
   private:
     Mapping *findMappingMutable(Addr addr);
-    void checkPages(Addr addr, size_t len, Perms need, bool is_write)
-        const;
+    /** Place m at the next free address, every page set to perms. */
+    Addr insert(Mapping m, Perms perms);
+    /**
+     * The backing bytes of [addr, addr+len) once the range is found
+     * inside one mapping (else MemFault with message `outside`) and
+     * every page in it grants read, or write if is_write.
+     */
+    uint8_t *checkedBytes(Addr addr, size_t len, bool is_write,
+                          const char *outside) const;
 
     void
     notifyWrite(Addr addr, size_t len)
@@ -230,7 +240,6 @@ class AddressSpace
     Pid ownerPid;
     Addr nextAddr;
     std::map<Addr, Mapping> mappings;  //!< keyed by base address
-    std::unordered_map<uint64_t, uint8_t> pagePerms;
     size_t totalMapped = 0;
     WriteObserver writeObserver;
 };

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "osim/address_space.hh"
 
@@ -134,6 +135,100 @@ TEST(AddressSpace, UnmapRemovesMapping)
     space.unmap(a);
     EXPECT_THROW(space.readValue<uint8_t>(a), MemFault);
     EXPECT_EQ(space.permsAt(a), PermNone);
+}
+
+/** The address a MemFault reports for fn(), or kNullAddr if none. */
+template <typename Fn>
+Addr
+faultAddr(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const MemFault &fault) {
+        return fault.addr;
+    }
+    return kNullAddr;
+}
+
+TEST(AddressSpace, ProtectPastMappingEndFaultsAtGuardPage)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(kPageSize * 2);
+    Addr b = space.alloc(kPageSize);
+    // The range starts mid-page and ends inside the next mapping:
+    // the first page outside `a` is its guard page.
+    EXPECT_EQ(faultAddr([&] {
+                  space.protect(a + 100, 3 * kPageSize, PermRead);
+              }),
+              a + 2 * kPageSize);
+    // Pages before the guard page were already changed; the next
+    // mapping was not reached.
+    EXPECT_EQ(space.permsAt(a), PermRead);
+    EXPECT_EQ(space.permsAt(a + kPageSize), PermRead);
+    EXPECT_EQ(space.permsAt(b), PermRW);
+}
+
+TEST(AddressSpace, ProtectOfUnmappedAddressFaultsAtPageBase)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(64);
+    EXPECT_EQ(faultAddr([&] {
+                  space.protect(0xdead0123, 10, PermRead);
+              }),
+              Addr{0xdead0000});
+    // The guard page after a mapping is unmapped too.
+    EXPECT_EQ(faultAddr([&] {
+                  space.protect(a + kPageSize + 7, 1, PermRead);
+              }),
+              a + kPageSize);
+    space.unmap(a);
+    EXPECT_EQ(faultAddr([&] { space.protect(a + 5, 1, PermRW); }), a);
+}
+
+TEST(AddressSpace, AccessFaultsAtFirstDeniedPage)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(kPageSize * 3);
+    space.protect(a + kPageSize + 9, 1, PermRead);
+    std::vector<uint8_t> buf(3 * kPageSize - 20, 0x5a);
+    EXPECT_EQ(faultAddr([&] {
+                  space.write(a + 10, buf.data(), buf.size());
+              }),
+              a + kPageSize);
+    EXPECT_EQ(faultAddr([&] {
+                  space.checkedSpan(a + 10, buf.size(), true);
+              }),
+              a + kPageSize);
+    // A faulting write stores nothing, not even on the first page.
+    EXPECT_EQ(space.readValue<uint8_t>(a + 10), 0);
+    // Reads of the same range are allowed.
+    EXPECT_NE(space.checkedSpan(a + 10, buf.size()), nullptr);
+}
+
+TEST(AddressSpace, PermsAtIsNoneOnGuardPageAndAfterUnmap)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(kPageSize * 2, PermRead);
+    EXPECT_EQ(space.permsAt(a + kPageSize + 1), PermRead);
+    EXPECT_EQ(space.permsAt(a + 2 * kPageSize), PermNone);
+    EXPECT_EQ(space.permsAt(a - 1), PermNone);
+    space.unmap(a);
+    EXPECT_EQ(space.permsAt(a), PermNone);
+    EXPECT_EQ(space.permsAt(a + kPageSize), PermNone);
+}
+
+TEST(AddressSpace, ProtectingSharedViewLeavesPeerPermissions)
+{
+    AddressSpace p1(1), p2(2);
+    auto backing = std::make_shared<BackingBytes>(2 * kPageSize);
+    Addr a1 = p1.mapShared(backing, PermRW, "shm");
+    Addr a2 = p2.mapShared(backing, PermRW, "shm");
+    p1.protect(a1, 2 * kPageSize, PermRead);
+    EXPECT_EQ(p1.permsAt(a1 + kPageSize), PermRead);
+    EXPECT_EQ(p2.permsAt(a2 + kPageSize), PermRW);
+    p2.writeValue<uint32_t>(a2 + kPageSize, 77);
+    EXPECT_EQ(p1.readValue<uint32_t>(a1 + kPageSize), 77u);
+    EXPECT_THROW(p1.writeValue<uint32_t>(a1, 1), MemFault);
 }
 
 TEST(AddressSpace, SharedMappingSeesPeerWrites)

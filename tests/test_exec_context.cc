@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "fw/image_format.hh"
 #include "fw/invoker.hh"
 #include "osim/kernel.hh"
@@ -144,6 +146,39 @@ TEST_F(CtxFixture, InvokerSeedsVaryContent)
     proc.space().read(ma.addr, pa.data(), pa.size());
     proc.space().read(mb.addr, pb.data(), pb.size());
     EXPECT_NE(pa, pb);
+}
+
+TEST(Invoker, TensorArgMatchesPerElementFormula)
+{
+    osim::Kernel kernel;
+    osim::Process &proc = kernel.spawn("inv");
+    uint64_t counter = 0;
+    ObjectStore store(kernel, proc.pid(), &counter);
+    Invoker invoker(kernel, store, 0);
+    // 505 = 21 * 23 + 22 elements, so the last period is cut short;
+    // seed ~0 makes i + seed wrap after the first element.
+    for (std::vector<uint32_t> shape :
+         {std::vector<uint32_t>{4, 3, 3, 3}, {3, 512, 512}, {64},
+          {5, 101}})
+        for (uint64_t seed : {uint64_t{0}, uint64_t{7},
+                              uint64_t{0xdeadbeefcafe}, ~uint64_t{0}}) {
+            SCOPED_TRACE(testing::Message()
+                         << shape.size() << "-d, seed " << seed);
+            ipc::Value arg = invoker.makeTensorArg(shape, seed);
+            std::vector<float> got =
+                tensorRead(proc.space(), store.tensor(arg.asRef().objectId));
+            std::vector<float> want(got.size());
+            for (size_t i = 0; i < want.size(); ++i)
+                want[i] =
+                    static_cast<float>(((i + seed) % 23)) * 0.125f - 1.f;
+            size_t elements = 1;
+            for (uint32_t d : shape)
+                elements *= d;
+            ASSERT_EQ(got.size(), elements);
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0);
+        }
 }
 
 TEST_F(CtxFixture, FixtureFilesAreDecodable)

@@ -166,6 +166,7 @@ TEST_F(DnnFixture, Conv2dBitIdenticalToPerOutputLoop)
     cases.push_back({3, 1, 17, 2, 1}); // 1xN
     cases.push_back({2, 17, 1, 2, 1}); // Nx1
     cases.push_back({3, 33, 33, 4, 3}); // the workload's tensor shape
+    cases.push_back({3, 512, 512, 4, 3}); // the benches' tensor shape
     for (const Case &t : cases) {
         SCOPED_TRACE(testing::Message() << "C" << t.c << " " << t.h << "x"
                                         << t.w << " O" << t.o << " K"
@@ -358,6 +359,15 @@ TEST_F(DnnFixture, Conv2dRejectsMismatchedChannels)
     ipc::Value in = tensor({2, 4, 4}, std::vector<float>(32, 1.f));
     ipc::Value w = tensor({1, 3, 3, 3},
                           std::vector<float>(27, 1.f));
+    const ApiDescriptor &desc = reg.require("torch.nn.Conv2d");
+    EXPECT_ANY_THROW(desc.fn(ctx, desc, {in, w}));
+}
+
+TEST_F(DnnFixture, Conv2dRejectsNonSquareKernel)
+{
+    // {O,C,5,3} holds 15 taps per channel, not the 25 a 5x5 reads.
+    ipc::Value in = tensor({1, 6, 6}, std::vector<float>(36, 1.f));
+    ipc::Value w = tensor({1, 1, 5, 3}, std::vector<float>(15, 1.f));
     const ApiDescriptor &desc = reg.require("torch.nn.Conv2d");
     EXPECT_ANY_THROW(desc.fn(ctx, desc, {in, w}));
 }
