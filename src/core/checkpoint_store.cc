@@ -47,17 +47,19 @@ CheckpointStore::write(const fw::ObjectStore &store,
         }
         auto entry = std::make_shared<CheckpointEntry>();
         entry->snapshot = store.snapshot(id);
-        std::vector<uint8_t> &bytes = entry->snapshot.bytes;
-        // Checksum before any corruption, verify as the generation is
-        // sealed: bit-rot of the stored snapshot is exactly what the
-        // verification must catch, and the bytes are never written
-        // after this, so the verdict holds for every later use.
-        uint64_t written = util::wideChecksum(bytes);
-        out.bytesSaved += bytes.size();
+        out.bytesSaved += entry->snapshot.size();
+        // The entry shares the object's bytes copy-on-write, so it is
+        // intact by construction. An injected bit-rot is simulated on
+        // a throwaway serialized copy: checksum it, corrupt it, and
+        // check again as the seal would, then mark the entry not
+        // intact; its bytes are never read.
         if (fault == osim::FaultAction::Corrupt && injector &&
-            !bytes.empty())
+            entry->snapshot.size() > 0) {
+            std::vector<uint8_t> bytes = store.serialize(id);
+            uint64_t written = util::wideChecksum(bytes);
             injector->corrupt(bytes);
-        entry->intact = util::wideChecksum(bytes) == written;
+            entry->intact = util::wideChecksum(bytes) == written;
+        }
         if (!entry->intact)
             ++gen.corruptEntries;
         gen.objects.emplace_back(id, std::move(entry));

@@ -3,8 +3,9 @@
  * CheckpointStore: one agent's periodic state checkpoints (§4.4.2,
  * A.2.4). It owns the generations — each a complete snapshot of the
  * live set whose unchanged objects share the previous generation's
- * bytes, verified once when sealed — and the one rule that picks
- * which generation a lookup or a restore may use.
+ * entries, and whose new entries share the objects' own bytes
+ * copy-on-write — and the one rule that picks which generation a
+ * lookup or a restore may use.
  */
 
 #ifndef FREEPART_CORE_CHECKPOINT_STORE_HH
@@ -27,7 +28,7 @@ constexpr size_t kCheckpointGenerations = 2;
 /** What one CheckpointStore::write did, for the caller's counters. */
 struct CheckpointWrite {
     bool taken = false; //!< false: an injected fault skipped it
-    uint64_t bytesSaved = 0; //!< newly serialized bytes only
+    uint64_t bytesSaved = 0; //!< serialized size of the new entries
 };
 
 /** What a restart materializes: every id live in the restorable
@@ -46,11 +47,13 @@ class CheckpointStore
     /**
      * Cut one generation of `store` holding every live object. An
      * object not dirtied past the watermark whose entry in the newest
-     * generation is intact shares that entry; every other one is
-     * serialized again. An injected Transient or Crash skips the
-     * write and keeps the watermark; Corrupt has `injector` corrupt
-     * each newly serialized entry between its checksum and the seal.
-     * The newest kCheckpointGenerations generations are kept.
+     * generation is intact shares that entry; every other one gets a
+     * new entry, a snapshot sharing the object's bytes. An injected
+     * Transient or Crash skips the write and keeps the watermark;
+     * Corrupt has `injector` corrupt a serialized copy of each new
+     * entry between two checksums, and an entry whose checksums
+     * differ is not intact. The newest kCheckpointGenerations
+     * generations are kept.
      */
     CheckpointWrite write(const fw::ObjectStore &store,
                           osim::FaultAction fault = osim::FaultAction::None,
@@ -73,8 +76,10 @@ class CheckpointStore
     size_t generations() const { return gens_.size(); }
 
   private:
-    /** One object's copy and its seal-time verdict; the bytes are
-     *  never written after the seal, so the verdict is final. */
+    /** One object's copy and its seal-time verdict. The snapshot's
+     *  bytes never change (a store to the object clones them away),
+     *  so the verdict is final; only an injected Corrupt makes it
+     *  false, and such an entry is never read. */
     struct CheckpointEntry {
         fw::ObjectSnapshot snapshot;
         bool intact = true;

@@ -346,7 +346,7 @@ FreePartRuntime::restoreCheckpointed(Agent &agent, uint64_t id,
                                      const fw::ObjectSnapshot &snap)
 {
     agent.store->restore(id, snap);
-    stats_.checkpointBytesRestored += snap.bytes.size();
+    stats_.checkpointBytesRestored += snap.size();
 }
 
 bool
@@ -411,6 +411,13 @@ FreePartRuntime::applyTemporalProtection(FrameworkState previous)
     for (ProtectedVar &var : vars) {
         if (var.isProtected || var.definedIn != previous)
             continue;
+        // Erasing an object unmaps its memory (a re-fetch moves the
+        // host copy, an eviction drops it): nothing is left to flip.
+        if (!kernel_.process(var.pid).space().isMapped(var.addr,
+                                                       var.len)) {
+            var.isProtected = true;
+            continue;
+        }
         kernel_.trustedProtect(var.pid, var.addr, var.len,
                                osim::PermRead);
         var.isProtected = true;
@@ -430,8 +437,8 @@ FreePartRuntime::transferObject(uint32_t from, uint32_t to,
     ensureResident(from, id);
     fw::ObjectSnapshot snap = storeOf(from).snapshot(id);
     storeOf(to).restore(id, snap);
-    kernel_.advance(kernel_.costs().copyCost(snap.bytes.size()));
-    stats_.bytesTransferred += snap.bytes.size();
+    kernel_.advance(kernel_.costs().copyCost(snap.size()));
+    stats_.bytesTransferred += snap.size();
     objectHome[id] = {to, snap.kind};
     if (eager) {
         // Host-mediated copies ride their own request/response pair
@@ -962,7 +969,7 @@ FreePartRuntime::specConflict(const ipc::ValueList &results,
             if (it == objectHome.end())
                 break;
             fw::ObjectStore &store = storeOf(it->second.first);
-            if (store.has(id) && store.serialize(id) != cp.snapshot.bytes)
+            if (store.has(id) && !store.matches(id, cp.snapshot))
                 return true;
             break;
         }
@@ -984,10 +991,10 @@ FreePartRuntime::squashSpeculativeCall(
         if (it == objectHome.end())
             continue; // lost meanwhile: gone in both schedules
         fw::ObjectStore &store = storeOf(it->second.first);
-        if (store.has(cp.id) && store.serialize(cp.id) == cp.snapshot.bytes)
+        if (store.has(cp.id) && store.matches(cp.id, cp.snapshot))
             continue;
         store.restore(cp.id, cp.snapshot);
-        stats_.squashedWriteBytes += cp.snapshot.bytes.size();
+        stats_.squashedWriteBytes += cp.snapshot.size();
     }
     // Discard the ticket's effects: objects the squashed execution
     // minted stop resolving, and the id counter rewinds so the
@@ -1199,14 +1206,14 @@ FreePartRuntime::buildDeliverBatch(uint32_t partition,
         // but riding the same round trip instead of its own): the
         // object bytes are encoded straight into the ring frame.
         ensureResident(home, id);
-        fw::ObjectSnapshot snap = storeOf(home).snapshot(id);
+        const fw::StoredObject &obj = storeOf(home).get(id);
         ipc::Message deliver;
         deliver.kind = ipc::MsgKind::Deliver;
         deliver.seq = seq;
         deliver.values.emplace_back(id);
-        deliver.values.emplace_back(static_cast<uint64_t>(snap.kind));
-        deliver.values.emplace_back(std::move(snap.label));
-        deliver.values.emplace_back(std::move(snap.bytes));
+        deliver.values.emplace_back(static_cast<uint64_t>(obj.kind));
+        deliver.values.emplace_back(obj.label);
+        deliver.values.emplace_back(storeOf(home).serialize(id));
         batch.push_back(std::move(deliver));
     }
 }
@@ -1220,16 +1227,14 @@ FreePartRuntime::absorbDelivers(uint32_t partition,
         if (msg.kind != ipc::MsgKind::Deliver)
             continue;
         uint64_t id = msg.values.at(0).asU64();
-        fw::ObjectSnapshot snap{
+        fw::ObjectSnapshot snap = fw::snapshotFromBytes(
             static_cast<fw::ObjKind>(msg.values.at(1).asU64()),
-            std::move(msg.values.at(3).asBlobMutable()),
-            msg.values.at(2).asStr()};
+            msg.values.at(3).asBlob(), msg.values.at(2).asStr());
         agent.store->restore(id, snap);
         objectHome[id] = {partition, snap.kind};
         // In-place rate: the bytes were never staged outside the
         // ring; one memcpy out of shared memory, no re-serialize.
-        kernel_.advance(
-            kernel_.costs().copyCostInPlace(snap.bytes.size()));
+        kernel_.advance(kernel_.costs().copyCostInPlace(snap.size()));
         ++stats_.directCopies;
         ++stats_.piggybackedFetches;
     }

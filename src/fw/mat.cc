@@ -45,23 +45,18 @@ matToBytes(const osim::AddressSpace &space, const MatDesc &desc)
 }
 
 MatDesc
-matFromBytes(osim::AddressSpace &space,
-             const std::vector<uint8_t> &bytes, const std::string &label)
+parseMatHeader(const std::vector<uint8_t> &bytes, const char *what)
 {
     if (bytes.size() < kMatHeaderBytes)
-        util::fatal("matFromBytes: truncated header (%zu bytes)",
+        util::fatal("%s: truncated header (%zu bytes)", what,
                     bytes.size());
     MatDesc desc;
     std::memcpy(&desc.rows, bytes.data(), sizeof(uint32_t));
     std::memcpy(&desc.cols, bytes.data() + 4, sizeof(uint32_t));
     std::memcpy(&desc.channels, bytes.data() + 8, sizeof(uint32_t));
     if (bytes.size() < kMatHeaderBytes + desc.byteLen())
-        util::fatal("matFromBytes: truncated pixels (%zu < %zu)",
+        util::fatal("%s: truncated pixels (%zu < %zu)", what,
                     bytes.size() - kMatHeaderBytes, desc.byteLen());
-    desc.addr = space.alloc(desc.byteLen() ? desc.byteLen() : 1,
-                            osim::PermRW, label);
-    space.write(desc.addr, bytes.data() + kMatHeaderBytes,
-                desc.byteLen());
     return desc;
 }
 

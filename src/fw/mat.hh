@@ -93,13 +93,11 @@ class MatView
 std::vector<uint8_t> matToBytes(const osim::AddressSpace &space,
                                 const MatDesc &desc);
 
-/**
- * Materialize serialized bytes as a new Mat allocation in a space.
- * @throws util::FatalError on malformed bytes.
- */
-MatDesc matFromBytes(osim::AddressSpace &space,
-                     const std::vector<uint8_t> &bytes,
-                     const std::string &label = "mat");
+/** Shape (addr unset) of serialized Mat bytes, after checking the
+ *  header and every pixel are inside `bytes`; else util::FatalError
+ *  naming `what`. */
+MatDesc parseMatHeader(const std::vector<uint8_t> &bytes,
+                       const char *what);
 
 /** Header-only length check: bytes needed for rows x cols x ch. */
 constexpr size_t kMatHeaderBytes = 3 * sizeof(uint32_t);

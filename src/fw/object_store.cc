@@ -1,8 +1,52 @@
 #include "fw/object_store.hh"
 
+#include <cstring>
+
 #include "util/logging.hh"
 
 namespace freepart::fw {
+
+size_t
+ObjectSnapshot::size() const
+{
+    switch (kind) {
+      case ObjKind::Mat:
+        return kMatHeaderBytes + byteLen;
+      case ObjKind::Tensor:
+        return sizeof(uint32_t) * (1 + tensor.shape.size()) + byteLen;
+      case ObjKind::Bytes:
+        return byteLen;
+    }
+    util::panic("ObjectSnapshot::size: bad kind");
+}
+
+ObjectSnapshot
+snapshotFromBytes(ObjKind kind, const std::vector<uint8_t> &bytes,
+                  const std::string &label)
+{
+    ObjectSnapshot snap;
+    snap.kind = kind;
+    snap.label = label;
+    size_t header = 0;
+    switch (kind) {
+      case ObjKind::Mat:
+        snap.mat = parseMatHeader(bytes, "snapshotFromBytes");
+        snap.byteLen = snap.mat.byteLen();
+        header = kMatHeaderBytes;
+        break;
+      case ObjKind::Tensor:
+        snap.tensor = parseTensorHeader(bytes, "snapshotFromBytes");
+        snap.byteLen = snap.tensor.byteLen();
+        header = sizeof(uint32_t) * (1 + snap.tensor.shape.size());
+        break;
+      case ObjKind::Bytes:
+        snap.byteLen = bytes.size();
+        break;
+    }
+    snap.backing =
+        osim::copyToBacking(bytes.data() + header, snap.byteLen);
+    return snap;
+}
 
 ObjectStore::ObjectStore(osim::Kernel &kernel, osim::Pid pid,
                          uint64_t *id_counter)
@@ -120,9 +164,13 @@ ObjectStore::erase(uint64_t id)
     auto it = objects.find(id);
     if (it == objects.end())
         return;
-    auto by = byAddr.find(it->second.addr);
+    const StoredObject &obj = it->second;
+    auto by = byAddr.find(obj.addr);
     if (by != byAddr.end() && by->second == id)
         byAddr.erase(by);
+    osim::AddressSpace &space = kernel.process(pid_).space();
+    if (space.wholeMapping(obj.addr, obj.byteLen))
+        space.unmap(obj.addr);
     objects.erase(it);
 }
 
@@ -145,6 +193,26 @@ ObjectStore::serialize(uint64_t id) const
     util::panic("ObjectStore::serialize: bad kind");
 }
 
+ObjectSnapshot
+ObjectStore::snapshot(uint64_t id) const
+{
+    const StoredObject &obj = get(id);
+    const osim::AddressSpace &space = kernel.process(pid_).space();
+    ObjectSnapshot snap;
+    snap.kind = obj.kind;
+    snap.label = obj.label;
+    snap.mat = obj.mat;
+    snap.tensor = obj.tensor;
+    snap.mat.addr = snap.tensor.addr = osim::kNullAddr;
+    snap.byteLen = obj.byteLen;
+    // Checked as serialize() reads it.
+    const uint8_t *bytes = space.checkedSpan(obj.addr, obj.byteLen);
+    const osim::Mapping *m = space.wholeMapping(obj.addr, obj.byteLen);
+    snap.backing =
+        m ? m->backing : osim::copyToBacking(bytes, obj.byteLen);
+    return snap;
+}
+
 void
 ObjectStore::restore(uint64_t id, const ObjectSnapshot &snap)
 {
@@ -152,30 +220,45 @@ ObjectStore::restore(uint64_t id, const ObjectSnapshot &snap)
     StoredObject obj;
     obj.kind = snap.kind;
     obj.label = snap.label;
-    switch (snap.kind) {
-      case ObjKind::Mat:
-        obj.mat = matFromBytes(space, snap.bytes, snap.label);
-        obj.addr = obj.mat.addr;
-        obj.byteLen = obj.mat.byteLen();
-        break;
-      case ObjKind::Tensor:
-        obj.tensor = tensorFromBytes(space, snap.bytes, snap.label);
-        obj.addr = obj.tensor.addr;
-        obj.byteLen = obj.tensor.byteLen();
-        break;
-      case ObjKind::Bytes:
-        obj.byteLen = snap.bytes.size();
-        obj.addr = space.alloc(obj.byteLen ? obj.byteLen : 1,
-                               osim::PermRW, snap.label);
-        space.write(obj.addr, snap.bytes.data(), obj.byteLen);
-        break;
-    }
-    // A re-materialize moves the object to a fresh buffer; the stale
-    // address must stop resolving to this id.
+    obj.mat = snap.mat;
+    obj.tensor = snap.tensor;
+    obj.byteLen = snap.byteLen;
+    obj.addr = space.mapCopyOnWrite(snap.backing, osim::PermRW,
+                                    snap.label);
+    if (obj.kind == ObjKind::Mat)
+        obj.mat.addr = obj.addr;
+    else if (obj.kind == ObjKind::Tensor)
+        obj.tensor.addr = obj.addr;
+    // A re-materialize moves the object to a fresh address; the stale
+    // one must stop resolving to this id.
     erase(id);
     StoredObject &stored = objects[id] = std::move(obj);
     byAddr[stored.addr] = id;
     markDirty(stored);
+}
+
+bool
+ObjectStore::matches(uint64_t id, const ObjectSnapshot &snap) const
+{
+    const StoredObject &obj = get(id);
+    const osim::AddressSpace &space = kernel.process(pid_).space();
+    const uint8_t *bytes = space.checkedSpan(obj.addr, obj.byteLen);
+    // Any store since the snapshot cloned the mapping away from it.
+    const osim::Mapping *m = space.findMapping(obj.addr);
+    if (m->backing == snap.backing)
+        return true;
+    if (obj.kind != snap.kind || obj.byteLen != snap.byteLen)
+        return false;
+    bool same_shape = true;
+    if (obj.kind == ObjKind::Mat)
+        same_shape = obj.mat.rows == snap.mat.rows &&
+                     obj.mat.cols == snap.mat.cols &&
+                     obj.mat.channels == snap.mat.channels;
+    else if (obj.kind == ObjKind::Tensor)
+        same_shape = obj.tensor.shape == snap.tensor.shape;
+    return same_shape &&
+           (obj.byteLen == 0 ||
+            std::memcmp(bytes, snap.data(), obj.byteLen) == 0);
 }
 
 std::vector<uint64_t>

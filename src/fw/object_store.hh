@@ -64,14 +64,39 @@ objectIdIndex(uint64_t object_id)
 /** Kinds of stored framework objects. */
 enum class ObjKind : uint8_t { Mat, Tensor, Bytes };
 
-/** An object's contents detached from any process: what LDC moves
- *  between stores and what checkpoints and speculative squashes keep
- *  (serialize() bytes plus the kind and label to rebuild it). */
+/**
+ * An object's contents detached from any process: what LDC moves
+ * between stores and what checkpoints, replicas and speculative
+ * squashes keep. Taking one copies nothing: `backing` is the object's
+ * own mapping, shared copy-on-write, so a later store to the object
+ * (or to a copy mapped back from the snapshot) clones the bytes first
+ * and the snapshot never changes. The kind, label and shape are what
+ * mapping it back needs.
+ */
 struct ObjectSnapshot {
     ObjKind kind = ObjKind::Bytes;
-    std::vector<uint8_t> bytes;
     std::string label;
+    MatDesc mat;           //!< shape when kind == Mat (addr unset)
+    TensorDesc tensor;     //!< shape when kind == Tensor (addr unset)
+    size_t byteLen = 0;    //!< object bytes at the start of backing
+    osim::Backing backing; //!< whole pages, never written
+
+    /** Length of the object's serialized form (header and bytes), the
+     *  figure every copy is charged and counted by. */
+    size_t size() const;
+
+    /** The object's bytes (byteLen of them). */
+    const uint8_t *data() const { return backing->data(); }
 };
+
+/**
+ * Parse an object's serialized form (ObjectStore::serialize()) into a
+ * snapshot with its own backing, as a Deliver frame is absorbed.
+ * @throws util::FatalError on malformed bytes.
+ */
+ObjectSnapshot snapshotFromBytes(ObjKind kind,
+                                 const std::vector<uint8_t> &bytes,
+                                 const std::string &label);
 
 /** One entry in an ObjectStore. */
 struct StoredObject {
@@ -129,23 +154,29 @@ class ObjectStore
     /** Fetch a Tensor descriptor; panics if id is not a Tensor. */
     const TensorDesc &tensor(uint64_t id) const;
 
-    /** Drop an object (its memory stays allocated until unmapped). */
+    /**
+     * Drop an object and unmap the mapping it fills, so its bytes are
+     * released unless a snapshot still shares them. Addresses are
+     * never reused, so a stale access faults. An object that is only
+     * part of a mapping leaves the mapping alone.
+     */
     void erase(uint64_t id);
 
     /** Serialize an object's header+data (for eager RPC transfer). */
     std::vector<uint8_t> serialize(uint64_t id) const;
 
-    /** Detach an object's contents (panics on unknown id). */
-    ObjectSnapshot
-    snapshot(uint64_t id) const
-    {
-        return {get(id).kind, serialize(id), get(id).label};
-    }
+    /** Detach an object's contents (panics on unknown id): share its
+     *  mapping, or copy an object that is only part of one. */
+    ObjectSnapshot snapshot(uint64_t id) const;
 
-    /** Materialize a snapshot into this store's process under its
-     *  original id, so refs keep resolving after a cross-process move
-     *  (a held id moves to a fresh buffer). */
+    /** Map a snapshot copy-on-write into this store's process under
+     *  its original id, so refs keep resolving after a cross-process
+     *  move (a held id moves to a fresh address). */
     void restore(uint64_t id, const ObjectSnapshot &snap);
+
+    /** True if `id` still holds exactly `snap`'s contents: the same
+     *  bytes it was snapshotted from, or equal ones. */
+    bool matches(uint64_t id, const ObjectSnapshot &snap) const;
 
     /** Number of live objects. */
     size_t count() const { return objects.size(); }

@@ -57,15 +57,6 @@ Value::asBlob() const
     util::panic("Value::asBlob on kind %d", static_cast<int>(kind()));
 }
 
-std::vector<uint8_t> &
-Value::asBlobMutable()
-{
-    if (auto *v = std::get_if<std::vector<uint8_t>>(&payload))
-        return *v;
-    util::panic("Value::asBlobMutable on kind %d",
-                static_cast<int>(kind()));
-}
-
 const ObjectRef &
 Value::asRef() const
 {

@@ -73,7 +73,6 @@ class Value
     double asF64() const;
     const std::string &asStr() const;
     const std::vector<uint8_t> &asBlob() const;
-    std::vector<uint8_t> &asBlobMutable();
     const ObjectRef &asRef() const;
 
     /** Exact encoded size in bytes (tag + payload). */

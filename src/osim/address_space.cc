@@ -45,6 +45,15 @@ freeZeroedBytes(void *p, size_t len) noexcept
         std::free(p);
 }
 
+Backing
+copyToBacking(const uint8_t *bytes, size_t len)
+{
+    auto backing = std::make_shared<BackingBytes>(pageRoundUp(len));
+    if (len > 0)
+        std::memcpy(backing->data(), bytes, len);
+    return backing;
+}
+
 AddressSpace::AddressSpace(Pid owner, Addr base)
     : ownerPid(owner), nextAddr(pageBase(base + kPageSize - 1))
 {
@@ -53,12 +62,9 @@ AddressSpace::AddressSpace(Pid owner, Addr base)
 Addr
 AddressSpace::alloc(size_t size, Perms perms, const std::string &label)
 {
-    if (size == 0)
-        size = 1;
-    size_t rounded = (size + kPageSize - 1) & ~(kPageSize - 1);
     Mapping m;
-    m.length = rounded;
-    m.backing = std::make_shared<BackingBytes>(rounded);
+    m.length = pageRoundUp(size);
+    m.backing = std::make_shared<BackingBytes>(m.length);
     m.label = label;
     return insert(std::move(m), perms);
 }
@@ -69,8 +75,7 @@ AddressSpace::mapShared(Backing backing, Perms perms,
 {
     if (!backing)
         util::panic("mapShared: null backing");
-    size_t rounded =
-        (backing->size() + kPageSize - 1) & ~(kPageSize - 1);
+    size_t rounded = pageRoundUp(backing->size());
     if (backing->size() < rounded)
         backing->resize(rounded, 0);
     Mapping m;
@@ -79,6 +84,29 @@ AddressSpace::mapShared(Backing backing, Perms perms,
     m.shared = true;
     m.label = label;
     return insert(std::move(m), perms);
+}
+
+Addr
+AddressSpace::mapCopyOnWrite(Backing backing, Perms perms,
+                             const std::string &label)
+{
+    if (!backing || backing->empty() || backing->size() % kPageSize)
+        util::panic("mapCopyOnWrite: backing is not whole pages");
+    Mapping m;
+    m.length = backing->size();
+    m.backing = std::move(backing);
+    m.label = label;
+    return insert(std::move(m), perms);
+}
+
+const Mapping *
+AddressSpace::wholeMapping(Addr addr, size_t len) const
+{
+    const Mapping *m = findMapping(addr);
+    if (!m || m->shared || m->base != addr ||
+        m->length != pageRoundUp(len))
+        return nullptr;
+    return m;
 }
 
 Addr
@@ -158,9 +186,9 @@ AddressSpace::isMapped(Addr addr, size_t len) const
     return m && len <= m->base + m->length - addr;
 }
 
-uint8_t *
-AddressSpace::checkedBytes(Addr addr, size_t len, bool is_write,
-                           const char *outside) const
+const Mapping &
+AddressSpace::checkedMapping(Addr addr, size_t len, bool is_write,
+                             const char *outside) const
 {
     const Mapping *m = findMapping(addr);
     // Compared with the room left in the mapping, so addr + len
@@ -177,22 +205,33 @@ AddressSpace::checkedBytes(Addr addr, size_t len, bool is_write,
                                is_write ? "page not writable"
                                         : "page not readable");
     }
-    return m->backing->data() + m->backingOff + (addr - m->base);
+    return *m;
+}
+
+uint8_t *
+AddressSpace::storeBytes(Addr addr, size_t len, const char *outside)
+{
+    auto &m = const_cast<Mapping &>(
+        checkedMapping(addr, len, true, outside));
+    // Copy-on-write: whoever else holds these bytes keeps them.
+    if (len > 0 && !m.shared && m.backing.use_count() > 1)
+        m.backing = copyToBacking(m.backing->data(), m.length);
+    return m.backing->data() + (addr - m.base);
 }
 
 void
 AddressSpace::read(Addr addr, void *dst, size_t len) const
 {
-    const uint8_t *src =
-        checkedBytes(addr, len, false, "read outside mapping");
+    const Mapping &m = checkedMapping(addr, len, false,
+                                      "read outside mapping");
     if (len > 0)
-        std::memcpy(dst, src, len);
+        std::memcpy(dst, m.backing->data() + (addr - m.base), len);
 }
 
 void
 AddressSpace::write(Addr addr, const void *src, size_t len)
 {
-    uint8_t *dst = checkedBytes(addr, len, true, "write outside mapping");
+    uint8_t *dst = storeBytes(addr, len, "write outside mapping");
     if (len == 0)
         return;
     std::memcpy(dst, src, len);
@@ -202,20 +241,23 @@ AddressSpace::write(Addr addr, const void *src, size_t len)
 uint8_t *
 AddressSpace::checkedSpan(Addr addr, size_t len, bool for_write)
 {
-    uint8_t *span =
-        checkedBytes(addr, len, for_write, "span outside mapping");
+    if (!for_write)
+        return const_cast<uint8_t *>(std::as_const(*this).checkedSpan(
+            addr, len));
+    uint8_t *span = storeBytes(addr, len, "span outside mapping");
     // A writable span hands out raw bytes, so the actual stores are
     // invisible; conservatively treat the whole span as dirtied (the
     // same over-approximation a page-granular soft-dirty bit makes).
-    if (for_write)
-        notifyWrite(addr, len);
+    notifyWrite(addr, len);
     return span;
 }
 
 const uint8_t *
 AddressSpace::checkedSpan(Addr addr, size_t len) const
 {
-    return checkedBytes(addr, len, false, "span outside mapping");
+    const Mapping &m = checkedMapping(addr, len, false,
+                                      "span outside mapping");
+    return m.backing->data() + (addr - m.base);
 }
 
 } // namespace freepart::osim

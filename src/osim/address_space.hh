@@ -7,6 +7,10 @@
  * checked, which is exactly how FreePart's temporal mprotect-based
  * protection (Fig. 3) stops data-corruption payloads: once a data
  * object's pages are flipped to read-only, any write raises MemFault.
+ *
+ * A private mapping's bytes can be shared copy-on-write (object
+ * snapshots, and the copies mapped back from them): while anyone else
+ * holds the backing, the first store through the mapping clones it.
  */
 
 #ifndef FREEPART_OSIM_ADDRESS_SPACE_HH
@@ -82,8 +86,22 @@ struct ZeroedAllocator {
 /** The bytes behind a mapping; zero when created. */
 using BackingBytes = std::vector<uint8_t, ZeroedAllocator<uint8_t>>;
 
-/** Shared backing store for a mapping (private or shm-backed). */
+/**
+ * Backing store for a mapping: a shm segment, or private bytes that
+ * may be shared copy-on-write with snapshots and other mappings.
+ */
 using Backing = std::shared_ptr<BackingBytes>;
+
+/** len rounded up to whole pages; a zero-length region takes one. */
+constexpr size_t
+pageRoundUp(size_t len)
+{
+    return len == 0 ? kPageSize : (len + kPageSize - 1) & ~(kPageSize - 1);
+}
+
+/** Fresh private bytes, whole pages, starting with a copy of `len`
+ *  bytes; the rest is zero. */
+Backing copyToBacking(const uint8_t *bytes, size_t len);
 
 /**
  * Callback fired after every successful mutating access (write() or a
@@ -98,9 +116,8 @@ using WriteObserver = std::function<void(Addr addr, size_t len)>;
 struct Mapping {
     Addr base = kNullAddr;        //!< first mapped address
     size_t length = 0;            //!< mapped length in bytes
-    Backing backing;              //!< backing bytes (length >= length)
-    size_t backingOff = 0;        //!< offset of base within backing
-    bool shared = false;          //!< true if backed by a shm segment
+    Backing backing;              //!< backing bytes, base at offset 0
+    bool shared = false;          //!< shm segment: never cloned
     std::string label;            //!< debug label ("Mat#3", "shm:ch0")
     std::vector<uint8_t> perms;   //!< Perms of each page, in order
 };
@@ -139,6 +156,24 @@ class AddressSpace
      */
     Addr mapShared(Backing backing, Perms perms,
                    const std::string &label = "");
+
+    /**
+     * Map private bytes copy-on-write: the mapping reads `backing`
+     * until its first store, which clones it while anyone else still
+     * holds it.
+     *
+     * @param backing  Whole pages, e.g. another mapping's backing.
+     * @param perms    Initial page permissions.
+     * @param label    Debug label recorded on the mapping.
+     * @return Base address of the new mapping.
+     */
+    Addr mapCopyOnWrite(Backing backing, Perms perms,
+                        const std::string &label = "");
+
+    /** The private mapping that [addr, addr+len) fills, len rounded
+     *  up to whole pages; nullptr when there is none. Its backing can
+     *  be shared copy-on-write. */
+    const Mapping *wholeMapping(Addr addr, size_t len) const;
 
     /** Unmap the mapping that starts exactly at base. */
     void unmap(Addr base);
@@ -188,7 +223,9 @@ class AddressSpace
      * Raw pointer into the backing bytes for [addr, addr+len), with
      * permission checks applied once up front. Used by compute kernels
      * that stream over large buffers; the permission semantics are the
-     * same as issuing a single big read/write.
+     * same as issuing a single big read/write. A writable span of a
+     * shared private mapping clones it first, as write() does, so take
+     * it before any read span of the same mapping.
      *
      * @param for_write  Check write (true) or read (false) permission.
      */
@@ -223,12 +260,16 @@ class AddressSpace
     /** Place m at the next free address, every page set to perms. */
     Addr insert(Mapping m, Perms perms);
     /**
-     * The backing bytes of [addr, addr+len) once the range is found
-     * inside one mapping (else MemFault with message `outside`) and
-     * every page in it grants read, or write if is_write.
+     * The mapping holding [addr, addr+len) once the range is found
+     * inside one (else MemFault with message `outside`) and every page
+     * in it grants read, or write if is_write.
      */
-    uint8_t *checkedBytes(Addr addr, size_t len, bool is_write,
-                          const char *outside) const;
+    const Mapping &checkedMapping(Addr addr, size_t len, bool is_write,
+                                  const char *outside) const;
+
+    /** Bytes of [addr, addr+len) to store into, after the write check;
+     *  a private backing someone else still holds is cloned first. */
+    uint8_t *storeBytes(Addr addr, size_t len, const char *outside);
 
     void
     notifyWrite(Addr addr, size_t len)

@@ -278,8 +278,8 @@ ShardRouter::migrateObject(uint32_t from, uint32_t to,
     // Source pays the serialize; destination pays the network hop.
     // The two shards run on separate simulated kernels, so each side's
     // clock advances by its own share.
-    src.kernel->advance(src.kernel->costs().copyCost(snap.bytes.size()));
-    dst.kernel->advance(transferCost(to, snap.bytes.size()));
+    src.kernel->advance(src.kernel->costs().copyCost(snap.size()));
+    dst.kernel->advance(transferCost(to, snap.size()));
     dst.runtime->hostStore().restore(object_id, snap);
     // Exactly one shard stays authoritative: stale copies on the
     // source stop resolving (and its dedup caches drop responses that
@@ -287,7 +287,7 @@ ShardRouter::migrateObject(uint32_t from, uint32_t to,
     srcRt.evictObject(object_id);
     objectShard_[object_id] = to;
     ++stats_.migrations;
-    stats_.migratedBytes += snap.bytes.size();
+    stats_.migratedBytes += snap.size();
 }
 
 bool
@@ -297,7 +297,7 @@ ShardRouter::copyReplica(uint32_t to, uint64_t object_id)
     if (it == replicas_.end())
         return false;
     Shard &dst = shards_.at(to);
-    dst.kernel->advance(transferCost(to, it->second.bytes.size()));
+    dst.kernel->advance(transferCost(to, it->second.size()));
     dst.runtime->hostStore().restore(object_id, it->second);
     return true;
 }
@@ -373,11 +373,11 @@ ShardRouter::saveReplica(uint32_t shard_id, uint64_t object_id)
     // Capture rides the result path while the data is hot: in-place
     // copy rate, charged to the owning shard.
     osim::Kernel &kernel = *shards_[shard_id].kernel;
-    kernel.advance(kernel.costs().copyCostInPlace(replica.bytes.size()));
+    kernel.advance(kernel.costs().copyCostInPlace(replica.size()));
     auto it = replicas_.find(object_id);
     if (it != replicas_.end())
-        stats_.replicaBytes -= it->second.bytes.size();
-    stats_.replicaBytes += replica.bytes.size();
+        stats_.replicaBytes -= it->second.size();
+    stats_.replicaBytes += replica.size();
     replicas_[object_id] = std::move(replica);
     ++stats_.replicaSaves;
 }
@@ -655,7 +655,7 @@ ShardRouter::endSession(uint64_t routing_key)
         objectKey_.erase(id);
         auto it = replicas_.find(id);
         if (it != replicas_.end()) {
-            stats_.replicaBytes -= it->second.bytes.size();
+            stats_.replicaBytes -= it->second.size();
             replicas_.erase(it);
         }
     }
@@ -791,7 +791,7 @@ ShardRouter::objectBytesOf(uint64_t object_id) const
             liveStoreOf(homeShardOf(object_id), object_id))
         return store->get(object_id).byteLen;
     auto it = replicas_.find(object_id);
-    return it != replicas_.end() ? it->second.bytes.size() : 0;
+    return it != replicas_.end() ? it->second.size() : 0;
 }
 
 void

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for osim::AddressSpace: allocation, permission-checked
- * access, mprotect semantics, shared mappings, and fault behaviour —
- * the enforcement point behind FreePart's temporal protection.
+ * access, mprotect semantics, shared and copy-on-write mappings, and
+ * fault behaviour — the enforcement point behind FreePart's temporal
+ * protection.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <cstring>
 #include <vector>
 
+#include "fw/object_store.hh"
 #include "osim/address_space.hh"
+#include "osim/kernel.hh"
 
 namespace freepart::osim {
 namespace {
@@ -272,6 +275,150 @@ TEST(AddressSpace, FaultCarriesAddressAndDirection)
         EXPECT_EQ(fault.pid, 5u);
         EXPECT_EQ(pageBase(fault.addr), pageBase(a));
     }
+}
+
+// ---- Copy-on-write sharing ------------------------------------------
+
+/** The backing a mapping reads right now. */
+const BackingBytes *
+backingOf(const AddressSpace &space, Addr addr)
+{
+    return space.findMapping(addr)->backing.get();
+}
+
+TEST(CopyOnWrite, StoresOnEitherSideLeaveTheOtherUnchanged)
+{
+    AddressSpace src(1), dst(2);
+    Addr a = src.alloc(2 * kPageSize);
+    src.writeValue<uint32_t>(a + kPageSize, 7);
+    Backing snap = src.wholeMapping(a, 2 * kPageSize)->backing;
+    Addr b = dst.mapCopyOnWrite(snap, PermRW, "copy");
+    EXPECT_EQ(backingOf(dst, b), snap.get()); // shared, not copied
+
+    // A store to the source clones it; the snapshot and the copy
+    // mapped from it keep the old bytes.
+    src.writeValue<uint32_t>(a + kPageSize, 8);
+    EXPECT_NE(backingOf(src, a), snap.get());
+    EXPECT_EQ(src.readValue<uint32_t>(a + kPageSize), 8u);
+    EXPECT_EQ(dst.readValue<uint32_t>(b + kPageSize), 7u);
+    uint32_t in_snap = 0;
+    std::memcpy(&in_snap, snap->data() + kPageSize, sizeof(in_snap));
+    EXPECT_EQ(in_snap, 7u);
+
+    // And the reverse: a store to the copy leaves the snapshot alone.
+    dst.writeValue<uint32_t>(b, 9);
+    EXPECT_NE(backingOf(dst, b), snap.get());
+    EXPECT_EQ(snap->at(0), 0);
+    EXPECT_EQ(dst.readValue<uint32_t>(b + kPageSize), 7u);
+}
+
+TEST(CopyOnWrite, OnlyWholePrivateMappingsCanBeShared)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(3 * kPageSize);
+    EXPECT_NE(space.wholeMapping(a, 3 * kPageSize - 5), nullptr);
+    EXPECT_EQ(space.wholeMapping(a, kPageSize), nullptr);
+    EXPECT_EQ(space.wholeMapping(a + kPageSize, kPageSize), nullptr);
+    EXPECT_EQ(space.wholeMapping(a - kPageSize, kPageSize), nullptr);
+    Addr shm = space.mapShared(std::make_shared<BackingBytes>(kPageSize),
+                               PermRW, "shm");
+    EXPECT_EQ(space.wholeMapping(shm, kPageSize), nullptr);
+    Addr empty = space.alloc(0);
+    EXPECT_NE(space.wholeMapping(empty, 0), nullptr);
+}
+
+TEST(CopyOnWrite, WritableSpansCloneAndReadOnlySpansDoNot)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(kPageSize);
+    Backing snap = space.wholeMapping(a, kPageSize)->backing;
+    space.checkedSpan(a, 16, false);
+    space.checkedSpan(a, 0, true); // stores nothing
+    EXPECT_EQ(backingOf(space, a), snap.get());
+    uint8_t *bytes = space.checkedSpan(a, 16, true);
+    EXPECT_NE(backingOf(space, a), snap.get());
+    bytes[0] = 0xab;
+    EXPECT_EQ(snap->at(0), 0);
+    // Once nobody else holds the bytes, stores go straight to them.
+    const BackingBytes *own = backingOf(space, a);
+    space.writeValue<uint8_t>(a, 1);
+    EXPECT_EQ(backingOf(space, a), own);
+}
+
+TEST(CopyOnWrite, KernelCopyIntoASharedMappingClonesIt)
+{
+    Kernel kernel;
+    Process &src = kernel.spawn("src");
+    Process &dst = kernel.spawn("dst");
+    Addr from = src.space().alloc(64);
+    src.space().writeValue<uint64_t>(from, 0x5eed);
+    Addr to = dst.space().alloc(64);
+    Backing snap = dst.space().wholeMapping(to, 64)->backing;
+    Addr peer = src.space().mapCopyOnWrite(snap, PermRW, "peer");
+
+    kernel.trustedCopy(src.pid(), from, dst.pid(), to, 64);
+    EXPECT_EQ(dst.space().readValue<uint64_t>(to), 0x5eedu);
+    EXPECT_NE(backingOf(dst.space(), to), snap.get());
+    EXPECT_EQ(src.space().readValue<uint64_t>(peer), 0u);
+    // The source side of the copy was only read: still shared.
+    Backing src_snap = src.space().wholeMapping(from, 64)->backing;
+    kernel.trustedCopy(src.pid(), from, dst.pid(), to, 64);
+    EXPECT_EQ(backingOf(src.space(), from), src_snap.get());
+}
+
+TEST(CopyOnWrite, FaultingStoreToASharedPageClonesNothing)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(kPageSize, PermRead);
+    Backing snap = space.wholeMapping(a, kPageSize)->backing;
+    EXPECT_THROW(space.writeValue<uint8_t>(a, 1), MemFault);
+    EXPECT_THROW(space.checkedSpan(a, 1, true), MemFault);
+    EXPECT_EQ(backingOf(space, a), snap.get());
+    EXPECT_EQ(snap.use_count(), 2);
+}
+
+TEST(CopyOnWrite, ShmStoresStayVisibleToThePeer)
+{
+    // A ring segment is shared by design: it is mapped by both peers
+    // and held by the kernel, and a store must never clone it away.
+    AddressSpace p1(1), p2(2);
+    auto backing = std::make_shared<BackingBytes>(kPageSize);
+    Addr a1 = p1.mapShared(backing, PermRW, "shm");
+    Addr a2 = p2.mapShared(backing, PermRW, "shm");
+    ASSERT_GT(backing.use_count(), 1);
+    p1.writeValue<uint32_t>(a1, 41);
+    p2.checkedSpan(a2 + 4, 4, true)[0] = 42;
+    EXPECT_EQ(backingOf(p1, a1), backing.get());
+    EXPECT_EQ(backingOf(p2, a2), backing.get());
+    EXPECT_EQ(p2.readValue<uint32_t>(a2), 41u);
+    EXPECT_EQ(p1.readValue<uint8_t>(a1 + 4), 42u);
+}
+
+TEST(CopyOnWrite, ASnapshotOutlivesRespawnAndRestoresByteForByte)
+{
+    Kernel kernel;
+    Pid pid = kernel.spawn("agent").pid();
+    AddressSpace &old_space = kernel.process(pid).space();
+    uint64_t counter = 0;
+    fw::ObjectStore store(kernel, pid, &counter);
+    std::vector<uint8_t> bytes(3 * kPageSize + 17);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i * 31 + 7);
+    Addr addr = old_space.alloc(bytes.size(), PermRW, "blob");
+    old_space.write(addr, bytes.data(), bytes.size());
+    uint64_t id = store.putBytes(addr, bytes.size(), "blob");
+    fw::ObjectSnapshot snap = store.snapshot(id);
+
+    // The old incarnation's space, and every mapping in it, is gone.
+    kernel.respawn(pid);
+    store.clear();
+    store.bindObserver();
+    store.restore(id, snap);
+    EXPECT_EQ(store.serialize(id), bytes);
+    // The restored copy is writable and still leaves the snapshot be.
+    kernel.process(pid).space().writeValue<uint8_t>(
+        store.get(id).addr, 0);
+    EXPECT_EQ(snap.data()[0], bytes[0]);
 }
 
 } // namespace

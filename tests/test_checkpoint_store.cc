@@ -62,7 +62,7 @@ struct StoreEnv {
 int
 fillOf(const fw::ObjectSnapshot *snap)
 {
-    return snap ? snap->bytes.at(0) : -1;
+    return snap ? snap->data()[0] : -1;
 }
 
 TEST(CheckpointStore, CleanObjectsShareThePreviousCopy)

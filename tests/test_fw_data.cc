@@ -38,20 +38,22 @@ TEST(Mat, SerializationRoundTrip)
     space.write(src.addr, pixels.data(), pixels.size());
 
     std::vector<uint8_t> wire = matToBytes(space, src);
-    MatDesc back = matFromBytes(space, wire, "copy");
+    MatDesc back = parseMatHeader(wire, "test");
     EXPECT_EQ(back.rows, 3u);
     EXPECT_EQ(back.cols, 5u);
     EXPECT_EQ(back.channels, 2u);
-    std::vector<uint8_t> out(back.byteLen());
-    space.read(back.addr, out.data(), out.size());
-    EXPECT_EQ(out, pixels);
+    EXPECT_EQ(std::vector<uint8_t>(wire.begin() + kMatHeaderBytes,
+                                   wire.end()),
+              pixels);
 }
 
 TEST(Mat, TruncatedBytesRejected)
 {
-    osim::AddressSpace space(1);
     std::vector<uint8_t> junk(8, 0);
-    EXPECT_ANY_THROW(matFromBytes(space, junk));
+    EXPECT_ANY_THROW(parseMatHeader(junk, "test"));
+    std::vector<uint8_t> short_pixels(kMatHeaderBytes + 5, 0);
+    short_pixels[0] = short_pixels[4] = short_pixels[8] = 2; // 2x2x2
+    EXPECT_ANY_THROW(parseMatHeader(short_pixels, "test"));
 }
 
 TEST(Mat, ViewRespectsProtection)
@@ -151,7 +153,8 @@ TEST(ObjectStore, SerializeMaterializePreservesIdAndData)
     a.space().writeValue<uint32_t>(m.addr, 0xaabbccdd);
     uint64_t id = sa.putMat(m, "img");
 
-    sb.restore(id, {ObjKind::Mat, sa.serialize(id), "img"});
+    sb.restore(id,
+               snapshotFromBytes(ObjKind::Mat, sa.serialize(id), "img"));
     EXPECT_TRUE(sb.has(id));
     EXPECT_EQ(
         b.space().readValue<uint32_t>(sb.mat(id).addr), 0xaabbccddu);
@@ -159,18 +162,94 @@ TEST(ObjectStore, SerializeMaterializePreservesIdAndData)
 
 TEST(ObjectStore, ZeroByteObjectSnapshotRoundTrip)
 {
-    // An empty object's snapshot has no byte buffer at all: neither
-    // serialize() nor restore() may hand its null data() to memcpy.
+    // An empty object's serialized form has no byte buffer at all:
+    // neither serialize() nor snapshotFromBytes() may hand its null
+    // data() to memcpy.
     osim::Kernel kernel;
     osim::Process &proc = kernel.spawn("p");
     uint64_t counter = 0;
     ObjectStore store(kernel, proc.pid(), &counter);
     uint64_t id = store.putBytes(proc.space().alloc(1), 0, "empty");
     ObjectSnapshot snap = store.snapshot(id);
-    EXPECT_TRUE(snap.bytes.empty());
+    EXPECT_EQ(snap.size(), 0u);
     store.restore(id, snap);
     EXPECT_EQ(store.get(id).byteLen, 0u);
     EXPECT_TRUE(store.serialize(id).empty());
+    store.restore(id, snapshotFromBytes(ObjKind::Bytes, {}, "empty"));
+    EXPECT_TRUE(store.serialize(id).empty());
+}
+
+TEST(ObjectStore, SnapshotSizeIsTheSerializedSize)
+{
+    // Every copy of an object is charged and counted by its snapshot's
+    // size(), which must stay the length of its serialized form.
+    osim::Kernel kernel;
+    osim::Process &proc = kernel.spawn("p");
+    uint64_t counter = 0;
+    ObjectStore store(kernel, proc.pid(), &counter);
+    MatDesc mat{5, 7, 3, proc.space().alloc(105)};
+    TensorDesc tensor{{2, 3, 4}, proc.space().alloc(96)};
+    for (uint64_t id :
+         {store.putMat(mat, "m"), store.putTensor(tensor, "t"),
+          store.putBytes(proc.space().alloc(10), 10, "b")}) {
+        std::vector<uint8_t> wire = store.serialize(id);
+        ObjectSnapshot snap = store.snapshot(id);
+        EXPECT_EQ(snap.size(), wire.size()) << snap.label;
+        EXPECT_EQ(snapshotFromBytes(snap.kind, wire, snap.label).size(),
+                  wire.size())
+            << snap.label;
+    }
+}
+
+TEST(ObjectStore, MatchesComparesBytesOnlyAfterAStore)
+{
+    osim::Kernel kernel;
+    osim::Process &proc = kernel.spawn("p");
+    uint64_t counter = 0;
+    ObjectStore store(kernel, proc.pid(), &counter);
+    MatDesc m{2, 4, 1, proc.space().alloc(8)};
+    proc.space().writeValue<uint64_t>(m.addr, 0x0102030405060708ull);
+    uint64_t id = store.putMat(m, "img");
+    ObjectSnapshot snap = store.snapshot(id);
+    EXPECT_TRUE(store.matches(id, snap));
+    // Rewriting identical bytes clones the mapping but changes nothing.
+    proc.space().writeValue<uint64_t>(m.addr, 0x0102030405060708ull);
+    EXPECT_NE(proc.space().findMapping(m.addr)->backing, snap.backing);
+    EXPECT_TRUE(store.matches(id, snap));
+    proc.space().writeValue<uint8_t>(m.addr + 7, 0);
+    EXPECT_FALSE(store.matches(id, snap));
+    store.restore(id, snap);
+    EXPECT_TRUE(store.matches(id, snap));
+    EXPECT_EQ(proc.space().readValue<uint64_t>(store.mat(id).addr),
+              0x0102030405060708ull);
+}
+
+TEST(ObjectStore, EraseUnmapsOnlyTheObjectsOwnMapping)
+{
+    osim::Kernel kernel;
+    osim::Process &proc = kernel.spawn("p");
+    uint64_t counter = 0;
+    ObjectStore store(kernel, proc.pid(), &counter);
+    osim::AddressSpace &space = proc.space();
+    osim::Addr whole = space.alloc(100);
+    osim::Addr region = space.alloc(3 * osim::kPageSize);
+    uint64_t own = store.putBytes(whole, 100, "own");
+    uint64_t part = store.putBytes(region + 16, 32, "part");
+    size_t before = space.mappingCount();
+
+    store.erase(own);
+    EXPECT_EQ(space.mappingCount(), before - 1);
+    EXPECT_THROW(space.readValue<uint8_t>(whole), osim::MemFault);
+    // A snapshot still shares the bytes of an erased object.
+    uint64_t kept = store.putBytes(space.alloc(8), 8, "kept");
+    space.writeValue<uint8_t>(store.get(kept).addr, 9);
+    ObjectSnapshot snap = store.snapshot(kept);
+    store.erase(kept);
+    EXPECT_EQ(snap.data()[0], 9);
+
+    store.erase(part);
+    EXPECT_EQ(space.mappingCount(), before - 1);
+    EXPECT_TRUE(space.isMapped(region, 3 * osim::kPageSize));
 }
 
 TEST(ObjectStore, WrongKindAccessPanics)

@@ -421,6 +421,54 @@ TEST(Runtime, FetchToHostMakesDataReadableAndCountsEager)
     EXPECT_GE(runtime->stats().eagerCopies, 1u);
 }
 
+TEST(Runtime, EvictionReleasesEveryCopysMapping)
+{
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    ApiResult img = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ipc::ObjectRef ref = img.values[0].asRef();
+    ASSERT_TRUE(runtime->fetchToHost(ref)); // host copy; agent keeps its
+    osim::AddressSpace &host = runtime->hostProcess().space();
+    osim::AddressSpace &agent =
+        env().kernel->process(runtime->agentPid(0)).space();
+    osim::Addr host_copy = runtime->hostStore().get(ref.objectId).addr;
+    size_t host_before = host.mappingCount();
+    size_t agent_before = agent.mappingCount();
+
+    runtime->evictObject(ref.objectId);
+    EXPECT_EQ(host.mappingCount(), host_before - 1);
+    EXPECT_EQ(agent.mappingCount(), agent_before - 1);
+    EXPECT_THROW(host.readValue<uint8_t>(host_copy), osim::MemFault);
+}
+
+TEST(Runtime, ProtectionFlipSkipsAReleasedFetchedCopy)
+{
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    ApiResult img = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ipc::ObjectRef ref = img.values[0].asRef();
+    FrameworkState loading = runtime->state();
+    ASSERT_TRUE(runtime->fetchToHost(ref));
+    osim::Addr first = runtime->hostStore().get(ref.objectId).addr;
+    // Same state: a type-neutral call takes the object back to an
+    // agent, and the host fetches it again into a fresh copy; the
+    // first copy is released while its var is still unprotected.
+    ASSERT_TRUE(runtime->invoke("cv2.cvtColor", {img.values[0]}).ok);
+    ASSERT_EQ(runtime->state(), loading);
+    ASSERT_NE(runtime->homeOf(ref.objectId), kHostPartition);
+    ASSERT_TRUE(runtime->fetchToHost(ref));
+    osim::Addr second = runtime->hostStore().get(ref.objectId).addr;
+    osim::AddressSpace &host = runtime->hostProcess().space();
+    EXPECT_FALSE(host.isMapped(first, 1));
+
+    // Leaving the state flips the live copy and skips the released one.
+    ApiResult blurred =
+        runtime->invoke("cv2.GaussianBlur", {img.values[0]});
+    ASSERT_TRUE(blurred.ok) << blurred.error;
+    ASSERT_NE(runtime->state(), loading);
+    EXPECT_EQ(host.permsAt(second), osim::PermRead);
+}
+
 TEST(Runtime, StatsTrackIpcAndSimTime)
 {
     auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());

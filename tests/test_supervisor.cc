@@ -263,8 +263,8 @@ TEST(Supervisor, CorruptedCheckpointFallsBackAGeneration)
     runtime->checkpointAgent(p);
     std::vector<uint8_t> v1 = runtime->storeOf(p).serialize(weights_id);
 
-    // The next checkpoint of this agent is corrupted after its
-    // checksums are computed (bit rot on the stored snapshot).
+    // The next checkpoint of this agent suffers injected bit rot: its
+    // new entries fail the checksum check and are not intact.
     osim::FaultSpec spec;
     spec.point = osim::FaultPoint::Checkpoint;
     spec.action = osim::FaultAction::Corrupt;
