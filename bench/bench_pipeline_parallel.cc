@@ -20,7 +20,7 @@
  *
  * A misprediction-heavy adversarial workload closes the bench: every
  * round draws into the object fetched under the open speculation
- * window, forcing a conflict and a dirty-epoch squash. The gate is
+ * window, forcing a conflict and a squash. The gate is
  * bounded rollback cost — the all-rollback replay must stay byte-
  * identical and may not run materially slower than the barrier mode
  * it replaces.
@@ -156,7 +156,7 @@ adversarial(bool async, bool spec, int rounds)
         runtime.fetchToHost(chain.asRef());
         // The adversarial step: draw into the object fetched under
         // the still-open window — a write to pre-window data, the
-        // exact conflict the dirty-epoch rollback exists for.
+        // exact conflict the snapshot rollback exists for.
         ipc::Value drawn = call(
             "cv2.rectangle",
             {chain, ipc::Value(static_cast<uint64_t>(2)),

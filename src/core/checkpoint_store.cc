@@ -29,11 +29,8 @@ CheckpointStore::write(const fw::ObjectStore &store,
     CheckpointWrite out;
     if (fault == osim::FaultAction::Transient ||
         fault == osim::FaultAction::Crash)
-        return out; // skipped: old generations and the watermark stay
+        return out; // skipped: the old generations stay
     out.taken = true;
-    // Snapshot the epoch BEFORE serializing: a write racing the
-    // checkpoint then looks dirty to the next one (safe side).
-    uint64_t epoch = store.writeEpoch();
 
     Generation gen;
     const Generation none;
@@ -41,7 +38,7 @@ CheckpointStore::write(const fw::ObjectStore &store,
     for (uint64_t id : store.ids()) { // ascending: gen stays sorted
         auto shared = findId(prev, id);
         if (shared != prev.end() && shared->second->intact &&
-            store.get(id).dirtyEpoch <= watermark_) {
+            store.matches(id, shared->second->snapshot)) {
             gen.objects.emplace_back(id, shared->second); // unchanged
             continue;
         }
@@ -67,7 +64,6 @@ CheckpointStore::write(const fw::ObjectStore &store,
     gens_.push_front(std::move(gen));
     if (gens_.size() > kCheckpointGenerations)
         gens_.pop_back();
-    watermark_ = epoch;
     return out;
 }
 

@@ -46,14 +46,13 @@ class CheckpointStore
   public:
     /**
      * Cut one generation of `store` holding every live object. An
-     * object not dirtied past the watermark whose entry in the newest
-     * generation is intact shares that entry; every other one gets a
-     * new entry, a snapshot sharing the object's bytes. An injected
-     * Transient or Crash skips the write and keeps the watermark;
-     * Corrupt has `injector` corrupt a serialized copy of each new
-     * entry between two checksums, and an entry whose checksums
-     * differ is not intact. The newest kCheckpointGenerations
-     * generations are kept.
+     * object whose entry in the newest generation is intact and still
+     * matches it (ObjectStore::matches) shares that entry; every other
+     * one gets a new entry, a snapshot sharing the object's bytes. An
+     * injected Transient or Crash skips the write; Corrupt has
+     * `injector` corrupt a serialized copy of each new entry between
+     * two checksums, and an entry whose checksums differ is not
+     * intact. The newest kCheckpointGenerations generations are kept.
      */
     CheckpointWrite write(const fw::ObjectStore &store,
                           osim::FaultAction fault = osim::FaultAction::None,
@@ -99,7 +98,6 @@ class CheckpointStore
     size_t restorable() const;
 
     std::deque<Generation> gens_; //!< newest first
-    uint64_t watermark_ = 0;      //!< store epoch the newest covers
 };
 
 } // namespace freepart::core

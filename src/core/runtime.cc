@@ -954,8 +954,7 @@ FreePartRuntime::specConflict(const ipc::ValueList &results,
     // A conflict is a write to an object that predates the epoch —
     // exactly the data a deferred flip could cover — confirmed
     // byte-for-byte so an API that returns its input unchanged does
-    // not count as a write. (Dirty epochs alone over-report: LDC
-    // materialization marks cross-partition reads dirty.)
+    // not count as a write.
     for (const ipc::Value &value : results) {
         if (value.kind() != ipc::Value::Kind::Ref)
             continue;
@@ -1512,7 +1511,7 @@ FreePartRuntime::checkpointAgent(uint32_t partition)
     CheckpointWrite written =
         agent.checkpoints.write(*agent.store, action, kernel_.faultInjector());
     if (!written.taken)
-        return; // skipped; old checkpoints AND the watermark remain
+        return; // skipped; the old checkpoints remain
     stats_.checkpointBytesSaved += written.bytesSaved;
     ++stats_.checkpointsTaken;
 }
@@ -1545,12 +1544,10 @@ FreePartRuntime::restartAgent(uint32_t partition)
     }
     ++stats_.agentRestarts;
     coolRpcWindow();
-    // Fresh address space: rebuild the store binding (including its
-    // dirty-epoch write observer), re-map the channel, reopen devices
-    // lazily, reinstall the policy (the new incarnation re-runs its
-    // initialization, A.2.4).
+    // Fresh address space: clear the store, re-map the channel,
+    // reopen devices lazily, reinstall the policy (the new
+    // incarnation re-runs its initialization, A.2.4).
     agent.store->clear();
-    agent.store->bindObserver();
     agent.devices = fw::DeviceFds();
     agent.channel->remapInto(agent.pid);
     agent.executedApis.clear();

@@ -111,13 +111,13 @@ struct RuntimeConfig {
      * agent address spaces opens a SpeculationEpoch: the flip is
      * modeled as landing at the flipped pids' quiesce horizon, calls
      * issued before that horizon run speculatively (argument objects
-     * checkpointed via the dirty-epoch serialize path), and a
-     * speculative call that writes pre-epoch data is squashed — its
-     * checkpoints restored byte-exact, its minted ids discarded, the
-     * call re-issued after the horizon. Host fetches of still-running
-     * producers likewise run off-clock on the producer's timeline
-     * instead of syncing the host. Off (the default) keeps the hard
-     * pipeline barriers and the classic fetch synchronization.
+     * snapshotted first), and a speculative call that writes
+     * pre-epoch data is squashed — its checkpoints restored
+     * byte-exact, its minted ids discarded, the call re-issued after
+     * the horizon. Host fetches of still-running producers likewise
+     * run off-clock on the producer's timeline instead of syncing the
+     * host. Off (the default) keeps the hard pipeline barriers and
+     * the classic fetch synchronization.
      * Meaningful only with pipelineParallel.
      */
     bool speculativeFlips = false;

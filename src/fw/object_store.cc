@@ -54,49 +54,13 @@ ObjectStore::ObjectStore(osim::Kernel &kernel, osim::Pid pid,
 {
     if (!id_counter)
         util::panic("ObjectStore: null id counter");
-    bindObserver();
-}
-
-ObjectStore::~ObjectStore()
-{
-    // The kernel (and its processes) outlive the runtime that owns
-    // this store; leave no dangling observer behind.
-    kernel.process(pid_).space().setWriteObserver(nullptr);
-}
-
-void
-ObjectStore::bindObserver()
-{
-    kernel.process(pid_).space().setWriteObserver(
-        [this](osim::Addr addr, size_t len) { noteWrite(addr, len); });
-}
-
-void
-ObjectStore::noteWrite(osim::Addr addr, size_t len)
-{
-    // Every mutating access advances the epoch, whether or not it
-    // lands inside a registered object — the counter is a global
-    // "time" for this process's memory, not a per-object one.
-    ++writeEpoch_;
-    auto it = byAddr.upper_bound(addr);
-    if (it == byAddr.begin())
-        return;
-    --it;
-    auto obj = objects.find(it->second);
-    if (obj == objects.end())
-        return;
-    if (addr < obj->second.addr + obj->second.byteLen &&
-        addr + len > obj->second.addr)
-        obj->second.dirtyEpoch = writeEpoch_;
 }
 
 uint64_t
 ObjectStore::put(StoredObject obj)
 {
     uint64_t id = ++*idCounter;
-    auto [it, ok] = objects.emplace(id, std::move(obj));
-    byAddr[it->second.addr] = id;
-    markDirty(it->second); // fresh objects are dirty by definition
+    objects.emplace(id, std::move(obj));
     return id;
 }
 
@@ -165,9 +129,6 @@ ObjectStore::erase(uint64_t id)
     if (it == objects.end())
         return;
     const StoredObject &obj = it->second;
-    auto by = byAddr.find(obj.addr);
-    if (by != byAddr.end() && by->second == id)
-        byAddr.erase(by);
     osim::AddressSpace &space = kernel.process(pid_).space();
     if (space.wholeMapping(obj.addr, obj.byteLen))
         space.unmap(obj.addr);
@@ -232,9 +193,7 @@ ObjectStore::restore(uint64_t id, const ObjectSnapshot &snap)
     // A re-materialize moves the object to a fresh address; the stale
     // one must stop resolving to this id.
     erase(id);
-    StoredObject &stored = objects[id] = std::move(obj);
-    byAddr[stored.addr] = id;
-    markDirty(stored);
+    objects[id] = std::move(obj);
 }
 
 bool

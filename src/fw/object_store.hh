@@ -106,7 +106,6 @@ struct StoredObject {
     osim::Addr addr = osim::kNullAddr; //!< buffer base (all kinds)
     size_t byteLen = 0; //!< buffer length (all kinds)
     std::string label;  //!< debug label
-    uint64_t dirtyEpoch = 0; //!< write epoch of the last mutation
 };
 
 /**
@@ -124,8 +123,6 @@ class ObjectStore
      */
     ObjectStore(osim::Kernel &kernel, osim::Pid pid,
                 uint64_t *id_counter);
-
-    ~ObjectStore();
 
     ObjectStore(const ObjectStore &) = delete;
     ObjectStore &operator=(const ObjectStore &) = delete;
@@ -184,52 +181,17 @@ class ObjectStore
     /** All live object ids, ascending. */
     std::vector<uint64_t> ids() const;
 
-    /** Remove everything (used on agent respawn). The write-epoch
-     *  counter deliberately survives — epochs are monotonic across
-     *  incarnations so stale checkpoint watermarks stay comparable. */
-    void
-    clear()
-    {
-        objects.clear();
-        byAddr.clear();
-    }
-
-    // ---- Dirty-epoch tracking (checkpoint sharing) ----------------
-
-    /**
-     * Current write epoch: a counter bumped on every observed
-     * mutating access to this process's memory. An object whose
-     * dirtyEpoch is <= a checkpoint's watermark epoch has not changed
-     * since that checkpoint and can share its bytes in the next
-     * one.
-     */
-    uint64_t writeEpoch() const { return writeEpoch_; }
-
-    /**
-     * (Re-)install this store's write observer on the owning
-     * process's address space. Must be called again after a respawn:
-     * the fresh incarnation gets a fresh AddressSpace and would
-     * otherwise mutate unobserved.
-     */
-    void bindObserver();
+    /** Remove everything (used on agent respawn). */
+    void clear() { objects.clear(); }
 
   private:
     /** Register a fresh object under a newly minted id. */
     uint64_t put(StoredObject obj);
 
-    /** Write-observer callback: stamp the touched object. */
-    void noteWrite(osim::Addr addr, size_t len);
-
-    /** Stamp an object as dirtied right now. */
-    void markDirty(StoredObject &obj) { obj.dirtyEpoch = ++writeEpoch_; }
-
     osim::Kernel &kernel;
     osim::Pid pid_;
     uint64_t *idCounter;
     std::map<uint64_t, StoredObject> objects;
-    /** buffer base address -> object id, for observer lookups. */
-    std::map<osim::Addr, uint64_t> byAddr;
-    uint64_t writeEpoch_ = 0;
 };
 
 } // namespace freepart::fw

@@ -235,7 +235,6 @@ AddressSpace::write(Addr addr, const void *src, size_t len)
     if (len == 0)
         return;
     std::memcpy(dst, src, len);
-    notifyWrite(addr, len);
 }
 
 uint8_t *
@@ -244,12 +243,7 @@ AddressSpace::checkedSpan(Addr addr, size_t len, bool for_write)
     if (!for_write)
         return const_cast<uint8_t *>(std::as_const(*this).checkedSpan(
             addr, len));
-    uint8_t *span = storeBytes(addr, len, "span outside mapping");
-    // A writable span hands out raw bytes, so the actual stores are
-    // invisible; conservatively treat the whole span as dirtied (the
-    // same over-approximation a page-granular soft-dirty bit makes).
-    notifyWrite(addr, len);
-    return span;
+    return storeBytes(addr, len, "span outside mapping");
 }
 
 const uint8_t *

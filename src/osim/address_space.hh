@@ -17,7 +17,6 @@
 #define FREEPART_OSIM_ADDRESS_SPACE_HH
 
 #include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <new>
@@ -102,15 +101,6 @@ pageRoundUp(size_t len)
 /** Fresh private bytes, whole pages, starting with a copy of `len`
  *  bytes; the rest is zero. */
 Backing copyToBacking(const uint8_t *bytes, size_t len);
-
-/**
- * Callback fired after every successful mutating access (write() or a
- * writable checkedSpan()). This is the simulated analogue of the
- * soft-dirty / write-protect tracking the dirty-epoch checkpoints
- * need: the ObjectStore registers one to stamp the
- * touched object with the current write epoch.
- */
-using WriteObserver = std::function<void(Addr addr, size_t len)>;
 
 /** One contiguous mapping inside an AddressSpace. */
 struct Mapping {
@@ -244,17 +234,6 @@ class AddressSpace
     /** The mapping containing addr, or nullptr. */
     const Mapping *findMapping(Addr addr) const;
 
-    /**
-     * Install (or clear, with nullptr) the write observer. At most
-     * one; a respawn replaces the whole space, so the new incarnation
-     * starts unobserved until the store rebinds.
-     */
-    void
-    setWriteObserver(WriteObserver observer)
-    {
-        writeObserver = std::move(observer);
-    }
-
   private:
     Mapping *findMappingMutable(Addr addr);
     /** Place m at the next free address, every page set to perms. */
@@ -271,18 +250,10 @@ class AddressSpace
      *  a private backing someone else still holds is cloned first. */
     uint8_t *storeBytes(Addr addr, size_t len, const char *outside);
 
-    void
-    notifyWrite(Addr addr, size_t len)
-    {
-        if (writeObserver)
-            writeObserver(addr, len);
-    }
-
     Pid ownerPid;
     Addr nextAddr;
     std::map<Addr, Mapping> mappings;  //!< keyed by base address
     size_t totalMapped = 0;
-    WriteObserver writeObserver;
 };
 
 } // namespace freepart::osim

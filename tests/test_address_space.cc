@@ -412,7 +412,6 @@ TEST(CopyOnWrite, ASnapshotOutlivesRespawnAndRestoresByteForByte)
     // The old incarnation's space, and every mapping in it, is gone.
     kernel.respawn(pid);
     store.clear();
-    store.bindObserver();
     store.restore(id, snap);
     EXPECT_EQ(store.serialize(id), bytes);
     // The restored copy is writable and still leaves the snapshot be.

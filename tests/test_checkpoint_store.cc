@@ -1,7 +1,8 @@
 /**
  * @file
  * CheckpointStore on its own, over a bare object store with no
- * runtime: sharing of unchanged objects' copies, retention, write-time
+ * runtime: sharing of unchanged objects' copies (same bytes, equal
+ * bytes, restored bytes), retention, write-time
  * verdicts and the generation selection that lookups and restores
  * share, erasure, deletions, and skipped writes; then restore
  * identity on the 23 Table 6 app replays.
@@ -42,7 +43,8 @@ struct StoreEnv {
         return id;
     }
 
-    /** Overwrite an object in place (marks it dirty). */
+    /** Overwrite an object in place (clones its bytes away from any
+     *  snapshot sharing them). */
     void
     set(uint64_t id, uint8_t fill)
     {
@@ -90,7 +92,7 @@ TEST(CheckpointStore, CleanObjectsShareThePreviousCopy)
     EXPECT_EQ(fillOf(cps.lookup(dirty)), 14);
 }
 
-TEST(CheckpointStore, RestoredObjectsAreReSerialized)
+TEST(CheckpointStore, RestoredObjectsShareTheirCopy)
 {
     StoreEnv env;
     env.put(1);
@@ -99,7 +101,8 @@ TEST(CheckpointStore, RestoredObjectsAreReSerialized)
     cps.write(env.store);
     CheckpointRestore restore = cps.restoreSet();
     // A restart rebuilds the store from the checkpoint: every object
-    // moves to a fresh buffer, so none may share its old copy.
+    // moves to a fresh address but maps its entry's own bytes, so the
+    // next generation shares every entry and copies nothing.
     std::vector<std::pair<uint64_t, fw::ObjectSnapshot>> copies;
     for (const auto &[id, snap] : restore.objects)
         copies.emplace_back(id, *snap);
@@ -107,9 +110,34 @@ TEST(CheckpointStore, RestoredObjectsAreReSerialized)
     for (const auto &[id, snap] : copies)
         env.store.restore(id, snap);
     const fw::ObjectSnapshot *before = cps.lookup(copies[0].first);
-    EXPECT_EQ(cps.write(env.store).bytesSaved, 2 * kObjBytes);
-    EXPECT_NE(cps.lookup(copies[0].first), before);
+    EXPECT_EQ(cps.write(env.store).bytesSaved, 0u);
+    EXPECT_EQ(cps.lookup(copies[0].first), before);
     EXPECT_EQ(fillOf(cps.lookup(copies[0].first)), 1);
+}
+
+TEST(CheckpointStore, ARewriteSharesOnlyEqualBytes)
+{
+    StoreEnv env;
+    uint64_t id = env.put(1);
+    CheckpointStore cps;
+    cps.write(env.store);
+    const fw::ObjectSnapshot *first = cps.lookup(id);
+
+    // Rewriting the same bytes clones the mapping away from the entry,
+    // yet the bytes compare equal: the entry is shared.
+    env.set(id, 1);
+    const osim::Mapping *m =
+        env.kernel.process(env.pid).space().findMapping(
+            env.store.get(id).addr);
+    ASSERT_NE(m->backing, first->backing);
+    EXPECT_EQ(cps.write(env.store).bytesSaved, 0u);
+    EXPECT_EQ(cps.lookup(id), first);
+
+    // Different bytes get a new entry.
+    env.set(id, 2);
+    EXPECT_EQ(cps.write(env.store).bytesSaved, kObjBytes);
+    EXPECT_NE(cps.lookup(id), first);
+    EXPECT_EQ(fillOf(cps.lookup(id)), 2);
 }
 
 TEST(CheckpointStore, RetentionKeepsTheNewestGenerations)
@@ -217,7 +245,7 @@ TEST(CheckpointStore, ADeletedObjectNeverResurrects)
     EXPECT_EQ(restore.objects[0].first, kept);
 }
 
-TEST(CheckpointStore, SkippedWriteKeepsTheWatermark)
+TEST(CheckpointStore, ASkippedWriteLeavesTheChangeToTheNext)
 {
     StoreEnv env;
     uint64_t dirty = env.put(1);
@@ -277,8 +305,7 @@ TEST_P(RestoreIdentity, RestartRestoresEveryObjectByteForByte)
     };
     // Replay twice with a checkpoint of every agent in between, so
     // even an app too short for a periodic checkpoint has generations
-    // whose unchanged objects the final one below shares. A mutation
-    // that skipped the dirty mark would then restore stale bytes.
+    // whose unchanged objects the final one below shares.
     replay();
     for (uint32_t p = 0; p < runtime.plan().partitionCount(); ++p)
         runtime.checkpointAgent(p);
@@ -287,6 +314,20 @@ TEST_P(RestoreIdentity, RestartRestoresEveryObjectByteForByte)
     size_t compared = 0;
     for (uint32_t p = 0; p < runtime.plan().partitionCount(); ++p) {
         ASSERT_TRUE(runtime.agentAlive(p)) << p;
+        // Change one byte of every live object after the last
+        // checkpoint, so the final one must copy each object again: a
+        // checkpoint that shared an entry the object no longer matches
+        // would restore stale bytes.
+        osim::AddressSpace &space =
+            kernel.process(runtime.agentPid(p)).space();
+        for (uint64_t id : runtime.storeOf(p).ids()) {
+            const fw::StoredObject &obj = runtime.storeOf(p).get(id);
+            if (obj.byteLen > 0)
+                space.writeValue<uint8_t>(
+                    obj.addr,
+                    static_cast<uint8_t>(
+                        ~space.readValue<uint8_t>(obj.addr)));
+        }
         runtime.checkpointAgent(p);
         std::map<uint64_t, std::vector<uint8_t>> live;
         for (uint64_t id : runtime.storeOf(p).ids())

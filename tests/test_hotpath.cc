@@ -1,7 +1,7 @@
 /**
  * @file
  * Hot-path regression tests for the batched zero-copy RPC transport
- * and the dirty-epoch checkpoint machinery: ring wraparound under
+ * and checkpoint sharing of unchanged objects: ring wraparound under
  * the reserve/commit producer, codec edge cases (empty payloads,
  * slot-exact records, batch-of-one wire size, corrupted batch
  * trailers), the word-wide integrity checksum (split
@@ -304,7 +304,7 @@ TEST(Fnv1a64, KnownAnswersPinPlacementKeysAndDigests)
     EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ull);
 }
 
-// ---- Dirty-epoch checkpoint sharing ----------------------------------
+// ---- Checkpoint sharing ----------------------------------------------
 
 struct HotPathEnv {
     HotPathEnv() : registry(fw::buildFullRegistry())
@@ -337,7 +337,7 @@ env()
 
 /** Load a model and train it `rounds` times, checkpointing the
  *  training agent after every round, so most generations see one
- *  dirty object among the accumulated clean ones. Returns the
+ *  changed object among the accumulated unchanged ones. Returns the
  *  weights ref. */
 ipc::ObjectRef
 trainRounds(core::FreePartRuntime &runtime, int rounds)
@@ -358,7 +358,7 @@ trainRounds(core::FreePartRuntime &runtime, int rounds)
     return weights;
 }
 
-TEST(DirtyEpoch, CheckpointsSerializeOnlyDirtyObjects)
+TEST(CheckpointSharing, CheckpointsCopyOnlyChangedObjects)
 {
     auto runtime = env().makeRuntime();
     ipc::ObjectRef weights = trainRounds(*runtime, 8);
@@ -378,8 +378,8 @@ TEST(DirtyEpoch, CheckpointsSerializeOnlyDirtyObjects)
     EXPECT_EQ(runtime->stats().checkpointsTaken, taken + 1);
     EXPECT_EQ(runtime->stats().checkpointBytesSaved, saved);
 
-    // Overwriting the weights in place dirties them alone: they are
-    // re-serialized, the clean objects beside them are not.
+    // Overwriting the weights in place changes them alone: they are
+    // copied again, the unchanged objects beside them are not.
     osim::AddressSpace &space =
         env().kernel->process(runtime->agentPid(p)).space();
     const fw::StoredObject &obj = store.get(weights.objectId);
@@ -391,11 +391,11 @@ TEST(DirtyEpoch, CheckpointsSerializeOnlyDirtyObjects)
     EXPECT_LT(round, store_bytes);
 }
 
-TEST(DirtyEpoch, SharedRestoreMatchesPreCrashState)
+TEST(CheckpointSharing, SharedRestoreMatchesPreCrashState)
 {
     auto runtime = env().makeRuntime();
     // 5 training rounds: the last generation before the crash shares
-    // the clean objects' copies with the ones before it.
+    // the unchanged objects' copies with the ones before it.
     ipc::ObjectRef weights = trainRounds(*runtime, 5);
 
     uint32_t p = runtime->homeOf(weights.objectId);

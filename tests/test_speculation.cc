@@ -2,7 +2,7 @@
  * @file
  * Speculative execution past protection flips (DESIGN.md §15):
  * byte-identity and determinism of speculative replays, the
- * dirty-epoch rollback path (forced-conflict squash, nested pending
+ * snapshot rollback path (forced-conflict squash, nested pending
  * flips, speculation across an agent restart), and the pre-PR
  * pinning baseline proving that with both gates off the runtime
  * reproduces the Table 9 accounting and all 23 app digests
