@@ -59,15 +59,6 @@ DynamicTracer::trace(const fw::ApiDescriptor &api, int runs)
     return result;
 }
 
-std::map<std::string, TraceResult>
-DynamicTracer::traceAll(const fw::ApiRegistry &registry)
-{
-    std::map<std::string, TraceResult> out;
-    for (const fw::ApiDescriptor &api : registry.all())
-        out.emplace(api.name, trace(api));
-    return out;
-}
-
 CoverageReport
 DynamicTracer::coverFramework(const fw::ApiRegistry &registry,
                               fw::Framework framework)

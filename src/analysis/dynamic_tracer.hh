@@ -11,7 +11,6 @@
 #ifndef FREEPART_ANALYSIS_DYNAMIC_TRACER_HH
 #define FREEPART_ANALYSIS_DYNAMIC_TRACER_HH
 
-#include <map>
 #include <memory>
 #include <set>
 
@@ -63,10 +62,6 @@ class DynamicTracer
 
     /** Execute and observe one API with fixture inputs. */
     TraceResult trace(const fw::ApiDescriptor &api, int runs = 1);
-
-    /** Trace every implemented API in a registry. */
-    std::map<std::string, TraceResult>
-    traceAll(const fw::ApiRegistry &registry);
 
     /** Coverage over one framework's APIs (Table 11 rows). */
     CoverageReport coverFramework(const fw::ApiRegistry &registry,

@@ -43,14 +43,6 @@ struct AppModel {
         return loading.total + processing.total + visualizing.total +
                storing.total;
     }
-
-    /** Total unique APIs across all types. */
-    uint32_t
-    uniqueApis() const
-    {
-        return loading.unique + processing.unique +
-               visualizing.unique + storing.unique;
-    }
 };
 
 /** All 23 applications (Table 6 rows, in paper order). */

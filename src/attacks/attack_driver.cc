@@ -226,8 +226,6 @@ AttackDriver::launch(const AttackSpec &spec)
             util::fnv1a64(before.data(), before.size());
     }
     size_t sends_before = kernel.network().sends().size();
-    size_t denied_before =
-        kernel.countEvents(osim::EventKind::SyscallDenied);
     core::RunStats stats_before = runtime.stats();
     size_t procs_before = kernel.processCount();
 
@@ -267,10 +265,9 @@ AttackDriver::launch(const AttackSpec &spec)
             send.length == spec.targetLen)
             outcome.dataLeaked = true;
     }
-    outcome.blockedBySyscall =
-        kernel.countEvents(osim::EventKind::SyscallDenied) >
-        denied_before;
     core::RunStats stats_after = runtime.stats();
+    outcome.blockedBySyscall =
+        stats_after.syscallDenials > stats_before.syscallDenials;
     outcome.blockedByMemFault =
         stats_after.memFaults > stats_before.memFaults ||
         (!result.ok &&

@@ -66,14 +66,6 @@ AgentSupervisor::pruneWindow(PartitionState &state) const
         state.crashTimes.pop_front();
 }
 
-size_t
-AgentSupervisor::windowCrashes(uint32_t partition) const
-{
-    PartitionState state = parts.at(partition); // copy: prune is const
-    pruneWindow(state);
-    return state.crashTimes.size();
-}
-
 bool
 AgentSupervisor::onCrash(uint32_t partition)
 {
@@ -187,9 +179,6 @@ AgentSupervisor::quarantine(uint32_t partition)
     util::inform("supervisor: partition %u quarantined after %zu "
                  "crashes in window",
                  partition, state.crashTimes.size());
-    kernel.logEvent(0, osim::EventKind::Custom,
-                    "quarantine partition=" +
-                        std::to_string(partition));
 }
 
 } // namespace freepart::core

@@ -154,9 +154,6 @@ class AgentSupervisor
 
     const SupervisionStats &stats() const { return stats_; }
 
-    /** Crashes currently inside the partition's sliding window. */
-    size_t windowCrashes(uint32_t partition) const;
-
     /**
      * Observer notified on every reported crash, including crashes of
      * already-quarantined partitions. The cluster health monitor subscribes

@@ -256,7 +256,7 @@ FreePartRuntime::createHostMat(uint32_t rows, uint32_t cols,
         fw::synthPixels(rows, cols, ch, seed);
     space.write(mat.addr, pixels.data(), pixels.size());
     uint64_t id = hostStore_->putMat(mat, label);
-    objectHome[id] = {kHostPartition, fw::ObjKind::Mat};
+    objectHome[id] = kHostPartition;
     vars.push_back({label, hostPid_, mat.addr, mat.byteLen(), state_,
                     false});
     return id;
@@ -271,7 +271,7 @@ FreePartRuntime::createHostBytes(const std::vector<uint8_t> &bytes,
                                   osim::PermRW, label);
     space.write(addr, bytes.data(), bytes.size());
     uint64_t id = hostStore_->putBytes(addr, bytes.size(), label);
-    objectHome[id] = {kHostPartition, fw::ObjKind::Bytes};
+    objectHome[id] = kHostPartition;
     vars.push_back({label, hostPid_, addr, bytes.size(), state_,
                     false});
     return id;
@@ -323,12 +323,11 @@ FreePartRuntime::homeOf(uint64_t object_id) const
 {
     auto it = objectHome.find(object_id);
     if (it != objectHome.end())
-        return it->second.first;
+        return it->second;
     // Objects created directly in the host store (e.g. by the
     // workload harness) are adopted lazily as host-homed.
     if (hostStore_->has(object_id)) {
-        objectHome[object_id] = {kHostPartition,
-                                 hostStore_->get(object_id).kind};
+        objectHome[object_id] = kHostPartition;
         return kHostPartition;
     }
     util::panic("runtime: object %llu has no recorded home",
@@ -377,9 +376,6 @@ FreePartRuntime::stats()
                 ? stats_.endTime - stats_.startTime
                 : 0;
     }
-    for (const Agent &agent : agents)
-        stats_.inFlightPeak = std::max(
-            stats_.inFlightPeak, agent.channel->stats().inFlightPeak);
     const SupervisionStats &sup = supervisor_.stats();
     stats_.quarantines = sup.quarantines;
     stats_.recoveries = sup.recoveries;
@@ -396,9 +392,6 @@ FreePartRuntime::enterState(FrameworkState next)
     FrameworkState previous = state_;
     state_ = next;
     ++stats_.stateChanges;
-    kernel_.logEvent(hostPid_, osim::EventKind::StateChange,
-                     std::string(frameworkStateName(previous)) +
-                         " -> " + frameworkStateName(next));
     if (config.enforceMemoryProtection)
         applyTemporalProtection(previous);
 }
@@ -439,7 +432,7 @@ FreePartRuntime::transferObject(uint32_t from, uint32_t to,
     storeOf(to).restore(id, snap);
     kernel_.advance(kernel_.costs().copyCost(snap.size()));
     stats_.bytesTransferred += snap.size();
-    objectHome[id] = {to, snap.kind};
+    objectHome[id] = to;
     if (eager) {
         // Host-mediated copies ride their own request/response pair
         // (Fig. 11-(b)), unlike LDC's piggybacked direct fetches. The
@@ -494,7 +487,7 @@ FreePartRuntime::registerResultHomes(uint32_t partition,
         uint64_t id = value.asRef().objectId;
         fw::ObjectStore &store = storeOf(partition);
         if (store.has(id))
-            objectHome[id] = {partition, store.get(id).kind};
+            objectHome[id] = partition;
     }
 }
 
@@ -529,7 +522,7 @@ FreePartRuntime::fetchToHost(const ipc::ObjectRef &ref)
             {ready->second, kernel_.timelineOf(hostPid_), kernel_.now()});
         kernel_.beginTask(hostPid_, start);
         transferObject(home, kHostPartition, ref.objectId, /*eager=*/true);
-        objectHome[ref.objectId].first = home;
+        objectHome[ref.objectId] = home;
         osim::SimTime done = kernel_.endTask();
         if (home < stats_.partitionBusyTime.size())
             stats_.partitionBusyTime[home] += done - start;
@@ -807,6 +800,8 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
     // the ring. One per-message charge on the real clock.
     kernel_.advance(kernel_.costs().ipcPerMessage);
     agent.channel->noteInFlight(ticket_id, done);
+    stats_.inFlightPeak = std::max<uint64_t>(
+        stats_.inFlightPeak, agent.channel->inFlightDepth());
 }
 
 ApiResult
@@ -938,7 +933,7 @@ FreePartRuntime::checkpointSpecArgs(const ipc::ValueList &args)
             std::any_of(saved.begin(), saved.end(),
                         [&](const SpecCheckpoint &cp) { return cp.id == id; }))
             continue;
-        uint32_t home = it->second.first;
+        uint32_t home = it->second;
         if (!ensureResident(home, id))
             continue; // unresolvable: nothing to checkpoint
         saved.push_back({id, home, storeOf(home).snapshot(id)});
@@ -967,7 +962,7 @@ FreePartRuntime::specConflict(const ipc::ValueList &results,
             auto it = objectHome.find(id);
             if (it == objectHome.end())
                 break;
-            fw::ObjectStore &store = storeOf(it->second.first);
+            fw::ObjectStore &store = storeOf(it->second);
             if (store.has(id) && !store.matches(id, cp.snapshot))
                 return true;
             break;
@@ -989,7 +984,7 @@ FreePartRuntime::squashSpeculativeCall(
         auto it = objectHome.find(cp.id);
         if (it == objectHome.end())
             continue; // lost meanwhile: gone in both schedules
-        fw::ObjectStore &store = storeOf(it->second.first);
+        fw::ObjectStore &store = storeOf(it->second);
         if (store.has(cp.id) && store.matches(cp.id, cp.snapshot))
             continue;
         store.restore(cp.id, cp.snapshot);
@@ -1230,7 +1225,7 @@ FreePartRuntime::absorbDelivers(uint32_t partition,
             static_cast<fw::ObjKind>(msg.values.at(1).asU64()),
             msg.values.at(3).asBlob(), msg.values.at(2).asStr());
         agent.store->restore(id, snap);
-        objectHome[id] = {partition, snap.kind};
+        objectHome[id] = partition;
         // In-place rate: the bytes were never staged outside the
         // ring; one memcpy out of shared memory, no re-serialize.
         kernel_.advance(kernel_.costs().copyCostInPlace(snap.size()));
@@ -1581,9 +1576,9 @@ FreePartRuntime::restartAgent(uint32_t partition)
         for (const auto &[id, snap] : restore.objects) {
             restoreCheckpointed(agent, id, *snap);
             auto home = objectHome.find(id);
-            if (home == objectHome.end() || home->second.first == partition ||
-                !storeOf(home->second.first).has(id))
-                objectHome[id] = {partition, snap->kind};
+            if (home == objectHome.end() || home->second == partition ||
+                !storeOf(home->second).has(id))
+                objectHome[id] = partition;
         }
     }
     // Objects whose authoritative copy died with the old incarnation
@@ -1595,10 +1590,10 @@ FreePartRuntime::restartAgent(uint32_t partition)
     // at a cleared store.
     std::vector<uint64_t> lost;
     for (auto &[id, home] : objectHome) {
-        if (home.first != partition || agent.store->has(id))
+        if (home != partition || agent.store->has(id))
             continue;
         if (hostStore_->has(id)) {
-            home.first = kHostPartition;
+            home = kHostPartition;
             continue;
         }
         auto other = std::find_if(
@@ -1611,7 +1606,7 @@ FreePartRuntime::restartAgent(uint32_t partition)
         // still vouch for the object: rebuild it eagerly so it keeps
         // resolving (hasObject).
         if (other != agents.end())
-            home.first = other->partition;
+            home = other->partition;
         else if (!ensureResident(partition, id))
             lost.push_back(id);
     }

@@ -614,10 +614,9 @@ class FreePartRuntime
      *  adaptive-spin hot window) and skips the futex wakes. */
     uint32_t hotPartition_ = kHostPartition;
     std::vector<ProtectedVar> vars;
-    /** object id -> (home partition, kind). Mutable so homeOf() can
-     *  lazily adopt host-store objects created outside invoke(). */
-    mutable std::map<uint64_t, std::pair<uint32_t, fw::ObjKind>>
-        objectHome;
+    /** object id -> home partition. Mutable so homeOf() can lazily
+     *  adopt host-store objects created outside invoke(). */
+    mutable std::map<uint64_t, uint32_t> objectHome;
     uint64_t nextSeq = 1;
     /** Readiness time of each object on the virtual timelines (only
      *  maintained in pipeline mode; absent = ready immediately). */

@@ -29,9 +29,7 @@ struct DeviceFds {
 
 /** Observed data-flow trace sink (dynamic analysis). */
 struct FlowTrace {
-    std::vector<FlowOp> ops;        //!< observed W(dst, R(src)) ops
-    std::vector<osim::Syscall> syscalls; //!< not populated here; see
-                                         //!< Process::syscallCounts
+    std::vector<FlowOp> ops; //!< observed W(dst, R(src)) ops
 };
 
 /**

@@ -59,8 +59,7 @@ Channel::remapInto(osim::Pid pid)
 }
 
 void
-Channel::sendOn(SpscRing &ring, const std::vector<Message> &msgs,
-                bool is_request, bool hot)
+Channel::sendOn(SpscRing &ring, const std::vector<Message> &msgs, bool hot)
 {
     if (msgs.empty())
         util::fatal("channel: empty batch send");
@@ -77,26 +76,6 @@ Channel::sendOn(SpscRing &ring, const std::vector<Message> &msgs,
     RingSink sink(ring, res);
     encodeBatchTo(sink, msgs);
     ring.commit(res);
-
-    stats_.bytesSent += frame;
-    ++stats_.batches;
-    if (hot)
-        ++stats_.hotSends;
-    else
-        ++stats_.futexWakes;
-    for (const Message &msg : msgs) {
-        switch (msg.kind) {
-          case MsgKind::Deliver:
-            ++stats_.delivers;
-            break;
-          default:
-            if (is_request)
-                ++stats_.requests;
-            else
-                ++stats_.responses;
-            break;
-        }
-    }
     // One wake (if the peer is parked) plus per-message ring work.
     kernel.advance(kernel.costs().ipcSendCost(msgs.size(), hot));
 }
@@ -114,7 +93,6 @@ Channel::receiveOn(SpscRing &ring, osim::Pid receiver,
       case osim::FaultAction::Crash:
         // The frame never reaches the receiver (a lost wakeup / torn
         // write in the real futex-synchronized ring).
-        ++stats_.dropped;
         return false;
       case osim::FaultAction::Corrupt:
         kernel.faultInjector()->corrupt(wire);
@@ -128,7 +106,6 @@ Channel::receiveOn(SpscRing &ring, osim::Pid receiver,
         // The shared trailer rejects the whole burst: batching widens
         // the blast radius of one corrupt byte to the frame, and the
         // at-least-once layer re-issues the whole call.
-        ++stats_.corrupted;
         return false;
     }
     return true;
@@ -137,7 +114,7 @@ Channel::receiveOn(SpscRing &ring, osim::Pid receiver,
 void
 Channel::sendRequestBatch(const std::vector<Message> &msgs, bool hot)
 {
-    sendOn(reqRing, msgs, true, hot);
+    sendOn(reqRing, msgs, hot);
 }
 
 bool
@@ -149,7 +126,7 @@ Channel::receiveRequestBatch(std::vector<Message> &out)
 void
 Channel::sendResponseBatch(const std::vector<Message> &msgs, bool hot)
 {
-    sendOn(respRing, msgs, false, hot);
+    sendOn(respRing, msgs, hot);
 }
 
 bool

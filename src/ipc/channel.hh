@@ -33,20 +33,6 @@
 
 namespace freepart::ipc {
 
-/** IPC traffic counters for one channel. */
-struct ChannelStats {
-    uint64_t requests = 0;      //!< request messages sent
-    uint64_t responses = 0;     //!< response messages sent
-    uint64_t delivers = 0;      //!< piggybacked object deliveries
-    uint64_t batches = 0;       //!< batch frames sent
-    uint64_t hotSends = 0;      //!< sends that skipped the futex wake
-    uint64_t bytesSent = 0;     //!< total wire bytes in both directions
-    uint64_t futexWakes = 0;    //!< synchronization wakeups charged
-    uint64_t dropped = 0;       //!< frames lost to injected faults
-    uint64_t corrupted = 0;     //!< frames rejected as corrupt
-    uint64_t inFlightPeak = 0;  //!< deepest async in-flight queue seen
-};
-
 /**
  * Host<->agent channel over a shm segment. The first half of the
  * segment is the request ring (host -> agent), the second half the
@@ -90,9 +76,6 @@ class Channel
      */
     void remapInto(osim::Pid pid);
 
-    const ChannelStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ChannelStats(); }
-
     osim::Pid hostPid() const { return host; }
     osim::Pid agentPid() const { return agent; }
 
@@ -111,8 +94,6 @@ class Channel
     noteInFlight(uint64_t ticket, osim::SimTime done)
     {
         inFlight_.emplace_back(ticket, done);
-        if (inFlight_.size() > stats_.inFlightPeak)
-            stats_.inFlightPeak = inFlight_.size();
     }
 
     /** Issued async calls not yet reaped. */
@@ -141,8 +122,7 @@ class Channel
     void clearInFlight() { inFlight_.clear(); }
 
   private:
-    void sendOn(SpscRing &ring, const std::vector<Message> &msgs,
-                bool is_request, bool hot);
+    void sendOn(SpscRing &ring, const std::vector<Message> &msgs, bool hot);
 
     /**
      * Pop + decode one batch frame, applying ring-transfer faults on
@@ -160,7 +140,6 @@ class Channel
     uint32_t segId;
     SpscRing reqRing;
     SpscRing respRing;
-    ChannelStats stats_;
     std::deque<std::pair<uint64_t, osim::SimTime>> inFlight_;
 };
 

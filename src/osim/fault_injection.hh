@@ -121,9 +121,6 @@ class FaultInjector
         return *this;
     }
 
-    /** Drop all scheduled specs (hit counters and log are kept). */
-    void clearSchedule() { armed.clear(); }
-
     /**
      * Consult the injector at a fault point. Every call counts as one
      * hit for matching specs; the first spec whose trigger condition

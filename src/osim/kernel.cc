@@ -18,7 +18,6 @@ Kernel::spawn(const std::string &name)
     Process &ref = *proc;
     procs.emplace(pid, std::move(proc));
     advance(costModel.processSpawn);
-    logEvent(pid, EventKind::ProcSpawn, name);
     return ref;
 }
 
@@ -62,9 +61,6 @@ Kernel::respawn(Pid pid)
     Process &proc = process(pid);
     proc.resetForRespawn();
     advance(costModel.processRestart);
-    logEvent(pid, EventKind::ProcRestart,
-             proc.name() + " incarnation=" +
-                 std::to_string(proc.incarnation()));
     // An injected respawn fault kills the fresh incarnation before it
     // can serve anything — the crash-loop generator. The caller is
     // responsible for checking alive() on the returned process.
@@ -79,9 +75,6 @@ Kernel::promote(Pid pid)
     Process &proc = process(pid);
     proc.resetForRespawn();
     advance(costModel.processPromote);
-    logEvent(pid, EventKind::ProcRestart,
-             proc.name() + " incarnation=" +
-                 std::to_string(proc.incarnation()) + " (promoted)");
     // The promoted standby is subject to the same stillborn fault as
     // a cold respawn: the injection point models "the replacement
     // process dies before serving", however it was brought up.
@@ -94,7 +87,6 @@ void
 Kernel::faultProcess(Process &proc, const std::string &why)
 {
     proc.markCrashed(why);
-    logEvent(proc.pid(), EventKind::ProcCrash, why);
 }
 
 void
@@ -105,9 +97,6 @@ Kernel::trustedProtect(Pid pid, Addr addr, size_t len, Perms perms)
     size_t pages = (len + kPageSize - 1) / kPageSize;
     advance(costModel.syscallBase +
             costModel.protectPerPage * pages);
-    logEvent(pid, EventKind::Protection,
-             "protect len=" + std::to_string(len) + " perms=" +
-                 std::to_string(static_cast<int>(perms)));
 }
 
 void
@@ -122,13 +111,6 @@ Kernel::trustedCopy(Pid src_pid, Addr src, Pid dst_pid, Addr dst,
     uint8_t *d = dp.space().checkedSpan(dst, len, true);
     std::memcpy(d, s, len);
     advance(costModel.copyCost(len));
-}
-
-Addr
-Kernel::trustedAlloc(Pid pid, size_t size, Perms perms,
-                     const std::string &label)
-{
-    return process(pid).space().alloc(size, perms, label);
 }
 
 void
@@ -147,9 +129,7 @@ Kernel::enforce(Process &proc, Syscall call, Fd fd)
         advance(costModel.sigsysDeliver);
         std::string what = std::string(syscallName(call)) +
                            (fd >= 0 ? " fd=" + std::to_string(fd) : "");
-        logEvent(proc.pid(), EventKind::SyscallDenied, what);
         proc.markCrashed("SIGSYS: " + what);
-        logEvent(proc.pid(), EventKind::ProcCrash, "SIGSYS: " + what);
         throw SyscallViolation(proc.pid(), what);
     }
     advance(costModel.syscallCost(call));
@@ -280,33 +260,12 @@ Kernel::sysFstat(Process &proc, Fd fd)
     return vfs_.sizeOf(file.path);
 }
 
-void
-Kernel::sysUnlink(Process &proc, const std::string &path)
-{
-    enforce(proc, Syscall::Unlink);
-    vfs_.remove(path);
-}
-
-void
-Kernel::sysMkdir(Process &proc, const std::string &path)
-{
-    enforce(proc, Syscall::Mkdir);
-    vfs_.addDir(path);
-}
-
 Addr
 Kernel::sysMmap(Process &proc, size_t size, Perms perms,
                 const std::string &label)
 {
     enforce(proc, Syscall::Mmap);
     return proc.space().alloc(size, perms, label);
-}
-
-void
-Kernel::sysMunmap(Process &proc, Addr base)
-{
-    enforce(proc, Syscall::Munmap);
-    proc.space().unmap(base);
 }
 
 void
@@ -355,8 +314,6 @@ Kernel::sysSend(Process &proc, Fd fd, Addr src, size_t len)
     proc.space().read(src, buf.data(), len);
     advance(costModel.copyCost(len));
     network_.send(proc.pid(), file.path, buf.data(), len);
-    logEvent(proc.pid(), EventKind::NetSendEvt,
-             "dest=" + file.path + " len=" + std::to_string(len));
 }
 
 size_t
@@ -381,12 +338,6 @@ Kernel::sysSelect(Process &proc, Fd fd)
 {
     enforce(proc, Syscall::Select, fd);
     requireFd(proc, fd);
-}
-
-void
-Kernel::sysFutex(Process &proc)
-{
-    enforce(proc, Syscall::Futex);
 }
 
 uint64_t
@@ -432,7 +383,6 @@ Kernel::sysExit(Process &proc)
 {
     enforce(proc, Syscall::Exit);
     proc.markExited();
-    logEvent(proc.pid(), EventKind::ProcExit, proc.name());
 }
 
 void
@@ -454,8 +404,6 @@ Kernel::guiShow(Process &proc, Fd gui_fd, const std::string &window,
     proc.space().read(pixels, buf.data(), len);
     advance(costModel.copyCost(len));
     display_.show(proc.pid(), window, w, h, buf.data(), len);
-    logEvent(proc.pid(), EventKind::GuiShow,
-             window + " " + std::to_string(w) + "x" + std::to_string(h));
 }
 
 uint32_t
@@ -487,14 +435,6 @@ Kernel::shmBacking(uint32_t seg_id) const
     if (seg_id >= shmSegs.size())
         util::panic("shmBacking: bad segment id %u", seg_id);
     return shmSegs[seg_id].backing;
-}
-
-void
-Kernel::logEvent(Pid pid, EventKind kind, const std::string &detail)
-{
-    // now() so events inside a task bracket carry the bracket's
-    // virtual timestamp rather than the (lagging) global clock.
-    eventLog.push_back({now(), pid, kind, detail});
 }
 
 void
@@ -548,14 +488,6 @@ void
 Kernel::syncToTimelines()
 {
     clock = maxTimeline();
-}
-
-size_t
-Kernel::countEvents(EventKind kind) const
-{
-    return static_cast<size_t>(
-        std::count_if(eventLog.begin(), eventLog.end(),
-                      [&](const Event &e) { return e.kind == kind; }));
 }
 
 } // namespace freepart::osim

@@ -1,8 +1,7 @@
 /**
  * @file
  * The simulated kernel: process lifecycle, the filtered syscall
- * surface, shared memory, devices, the VFS, the simulated clock, and
- * a global event log.
+ * surface, shared memory, devices, the VFS and the simulated clock.
  *
  * Two trust domains exist, mirroring the paper's threat model (§2):
  * framework/application code runs *inside* simulated processes and may
@@ -37,30 +36,6 @@ struct ShmSegment {
     uint32_t id;
     std::string name;
     Backing backing;
-};
-
-/** Kinds of events recorded in the kernel event log. */
-enum class EventKind {
-    ProcSpawn,
-    ProcExit,
-    ProcCrash,
-    ProcRestart,
-    SyscallDenied,
-    MemFaultEvt,
-    GuiShow,
-    NetSendEvt,
-    StateChange,   //!< FreePart framework-state transitions
-    Protection,    //!< permission flips applied by the runtime
-    AttackBlocked, //!< recorded by the attack driver
-    Custom,
-};
-
-/** One entry in the kernel event log. */
-struct Event {
-    SimTime time;
-    Pid pid;
-    EventKind kind;
-    std::string detail;
 };
 
 /**
@@ -108,7 +83,7 @@ class Kernel
      */
     Process &promote(Pid pid);
 
-    /** Mark a process crashed (fault escalation) and log the event. */
+    /** Mark a process crashed (fault escalation). */
     void faultProcess(Process &proc, const std::string &why);
 
     // ---- Clock and costs ---------------------------------------------
@@ -210,10 +185,6 @@ class Kernel
     void trustedCopy(Pid src_pid, Addr src, Pid dst_pid, Addr dst,
                      size_t len);
 
-    /** Allocate memory in a process without a syscall (loader path). */
-    Addr trustedAlloc(Pid pid, size_t size, Perms perms,
-                      const std::string &label);
-
     // ---- Filtered syscall surface ------------------------------------
 
     /** openat(2): open a VFS file or device node. */
@@ -234,18 +205,9 @@ class Kernel
     /** fstat(2): returns the file size. */
     size_t sysFstat(Process &proc, Fd fd);
 
-    /** unlink(2). */
-    void sysUnlink(Process &proc, const std::string &path);
-
-    /** mkdir(2). */
-    void sysMkdir(Process &proc, const std::string &path);
-
     /** mmap(2): anonymous mapping in the process. */
     Addr sysMmap(Process &proc, size_t size, Perms perms,
                  const std::string &label);
-
-    /** munmap(2). */
-    void sysMunmap(Process &proc, Addr base);
 
     /**
      * mprotect(2) issued by *process* code — the code-manipulation
@@ -273,9 +235,6 @@ class Kernel
 
     /** select(2) (fd-checked). */
     void sysSelect(Process &proc, Fd fd);
-
-    /** futex(2): cost-accounting only (simulation is synchronous). */
-    void sysFutex(Process &proc);
 
     /** getrandom(2): deterministic pseudo-random value. */
     uint64_t sysGetrandom(Process &proc);
@@ -324,19 +283,10 @@ class Kernel
     DisplayDevice &display() { return display_; }
     NetworkDevice &network() { return network_; }
 
-    // ---- Event log -----------------------------------------------------
-
-    /** Append an event to the log. */
-    void logEvent(Pid pid, EventKind kind, const std::string &detail);
-
-    const std::vector<Event> &events() const { return eventLog; }
-    size_t countEvents(EventKind kind) const;
-    void clearEvents() { eventLog.clear(); }
-
   private:
     /**
-     * Count, filter-check, and charge one syscall. Denial logs an
-     * event, kills the process (SIGSYS), and throws SyscallViolation.
+     * Count, filter-check, and charge one syscall. Denial kills the
+     * process (SIGSYS) and throws SyscallViolation.
      */
     void enforce(Process &proc, Syscall call, Fd fd = -1);
 
@@ -356,7 +306,6 @@ class Kernel
     CameraDevice camera_;
     DisplayDevice display_;
     NetworkDevice network_;
-    std::vector<Event> eventLog;
     uint64_t randomState = 0x5eed5eed5eedull;
 };
 

@@ -31,33 +31,11 @@ Vfs::openForWrite(const std::string &path)
     return files[path];
 }
 
-bool
-Vfs::remove(const std::string &path)
-{
-    return files.erase(path) > 0;
-}
-
-void
-Vfs::addDir(const std::string &path)
-{
-    dirs[path] = true;
-}
-
 size_t
 Vfs::sizeOf(const std::string &path) const
 {
     auto it = files.find(path);
     return it == files.end() ? 0 : it->second.size();
-}
-
-std::vector<std::string>
-Vfs::listFiles() const
-{
-    std::vector<std::string> out;
-    out.reserve(files.size());
-    for (const auto &[path, data] : files)
-        out.push_back(path);
-    return out;
 }
 
 } // namespace freepart::osim

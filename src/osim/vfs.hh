@@ -31,24 +31,11 @@ class Vfs
     /** Mutable contents (created empty if missing). */
     std::vector<uint8_t> &openForWrite(const std::string &path);
 
-    /** Remove a file; returns false if it did not exist. */
-    bool remove(const std::string &path);
-
-    /** Record a directory (mkdir); directories are advisory only. */
-    void addDir(const std::string &path);
-
     /** File size in bytes; 0 if missing. */
     size_t sizeOf(const std::string &path) const;
 
-    /** All file paths, sorted. */
-    std::vector<std::string> listFiles() const;
-
-    /** Number of files. */
-    size_t fileCount() const { return files.size(); }
-
   private:
     std::map<std::string, std::vector<uint8_t>> files;
-    std::map<std::string, bool> dirs;
 };
 
 } // namespace freepart::osim

@@ -240,8 +240,8 @@ TEST(Codec, UnknownMessageKindIsRejected)
         EXPECT_EQ(roundTrip(msg).kind, kind);
     }
 
-    // Through the channel the frame counts as corrupt, never as a
-    // delivered message.
+    // Through the channel the frame is rejected, never delivered as a
+    // message.
     osim::Kernel kernel;
     osim::Process &host = kernel.spawn("host");
     osim::Process &agent = kernel.spawn("agent");
@@ -250,7 +250,6 @@ TEST(Codec, UnknownMessageKindIsRejected)
     channel.sendResponseBatch({msg}, false);
     std::vector<Message> got;
     EXPECT_FALSE(channel.receiveResponseBatch(got));
-    EXPECT_EQ(channel.stats().corrupted, 1u);
 }
 
 TEST(Codec, WrongKindAccessPanics)
@@ -302,10 +301,6 @@ TEST(Channel, RequestResponseRoundTrip)
     ASSERT_TRUE(channel.receiveResponseBatch(got));
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].values[0].asU64(), 99u);
-
-    EXPECT_EQ(channel.stats().requests, 1u);
-    EXPECT_EQ(channel.stats().responses, 1u);
-    EXPECT_GT(channel.stats().bytesSent, 0u);
 }
 
 TEST(Channel, ChargesSimulatedTime)

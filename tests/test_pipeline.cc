@@ -172,7 +172,7 @@ TEST(Pipeline, InFlightDepthIsBoundedAndStallsAreCounted)
         EXPECT_TRUE(res->ok) << res->error;
     }
     const RunStats &stats = runtime->stats();
-    EXPECT_LE(stats.inFlightPeak, kMaxInFlightPerPartition);
+    EXPECT_EQ(stats.inFlightPeak, kMaxInFlightPerPartition);
     EXPECT_GT(stats.inFlightStalls, 0u);
     runtime->drainAll();
     EXPECT_EQ(runtime->pendingAsyncCalls(), 0u);
