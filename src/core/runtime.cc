@@ -33,24 +33,6 @@ nextAutoShardId()
 
 } // namespace
 
-const char *
-frameworkStateName(FrameworkState state)
-{
-    switch (state) {
-      case FrameworkState::Initialization:
-        return "Initialization";
-      case FrameworkState::Loading:
-        return "Data Loading";
-      case FrameworkState::Processing:
-        return "Data Processing";
-      case FrameworkState::Visualizing:
-        return "Visualizing";
-      case FrameworkState::Storing:
-        return "Data Storing";
-    }
-    return "?";
-}
-
 FrameworkState
 stateForType(fw::ApiType type)
 {

@@ -49,9 +49,6 @@ enum class FrameworkState : uint8_t {
     Storing,
 };
 
-/** Display name of a framework state. */
-const char *frameworkStateName(FrameworkState state);
-
 /** State entered when an API of the given type executes. */
 FrameworkState stateForType(fw::ApiType type);
 

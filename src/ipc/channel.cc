@@ -84,31 +84,44 @@ bool
 Channel::receiveOn(SpscRing &ring, osim::Pid receiver,
                    std::vector<Message> &out)
 {
-    std::vector<uint8_t> wire;
-    if (!ring.tryPop(wire))
+    SpscRing::Front front;
+    if (!ring.tryFront(front))
         return false;
-    switch (kernel.queryFault(osim::FaultPoint::RingTransfer,
-                              receiver)) {
-      case osim::FaultAction::Transient:
-      case osim::FaultAction::Crash:
+    osim::FaultAction fault =
+        kernel.queryFault(osim::FaultPoint::RingTransfer, receiver);
+    if (fault == osim::FaultAction::Transient ||
+        fault == osim::FaultAction::Crash) {
         // The frame never reaches the receiver (a lost wakeup / torn
         // write in the real futex-synchronized ring).
+        ring.release(front);
         return false;
-      case osim::FaultAction::Corrupt:
-        kernel.faultInjector()->corrupt(wire);
-        break;
-      default:
-        break;
     }
+    // The agent decodes a request where it lies: only the host writes
+    // that ring. The host copies every response out before checking
+    // it, because the agent could rewrite bytes between the checksum
+    // and the decode; a wrapped or corrupted frame is copied as well.
+    bool in_place = &ring == &reqRing && front.bytes &&
+                    fault != osim::FaultAction::Corrupt;
+    std::vector<uint8_t> wire;
+    if (!in_place) {
+        ring.copyFront(front, wire);
+        ring.release(front);
+        if (fault == osim::FaultAction::Corrupt)
+            kernel.faultInjector()->corrupt(wire);
+    }
+    bool ok = true;
     try {
-        out = decodeBatch(wire);
+        out = in_place ? decodeBatch(front.bytes, front.length)
+                       : decodeBatch(wire);
     } catch (const std::exception &) {
         // The shared trailer rejects the whole burst: batching widens
         // the blast radius of one corrupt byte to the frame, and the
         // at-least-once layer re-issues the whole call.
-        return false;
+        ok = false;
     }
-    return true;
+    if (in_place)
+        ring.release(front);
+    return ok;
 }
 
 void

@@ -127,9 +127,11 @@ class Channel
     /**
      * Pop + decode one batch frame, applying ring-transfer faults on
      * the receiving side: a Transient fault drops the frame, a
-     * Corrupt fault flips wire bytes so the shared trailer rejects
-     * it. Both surface as "no message" — the at-least-once layer
-     * above must retry the whole call.
+     * Corrupt fault flips bytes of a copy so the shared trailer
+     * rejects it. Both surface as "no message" — the at-least-once
+     * layer above must retry the whole call. The agent decodes a
+     * contiguous request in ring storage; the host never decodes
+     * bytes in the agent-writable response ring.
      */
     bool receiveOn(SpscRing &ring, osim::Pid receiver,
                    std::vector<Message> &out);

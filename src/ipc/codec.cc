@@ -136,8 +136,8 @@ class Writer
 
 /**
  * Forwarding sink that folds every byte into a WideChecksum so a
- * batch trailer can be computed while streaming into ring storage —
- * no second pass over (possibly wrapped) ring memory.
+ * batch trailer is computed while the frame streams into ring storage
+ * — the producer never reads back what it wrote to shared memory.
  */
 class ChecksumSink final : public ByteSink
 {
@@ -397,36 +397,42 @@ encodeBatch(const std::vector<Message> &msgs)
 }
 
 std::vector<Message>
-decodeBatch(const std::vector<uint8_t> &wire)
+decodeBatch(const uint8_t *wire, size_t len)
 {
-    if (wire.size() < kBatchCountBytes + kBatchTrailerBytes)
+    if (len < kBatchCountBytes + kBatchTrailerBytes)
         util::fatal("codec: batch frame shorter than its framing");
-    size_t body = wire.size() - kBatchTrailerBytes;
+    size_t body = len - kBatchTrailerBytes;
     uint64_t expected;
-    std::memcpy(&expected, wire.data() + body, sizeof(expected));
-    if (util::wideChecksum(wire.data(), body) != expected)
+    std::memcpy(&expected, wire + body, sizeof(expected));
+    if (util::wideChecksum(wire, body) != expected)
         util::fatal("codec: batch checksum mismatch on %zu-byte frame",
-                    wire.size());
-    Reader r(wire.data(), body);
+                    len);
+    Reader r(wire, body);
     uint32_t count = r.u32();
-    if (count > wire.size())
+    if (count > len)
         util::fatal("codec: batch count %u exceeds frame size %zu",
-                    count, wire.size());
+                    count, len);
     std::vector<Message> msgs;
     msgs.reserve(count);
     size_t pos = kBatchCountBytes;
     for (uint32_t i = 0; i < count; ++i) {
-        uint32_t len = r.u32();
+        uint32_t entry = r.u32();
         pos += sizeof(uint32_t);
-        if (pos + len > body)
+        if (pos + entry > body)
             util::fatal("codec: batch entry %u overruns frame", i);
-        msgs.push_back(decodeMessageBody(wire.data() + pos, len));
-        pos += len;
-        r.skip(len); // keep the reader in lockstep for done()
+        msgs.push_back(decodeMessageBody(wire + pos, entry));
+        pos += entry;
+        r.skip(entry); // keep the reader in lockstep for done()
     }
     if (!r.done())
         util::fatal("codec: trailing bytes in batch frame");
     return msgs;
+}
+
+std::vector<Message>
+decodeBatch(const std::vector<uint8_t> &wire)
+{
+    return decodeBatch(wire.data(), wire.size());
 }
 
 } // namespace freepart::ipc

@@ -156,7 +156,11 @@ void encodeBatchTo(ByteSink &sink, const std::vector<Message> &msgs);
 std::vector<uint8_t> encodeBatch(const std::vector<Message> &msgs);
 
 /** Parse a batch frame; verifies the shared trailer first, throws on
- *  any corruption (the whole batch is rejected as one unit). */
+ *  any corruption (the whole batch is rejected as one unit). The bytes
+ *  are read in place, so they must not change while this runs. */
+std::vector<Message> decodeBatch(const uint8_t *wire, size_t len);
+
+/** decodeBatch over a staging vector. */
 std::vector<Message> decodeBatch(const std::vector<uint8_t> &wire);
 
 } // namespace freepart::ipc

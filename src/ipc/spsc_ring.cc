@@ -65,7 +65,7 @@ SpscRing::copyOut(uint64_t pos, uint8_t *dst, size_t len) const
 }
 
 bool
-SpscRing::tryPop(std::vector<uint8_t> &out)
+SpscRing::tryFront(Front &front) const
 {
     uint64_t tail = tailRef().load(std::memory_order_acquire);
     uint64_t head = headRef().load(std::memory_order_relaxed);
@@ -73,10 +73,45 @@ SpscRing::tryPop(std::vector<uint8_t> &out)
         return false;
     uint32_t len32 = 0;
     copyOut(head, reinterpret_cast<uint8_t *>(&len32), sizeof(len32));
-    out.resize(len32);
-    copyOut(head + sizeof(len32), out.data(), len32);
-    headRef().store(head + sizeof(len32) + len32,
-                    std::memory_order_release);
+    if (len32 == kWrapMarker) {
+        head += cap - head % cap;
+        copyOut(head, reinterpret_cast<uint8_t *>(&len32),
+                sizeof(len32));
+    }
+    front.start = head + kRecordPrefix;
+    front.length = len32;
+    // Bytes the producer did not publish are never handed out, even
+    // if the ring's contents were overwritten.
+    if (front.start > tail || len32 > tail - front.start)
+        util::fatal("SpscRing: %u-byte record overruns the published "
+                    "bytes",
+                    len32);
+    size_t off = static_cast<size_t>(front.start % cap);
+    front.bytes = len32 <= cap - off ? data + off : nullptr;
+    return true;
+}
+
+void
+SpscRing::copyFront(const Front &front, std::vector<uint8_t> &out) const
+{
+    out.resize(front.length);
+    copyOut(front.start, out.data(), front.length);
+}
+
+void
+SpscRing::release(const Front &front)
+{
+    headRef().store(front.start + front.length, std::memory_order_release);
+}
+
+bool
+SpscRing::tryPop(std::vector<uint8_t> &out)
+{
+    Front front;
+    if (!tryFront(front))
+        return false;
+    copyFront(front, out);
+    release(front);
     return true;
 }
 
@@ -86,12 +121,23 @@ SpscRing::tryReserve(size_t len, Reservation &out)
     uint64_t head = headRef().load(std::memory_order_acquire);
     uint64_t tail = tailRef().load(std::memory_order_relaxed);
     size_t used = static_cast<size_t>(tail - head);
-    if (kRecordPrefix + len > cap - used)
+    size_t need = kRecordPrefix + len;
+    if (len >= kWrapMarker || need > cap - used)
         return false;
+    uint64_t start = tail;
+    size_t off = static_cast<size_t>(tail % cap);
+    // Rewind a drained ring to its first byte. The record then ends
+    // at or before the marker, so tail - head stays within cap, and
+    // both lie in bytes the consumer has released.
+    if (used == 0 && off >= need && cap - off >= kRecordPrefix) {
+        copyIn(tail, reinterpret_cast<const uint8_t *>(&kWrapMarker),
+               sizeof(kWrapMarker));
+        start = tail + (cap - off);
+    }
     uint32_t len32 = static_cast<uint32_t>(len);
-    copyIn(tail, reinterpret_cast<const uint8_t *>(&len32),
+    copyIn(start, reinterpret_cast<const uint8_t *>(&len32),
            sizeof(len32));
-    out.start = tail;
+    out.start = start;
     out.length = len;
     out.written = 0;
     return true;

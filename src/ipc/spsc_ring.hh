@@ -15,6 +15,16 @@
  * buffer), and the record is published only at commit. The consumer
  * never observes a partially written record because the tail index
  * moves last.
+ *
+ * A drained ring restarts at its first byte: when the producer finds
+ * the ring empty and the record fits before its read position, it
+ * writes a wrap marker there and starts the record at the data area's
+ * first byte, so an exchange-at-a-time channel keeps reusing the same
+ * few pages instead of sweeping the whole ring.
+ *
+ * The consumer API is tryFront / release: the oldest record can be
+ * read where it lies (when it does not wrap the data area's end) and
+ * its bytes are handed back only at release. tryPop copies it out.
  */
 
 #ifndef FREEPART_IPC_SPSC_RING_HH
@@ -45,9 +55,11 @@ static_assert(sizeof(SpscRingHeader) == 192,
  * Lock-free SPSC ring over a caller-owned byte region.
  *
  * Region layout: [SpscRingHeader][data bytes...]. head/tail are
- * free-running counters; the producer owns tail, the consumer owns
- * head. Records are length-prefixed (u32) so variable sized messages
- * pop out whole.
+ * free-running counters; the producer writes only tail (and bytes the
+ * consumer has released), the consumer writes only head. Records are
+ * length-prefixed (u32) so variable sized messages pop out whole; a
+ * prefix of kWrapMarker sends the consumer on to the next lap's first
+ * byte, where the record written after the marker starts.
  */
 class SpscRing
 {
@@ -57,6 +69,9 @@ class SpscRing
 
     /** Length prefix stored before each record's payload. */
     static constexpr size_t kRecordPrefix = sizeof(uint32_t);
+
+    /** Prefix value meaning "the next record starts at the next lap". */
+    static constexpr uint32_t kWrapMarker = UINT32_MAX;
 
     /**
      * An in-flight zero-copy record (see tryReserve). The producer
@@ -69,6 +84,16 @@ class SpscRing
         size_t written = 0;  //!< payload bytes streamed so far
     };
 
+    /**
+     * The oldest record, seen by the consumer but not yet released
+     * (see tryFront). Its bytes stay untouched until release().
+     */
+    struct Front {
+        const uint8_t *bytes = nullptr; //!< payload, or null if it wraps
+        size_t length = 0;              //!< payload length
+        uint64_t start = 0;             //!< absolute payload position
+    };
+
     /** Attach to (and zero-initialize) a region as a fresh ring. */
     static SpscRing create(uint8_t *region, size_t region_len);
 
@@ -78,11 +103,28 @@ class SpscRing
     /** Usable data capacity in bytes. */
     size_t capacity() const { return cap; }
 
-    /** Bytes currently enqueued. */
+    /**
+     * Ring bytes held by unconsumed records: prefixes and payloads,
+     * plus the skipped end of the lap before a record that restarted
+     * at the first byte.
+     */
     size_t size() const;
 
     /** True if no records are enqueued. */
     bool empty() const { return size() == 0; }
+
+    /**
+     * Look at the oldest record without consuming it. front.bytes
+     * points into ring storage when the payload is contiguous.
+     * @return false if the ring is empty.
+     */
+    bool tryFront(Front &front) const;
+
+    /** Copy a front record's payload into out (replacing it). */
+    void copyFront(const Front &front, std::vector<uint8_t> &out) const;
+
+    /** Consume a record seen by tryFront, handing its bytes back. */
+    void release(const Front &front);
 
     /**
      * Dequeue one record into out (replacing its contents).
@@ -92,7 +134,9 @@ class SpscRing
 
     /**
      * Reserve space for one record of exactly len payload bytes.
-     * The record stays invisible to the consumer until commit().
+     * The record stays invisible to the consumer until commit(). On
+     * an empty ring whose read position leaves room for the record
+     * before it, the record restarts at the data area's first byte.
      * @return false if there is not enough free space.
      */
     bool tryReserve(size_t len, Reservation &out);

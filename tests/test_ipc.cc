@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -138,30 +140,199 @@ TEST(SpscRing, AttachSeesExistingData)
     EXPECT_EQ(out, msg);
 }
 
+/** The payload bytes of record i written by drained-ring tests. */
+std::vector<uint8_t>
+numberedRecord(size_t len, uint32_t i)
+{
+    std::vector<uint8_t> record(len);
+    for (size_t j = 0; j < len; ++j)
+        record[j] = static_cast<uint8_t>(i * 31 + j);
+    return record;
+}
+
+/** Push then pop one record on a fresh ring so it is drained at
+ *  offset (at most the capacity). */
+void
+drainAt(SpscRing &ring, size_t offset)
+{
+    ASSERT_GE(offset, SpscRing::kRecordPrefix);
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(push(ring, std::vector<uint8_t>(
+                               offset - SpscRing::kRecordPrefix, 0x11)));
+    ASSERT_TRUE(ring.tryPop(out));
+    ASSERT_TRUE(ring.empty());
+}
+
+TEST(SpscRing, DrainedRingRestartsAtFirstByte)
+{
+    constexpr size_t kCap = 256;
+    std::vector<uint8_t> region(SpscRing::kHeaderBytes + kCap);
+    SpscRing ring = SpscRing::create(region.data(), region.size());
+    const uint8_t *first = region.data() + SpscRing::kHeaderBytes;
+    drainAt(ring, 100);
+
+    std::vector<uint8_t> record = numberedRecord(40, 7);
+    ASSERT_TRUE(push(ring, record));
+    // The record sits at the data area's first byte, the wrap marker
+    // where the consumer will read next.
+    uint32_t prefix = 0, marker = 0;
+    std::memcpy(&prefix, first, sizeof(prefix));
+    std::memcpy(&marker, first + 100, sizeof(marker));
+    EXPECT_EQ(prefix, record.size());
+    EXPECT_EQ(marker, SpscRing::kWrapMarker);
+    EXPECT_TRUE(std::equal(record.begin(), record.end(),
+                           first + SpscRing::kRecordPrefix));
+
+    // The in-place view points at those bytes until release.
+    SpscRing::Front front;
+    ASSERT_TRUE(ring.tryFront(front));
+    EXPECT_EQ(front.bytes, first + SpscRing::kRecordPrefix);
+    EXPECT_EQ(front.length, record.size());
+    ring.release(front);
+    EXPECT_TRUE(ring.empty());
+
+    // Drained again after the rewind: the next record rewinds too.
+    ASSERT_TRUE(push(ring, numberedRecord(10, 8)));
+    std::memcpy(&prefix, first, sizeof(prefix));
+    EXPECT_EQ(prefix, 10u);
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(ring.tryPop(out));
+    EXPECT_EQ(out, numberedRecord(10, 8));
+}
+
+TEST(SpscRing, RecordThatCannotRewindIsStillAccepted)
+{
+    // On a drained ring every record whose prefix and payload fit the
+    // capacity is accepted, at any read position: one that does not
+    // fit before that position is written there as before.
+    constexpr size_t kCap = 64;
+    for (size_t offset = SpscRing::kRecordPrefix; offset <= kCap;
+         offset += 5)
+        for (size_t len = 0; len + SpscRing::kRecordPrefix <= kCap;
+             len += 3) {
+            std::vector<uint8_t> region(SpscRing::kHeaderBytes + kCap);
+            SpscRing ring =
+                SpscRing::create(region.data(), region.size());
+            drainAt(ring, offset);
+            std::vector<uint8_t> record = numberedRecord(len, 3);
+            ASSERT_TRUE(push(ring, record))
+                << len << " bytes at offset " << offset;
+            std::vector<uint8_t> out;
+            ASSERT_TRUE(ring.tryPop(out));
+            ASSERT_EQ(out, record);
+            ASSERT_TRUE(ring.empty());
+        }
+    std::vector<uint8_t> region(SpscRing::kHeaderBytes + kCap);
+    SpscRing ring = SpscRing::create(region.data(), region.size());
+    drainAt(ring, 10);
+    EXPECT_FALSE(push(ring, numberedRecord(kCap, 1)));
+}
+
+TEST(SpscRing, SizeCountsAcrossAWrapMarker)
+{
+    constexpr size_t kCap = 256;
+    std::vector<uint8_t> region(SpscRing::kHeaderBytes + kCap);
+    SpscRing ring = SpscRing::create(region.data(), region.size());
+    drainAt(ring, 200);
+    ASSERT_TRUE(push(ring, numberedRecord(50, 1)));
+    // The rewound record holds the rest of the lap and its own bytes;
+    // the next one queues behind it, up to the marker.
+    EXPECT_FALSE(ring.empty());
+    EXPECT_EQ(ring.size(), kCap - 200 + SpscRing::kRecordPrefix + 50);
+    ASSERT_TRUE(push(ring, numberedRecord(30, 2)));
+    EXPECT_EQ(ring.size(),
+              kCap - 200 + 2 * SpscRing::kRecordPrefix + 80);
+    EXPECT_FALSE(push(ring, numberedRecord(
+                           200 - 80 - 3 * SpscRing::kRecordPrefix + 1,
+                           3)));
+    ASSERT_TRUE(push(ring, numberedRecord(
+                          200 - 80 - 3 * SpscRing::kRecordPrefix, 3)));
+    EXPECT_EQ(ring.size(), kCap);
+
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(ring.tryPop(out));
+    EXPECT_EQ(out, numberedRecord(50, 1));
+    // Past the marker only the queued records count.
+    EXPECT_EQ(ring.size(), 200 - SpscRing::kRecordPrefix - 50);
+    ASSERT_TRUE(ring.tryPop(out));
+    EXPECT_EQ(out, numberedRecord(30, 2));
+    ASSERT_TRUE(ring.tryPop(out));
+    EXPECT_EQ(out.size(), 200 - 80 - 3 * SpscRing::kRecordPrefix);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.size(), 0u);
+}
+
+TEST(SpscRing, FrontOfAWrappedRecordHasNoInPlaceView)
+{
+    constexpr size_t kCap = 64;
+    std::vector<uint8_t> region(SpscRing::kHeaderBytes + kCap);
+    SpscRing ring = SpscRing::create(region.data(), region.size());
+    drainAt(ring, 40);
+    // 40 bytes cannot fit before offset 40, so the record wraps.
+    std::vector<uint8_t> record = numberedRecord(40, 9);
+    ASSERT_TRUE(push(ring, record));
+    SpscRing::Front front;
+    ASSERT_TRUE(ring.tryFront(front));
+    EXPECT_EQ(front.bytes, nullptr);
+    std::vector<uint8_t> out;
+    ring.copyFront(front, out);
+    EXPECT_EQ(out, record);
+    EXPECT_FALSE(ring.empty()); // nothing consumed before release
+    ring.release(front);
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRing, RecordOverrunningPublishedBytesIsRejected)
+{
+    // Ring memory is shared with the peer: a length prefix rewritten
+    // past what the producer published must not be read as a record.
+    std::vector<uint8_t> region(SpscRing::kHeaderBytes + 256);
+    SpscRing ring = SpscRing::create(region.data(), region.size());
+    ASSERT_TRUE(push(ring, numberedRecord(10, 1)));
+    uint32_t forged = 11;
+    std::memcpy(region.data() + SpscRing::kHeaderBytes, &forged,
+                sizeof(forged));
+    SpscRing::Front front;
+    EXPECT_THROW(ring.tryFront(front), util::FatalError);
+    forged = SpscRing::kWrapMarker; // a marker with nothing after it
+    std::memcpy(region.data() + SpscRing::kHeaderBytes, &forged,
+                sizeof(forged));
+    EXPECT_THROW(ring.tryFront(front), util::FatalError);
+}
+
 TEST(SpscRing, TwoThreadStress)
 {
-    std::vector<uint8_t> region(SpscRing::kHeaderBytes + 1024);
+    // Record sizes from 1 byte to about a third of the capacity, so
+    // records wrap, and drained rings rewind behind wrap markers,
+    // while both threads run.
+    constexpr size_t kCap = 1024;
+    std::vector<uint8_t> region(SpscRing::kHeaderBytes + kCap);
     SpscRing producer = SpscRing::create(region.data(), region.size());
     SpscRing consumer = SpscRing::attach(region.data(), region.size());
-    constexpr int kCount = 20000;
+    constexpr uint32_t kCount = 20000;
+    auto length_of = [](uint32_t i) {
+        return 1 + static_cast<size_t>(i * 2654435761u >> 7) % (kCap / 3);
+    };
 
+    // A mismatch stops both threads instead of leaving the producer
+    // spinning on a ring nobody drains.
+    std::atomic<bool> mismatch{false};
     std::thread consumer_thread([&] {
         std::vector<uint8_t> out;
-        for (int expected = 0; expected < kCount;) {
+        for (uint32_t expected = 0; expected < kCount;) {
             if (!consumer.tryPop(out))
                 continue;
-            ASSERT_EQ(out.size(), sizeof(int));
-            int value;
-            std::memcpy(&value, out.data(), sizeof(int));
-            ASSERT_EQ(value, expected);
+            if (out != numberedRecord(length_of(expected), expected)) {
+                ADD_FAILURE() << "record " << expected << " corrupted";
+                mismatch = true;
+                return;
+            }
             ++expected;
         }
     });
 
-    for (int i = 0; i < kCount;) {
-        std::vector<uint8_t> record(sizeof(int));
-        std::memcpy(record.data(), &i, sizeof(int));
-        if (push(producer, record))
+    for (uint32_t i = 0; i < kCount && !mismatch;) {
+        if (push(producer, numberedRecord(length_of(i), i)))
             ++i;
     }
     consumer_thread.join();

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <tuple>
 
 #include "fw/image_format.hh"
@@ -231,6 +232,67 @@ TEST_P(RingSweep, FifoContentIntegrity)
     EXPECT_EQ(pushed, popped);
     EXPECT_GT(pushed, 0u);
     EXPECT_TRUE(ring.empty());
+}
+
+TEST_P(RingSweep, VariableSizesRewindWithoutLosingRecords)
+{
+    // Random record sizes up to about a third of the capacity (the
+    // message-length parameter seeds the draw), random interleaving.
+    // Whenever the ring is drained every record that fits the
+    // capacity must be accepted, rewound or not, and size() must read
+    // zero exactly when nothing is queued.
+    auto [capacity, seed] = GetParam();
+    std::vector<uint8_t> region(ipc::SpscRing::kHeaderBytes +
+                                capacity);
+    ipc::SpscRing ring =
+        ipc::SpscRing::create(region.data(), region.size());
+    uint64_t state = seed * 0x9e3779b97f4a7c15ull + 1;
+    auto next = [&](uint64_t bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % bound;
+    };
+    auto make_msg = [](uint32_t n, size_t len) {
+        std::vector<uint8_t> msg(len);
+        for (size_t i = 0; i < len; ++i)
+            msg[i] = static_cast<uint8_t>(n * 13 + i);
+        return msg;
+    };
+    std::deque<std::vector<uint8_t>> queued;
+    uint32_t pushed = 0;
+    std::vector<uint8_t> out;
+    for (int step = 0; step < 2000; ++step) {
+        if (next(3) != 0) {
+            // Now and then a record that fills the whole data area.
+            size_t len = next(8) == 0
+                             ? capacity - ipc::SpscRing::kRecordPrefix
+                             : next(capacity / 3 + 1);
+            std::vector<uint8_t> msg = make_msg(pushed, len);
+            bool drained = queued.empty();
+            ipc::SpscRing::Reservation res;
+            bool accepted = ring.tryReserve(msg.size(), res);
+            if (drained) {
+                ASSERT_TRUE(accepted) << len << " bytes, step " << step;
+            }
+            if (accepted) {
+                ring.reservationWrite(res, msg.data(), msg.size());
+                ring.commit(res);
+                queued.push_back(std::move(msg));
+                ++pushed;
+            }
+        } else if (ring.tryPop(out)) {
+            ASSERT_FALSE(queued.empty());
+            ASSERT_EQ(out, queued.front());
+            queued.pop_front();
+        }
+        ASSERT_EQ(ring.empty(), queued.empty());
+        ASSERT_LE(ring.size(), capacity);
+    }
+    while (ring.tryPop(out)) {
+        ASSERT_EQ(out, queued.front());
+        queued.pop_front();
+    }
+    EXPECT_TRUE(queued.empty());
+    EXPECT_EQ(ring.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

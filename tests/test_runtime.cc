@@ -513,10 +513,8 @@ TEST(PartitionPlan, PerApiAssignsDistinctPartitions)
               plan.partitionFor("b", ApiType::Processing));
 }
 
-TEST(FrameworkStates, NamesAndMapping)
+TEST(FrameworkStates, MappingFromApiType)
 {
-    EXPECT_STREQ(frameworkStateName(FrameworkState::Loading),
-                 "Data Loading");
     EXPECT_EQ(stateForType(ApiType::Storing),
               FrameworkState::Storing);
     EXPECT_EQ(stateForType(ApiType::Visualizing),
